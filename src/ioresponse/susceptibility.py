@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import expm
 
 from .dynamics import (
@@ -112,6 +113,39 @@ def susceptibility_analytic(table: IOTable, horizon: float = math.inf) -> Suscep
     )
 
 
+def _lag_count(horizon: float, budget: SimulationBudget) -> int:
+    """Number of dt lag steps up to the horizon; each lag needs a sample pair."""
+    n_lags = int(round(horizon / budget.dt))
+    if n_lags < 1:
+        raise ValueError("horizon must cover at least one lag step")
+    n_records = int(round(budget.length / budget.dt)) + 1
+    if n_lags >= n_records:
+        raise InsufficientSamples(
+            f"horizon of {n_lags} lag steps needs more than the "
+            f"{n_records} recorded states of each replica; raise the length"
+        )
+    return n_lags
+
+
+def _centered_replicas(
+    table: IOTable, nu: np.ndarray, budget: SimulationBudget
+) -> Iterator[np.ndarray]:
+    """Unshocked replica paths, each centered on its own time mean."""
+    states = simulate_batch(
+        table.coefficients,
+        table.demand,
+        nu,
+        ShockProfile.none(),
+        dt=budget.dt,
+        horizon=budget.length,
+        burn_in=budget.burn_in,
+        seed=budget.seed,
+        replicas=budget.replicas,
+    )
+    for path in states:
+        yield path - path.mean(axis=0, keepdims=True)
+
+
 def _lag_covariances(y: np.ndarray, n_lags: int) -> list[np.ndarray]:
     """C_hat(k dt)[a, b] = mean_t y[t + k, a] y[t, b] for k = 0..n_lags."""
     n = y.shape[0]
@@ -121,11 +155,23 @@ def _lag_covariances(y: np.ndarray, n_lags: int) -> list[np.ndarray]:
     return out
 
 
-def _trapezoid(mats: Sequence[np.ndarray], dt: float) -> np.ndarray:
-    acc = 0.5 * (mats[0] + mats[-1])
-    for m in mats[1:-1]:
-        acc = acc + m
-    return acc * dt
+def _green_kubo_integral(y: np.ndarray, n_lags: int, dt: float) -> np.ndarray:
+    """Trapezoid integral of C_hat(k dt) sigma_hat^{-1} over k = 0..n_lags.
+
+    The lag sum ``sum_k w_k C_hat(k dt)`` (trapezoid weight times dt) equals
+    ``z.T @ y`` for the filtered path ``z[t] = sum_k w_k y[t + k] / (n - k)``,
+    which one zero-padded FFT correlation computes for all lags at once.
+    """
+    n = y.shape[0]
+    weights = np.full(n_lags + 1, dt)
+    weights[[0, -1]] = 0.5 * dt
+    taps = weights / (n - np.arange(n_lags + 1))
+    size = next_fast_len(n + n_lags, real=True)
+    spectrum = rfft(y, size, axis=0) * np.conj(rfft(taps, size))[:, None]
+    z = irfft(spectrum, size, axis=0)[:n]
+    sigma_hat = y.T @ y / n
+    # (sum_k w_k C_k) sigma^{-1}; sigma_hat is symmetric
+    return np.linalg.solve(sigma_hat, (z.T @ y).T).T
 
 
 def monte_carlo_propagator(
@@ -140,31 +186,17 @@ def monte_carlo_propagator(
     the replica-r estimate of ``C(k dt) sigma^{-1}`` (a (n_lags+1, N, N)
     array) and ``integrals[r]`` its trapezoid integral up to the horizon.
     """
-    n_lags = int(round(horizon / budget.dt))
-    if n_lags < 1:
-        raise ValueError("horizon must cover at least one lag step")
-    states = simulate_batch(
-        table.coefficients,
-        table.demand,
-        nu,
-        ShockProfile.none(),
-        dt=budget.dt,
-        horizon=budget.length,
-        burn_in=budget.burn_in,
-        seed=budget.seed,
-        replicas=budget.replicas,
-    )
+    n_lags = _lag_count(horizon, budget)
     lags = budget.dt * np.arange(n_lags + 1)
     propagators = []
     integrals = []
-    for r in range(budget.replicas):
-        y = states[r] - states[r].mean(axis=0, keepdims=True)
+    for y in _centered_replicas(table, nu, budget):
         cov = _lag_covariances(y, n_lags)
         sigma_hat = cov[0]
         # C(k dt) sigma^{-1}; sigma_hat is symmetric
         prop = np.stack([np.linalg.solve(sigma_hat, c.T).T for c in cov])
         propagators.append(prop)
-        integrals.append(_trapezoid(prop, budget.dt))
+        integrals.append(_green_kubo_integral(y, n_lags, budget.dt))
     return lags, propagators, integrals
 
 
@@ -182,8 +214,11 @@ def susceptibility_monte_carlo(
         raise InsufficientSamples(
             "standard errors need at least 2 replicas"
         )
-    _, _, integrals = monte_carlo_propagator(table, nu, horizon, budget)
-    stack = np.stack(integrals)
+    n_lags = _lag_count(horizon, budget)
+    stack = np.stack([
+        _green_kubo_integral(y, n_lags, budget.dt)
+        for y in _centered_replicas(table, nu, budget)
+    ])
     values = stack.mean(axis=0)
     stderr = None
     if with_standard_errors:

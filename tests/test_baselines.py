@@ -218,6 +218,20 @@ class TestTTest:
         assert pos.p_value == pytest.approx(neg.p_value, rel=1e-12)
         assert pos.t_stat == pytest.approx(-neg.t_stat, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 30, 400])
+    @pytest.mark.parametrize("shift", [0.0, 0.05, 0.4, 3.0])
+    def test_matches_scipy_stats_exactly(self, n, shift):
+        from scipy import stats
+
+        values = np.random.default_rng(n).normal(size=n)
+        values = values - values.mean() + shift
+        summary = t_test_mean_zero(values)
+        se = values.std(ddof=1) / math.sqrt(n)
+        half = float(stats.t.ppf(0.975, n - 1)) * se
+        assert summary.p_value == 2.0 * float(stats.t.sf(abs(summary.t_stat), n - 1))
+        assert summary.ci_low == summary.mean - half
+        assert summary.ci_high == summary.mean + half
+
     def test_zero_variance_degenerate(self):
         summary = t_test_mean_zero([0.0, 0.0, 0.0])
         assert summary.degenerate

@@ -1,8 +1,11 @@
 """End-to-end command-line pipeline tests."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +277,22 @@ class TestErrorHandling:
     def test_missing_data_flag(self, tmp_path):
         assert run(["ingest", "--out", str(tmp_path / "out")]) == 2
 
+    def test_monte_carlo_horizon_beyond_path_exit_3(
+        self, two_sector_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        code = run([
+            "susceptibility", "--data", str(two_sector_file),
+            "--country", "AAA", "--year", "2014", "--method", "monte_carlo",
+            "--horizon", "5", "--mc-length", "2", "--mc-replicas", "2",
+            "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("InsufficientSamples: ")
+        assert not any(out.iterdir())
+
 
 class TestEnvironmentOverride:
     def test_env_sets_value_and_flag_wins(self, panel_file, tmp_path, monkeypatch):
@@ -288,6 +307,20 @@ class TestEnvironmentOverride:
             "--country", "AAA", "--out", str(tmp_path / "b"),
         ])
         assert code == 0  # explicit flag overrides the environment
+
+
+def test_cli_import_skips_scipy_stats():
+    import ioresponse
+
+    src = str(Path(ioresponse.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ioresponse.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script_entry_point(two_sector_file, tmp_path):

@@ -9,9 +9,11 @@ from scipy.linalg import expm
 
 from ioresponse.errors import InsufficientSamples, MissingPanelCell
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
+from ioresponse.response import impulse_response_monte_carlo
 from ioresponse.susceptibility import (
     SimulationBudget,
     aggregate_susceptibilities,
+    monte_carlo_propagator,
     sector_susceptibility,
     susceptibility_analytic,
     susceptibility_monte_carlo,
@@ -129,6 +131,50 @@ class TestMonteCarlo:
     def test_infinite_horizon_rejected(self, economy, nu):
         with pytest.raises(ValueError):
             susceptibility_monte_carlo(economy, nu, math.inf)
+
+    @pytest.mark.parametrize("route", [
+        susceptibility_monte_carlo,
+        monte_carlo_propagator,
+        lambda table, nu, horizon, budget: impulse_response_monte_carlo(
+            table, np.ones(table.n_sectors), nu, horizon, budget
+        ),
+    ], ids=["susceptibility", "propagator", "impulse_curve"])
+    def test_horizon_beyond_recorded_path_is_insufficient(self, economy, nu, route):
+        # 2 years at dt = 0.01 record 201 states; 500 lags cannot be formed
+        budget = SimulationBudget(dt=0.01, length=2.0, replicas=2, burn_in=1.0, seed=5)
+        with pytest.raises(InsufficientSamples):
+            route(economy, nu, 5.0, budget)
+
+    def test_horizon_equal_to_path_length_is_the_last_usable_lag(self, economy, nu):
+        budget = SimulationBudget(dt=0.01, length=2.0, replicas=2, burn_in=1.0, seed=5)
+        lags, propagators, integrals = monte_carlo_propagator(economy, nu, 2.0, budget)
+        assert len(lags) == 201
+        assert propagators[0].shape == (201, 5, 5)
+        assert all(np.all(np.isfinite(i)) for i in integrals)
+        with pytest.raises(InsufficientSamples):
+            monte_carlo_propagator(economy, nu, 2.01, budget)
+
+
+class TestGreenKuboIntegral:
+    """The FFT lag filter against the per-lag trapezoid it replaces."""
+
+    @pytest.mark.parametrize("horizon", [0.01, 1.5])  # n_lags = 1 and 150
+    def test_filtered_integral_equals_trapezoid_of_propagators(self, economy, nu, horizon):
+        budget = SimulationBudget(dt=0.01, length=60.0, replicas=3, burn_in=5.0, seed=6)
+        lags, propagators, integrals = monte_carlo_propagator(economy, nu, horizon, budget)
+        assert len(lags) == int(round(horizon / budget.dt)) + 1
+        for prop, integral in zip(propagators, integrals):
+            reference = budget.dt * (
+                0.5 * (prop[0] + prop[-1]) + prop[1:-1].sum(axis=0)
+            )
+            err = np.linalg.norm(integral - reference) / np.linalg.norm(reference)
+            assert err < 1e-12
+
+    def test_estimate_is_replica_mean_of_propagator_integrals(self, economy, nu):
+        budget = SimulationBudget(dt=0.01, length=60.0, replicas=3, burn_in=5.0, seed=7)
+        est = susceptibility_monte_carlo(economy, nu, 1.0, budget)
+        _, _, integrals = monte_carlo_propagator(economy, nu, 1.0, budget)
+        assert np.array_equal(est.values, np.stack(integrals).mean(axis=0))
 
 
 class TestSectorSusceptibility:
