@@ -37,6 +37,7 @@ from .iodata import (
     NoiseSpec,
     Panel,
     SectorId,
+    leontief_solve,
     load_panel,
     noise_covariance,
     parse_io_table,
@@ -48,6 +49,7 @@ from .response import (
     ResponseCurve,
     fluctuation_panel_regression,
     fluctuation_prediction,
+    forecast_from_shock,
     general_response,
     implied_shock,
     impulse_response,

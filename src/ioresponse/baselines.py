@@ -22,7 +22,6 @@ per year and pooled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
@@ -35,12 +34,10 @@ from .errors import (
     MisalignedPanel,
     NonConvergent,
     RankDeficientRegressors,
-    SingularSystem,
     TooShortSeries,
 )
-from .iodata import IOTable, Panel
-from .response import implied_shock, lrt_forecast
-from .susceptibility import truncated_susceptibility
+from .iodata import IOTable, Panel, leontief_solve
+from .response import forecast_from_shock, implied_shock
 
 #: AR/MA coefficients are clamped to this magnitude when a fit ends on the
 #: stationarity/invertibility boundary.
@@ -312,13 +309,7 @@ def var_forecast(model: VarModel, state, steps: int = 1) -> np.ndarray:
 def perturbed_io_forecast(table: IOTable, shock) -> np.ndarray:
     """Perturbed-equilibrium output change (I - A)^{-1} X for a step shock."""
     x = np.asarray(getattr(shock, "values", shock), dtype=float)
-    system = np.eye(table.n_sectors) - table.coefficients
-    try:
-        return np.linalg.solve(system, x)
-    except np.linalg.LinAlgError:
-        raise SingularSystem(
-            "I - A is singular", condition=float(np.linalg.cond(system))
-        ) from None
+    return leontief_solve(table.coefficients, x)
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +499,13 @@ def benchmark_lrt_vs_baseline(
     the fitted yearly map applied twice from Y(t); perturbed-io: the
     perturbed equilibrium under the same implied shock).  Cells where the
     baseline cannot be fitted yet (short ARIMA history) are skipped.
-    Work is distributed over (country, year) cells; results are merged in
-    sorted order, so the worker count never changes the output.
+    Cells run one after another in sorted order in one thread; ``workers``
+    is accepted for compatibility and has no effect.
     """
     if baseline not in ("arima", "var", "perturbed_io"):
         raise ValueError(f"unknown baseline {baseline!r}")
     countries = panel.countries()
     years = panel.years()
-    year_index = {y: k for k, y in enumerate(years)}
 
     var_models: dict[str, VarModel] = {}
     if baseline == "var":
@@ -534,7 +524,10 @@ def benchmark_lrt_vs_baseline(
     p, d, q = orders
     min_obs = p + d + q + 3
 
-    tasks = []
+    observed = {}
+    anchor = {}
+    lrt_pred = {}
+    base_pred = {}
     for c in countries:
         c_years = panel.years(c)
         series = np.stack([panel.get(c, y).output for y in c_years])
@@ -543,44 +536,29 @@ def benchmark_lrt_vs_baseline(
                 continue
             if baseline == "arima" and c_years.index(t + 1) + 1 < min_obs:
                 continue
-            tasks.append((c, t, series, c_years))
-
-    def run_cell(task):
-        c, t, series, c_years = task
-        table = panel.get(c, t)
-        y_t = panel.get(c, t).output
-        y_t1 = panel.get(c, t + 1).output
-        y_t2 = panel.get(c, t + 2).output
-        # the oracle hook replaces predictions by the observations themselves
-        # (r_lrt becomes exactly 1), used to validate the evaluation harness
-        pred_lrt = y_t2.copy() if lrt_oracle else lrt_forecast(table, y_t, y_t1)
-        if baseline == "arima":
-            pred_base = _arima_cell_forecast(
-                series, c_years.index(t + 1), orders, calibration
-            )
-        elif baseline == "var":
-            # t+1 and t+2 levels come from iterating the fitted yearly map
-            pred_base = var_forecast(var_models[c], y_t, steps=2)
-        else:
-            shock = implied_shock(table, y_t, y_t1)
-            pred_base = y_t + perturbed_io_forecast(table, shock)
-        return (c, t), y_t2, y_t1, pred_lrt, pred_base
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, tasks))
-    else:
-        results = [run_cell(t) for t in tasks]
-
-    observed = {}
-    anchor = {}
-    lrt_pred = {}
-    base_pred = {}
-    for key, y_t2, y_t1, pred_lrt, pred_base in sorted(results, key=lambda r: r[0]):
-        observed[key] = y_t2
-        anchor[key] = y_t1
-        lrt_pred[key] = pred_lrt
-        base_pred[key] = pred_base
+            table = panel.get(c, t)
+            y_t = table.output
+            y_t1 = panel.get(c, t + 1).output
+            y_t2 = panel.get(c, t + 2).output
+            if not lrt_oracle or baseline == "perturbed_io":
+                shock = implied_shock(table, y_t, y_t1)
+            # the oracle hook replaces predictions by the observations
+            # themselves (r_lrt becomes exactly 1), used to validate the
+            # evaluation harness
+            pred_lrt = y_t2.copy() if lrt_oracle else forecast_from_shock(table, y_t, shock)
+            if baseline == "arima":
+                pred_base = _arima_cell_forecast(
+                    series, c_years.index(t + 1), orders, calibration
+                )
+            elif baseline == "var":
+                # t+1 and t+2 levels come from iterating the fitted yearly map
+                pred_base = var_forecast(var_models[c], y_t, steps=2)
+            else:
+                pred_base = y_t + perturbed_io_forecast(table, shock)
+            observed[(c, t)] = y_t2
+            anchor[(c, t)] = y_t1
+            lrt_pred[(c, t)] = pred_lrt
+            base_pred[(c, t)] = pred_base
 
     evaluation = evaluate_forecasts(observed, anchor, lrt_pred, base_pred, target=target)
     return BenchmarkResult(

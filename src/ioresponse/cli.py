@@ -11,8 +11,9 @@ Configuration precedence is flags > environment (``IORESPONSE_<KEY>``) >
 config file (flat ``key = value`` lines) > defaults.  Every run writes a
 ``manifest.txt`` with the fully resolved configuration; pointing ``--config``
 at a manifest reproduces the run.  All numeric output is a pure function of
-(input data, resolved configuration, seed); worker counts only distribute
-work and never change output bytes.
+(input data, resolved configuration, seed).  Every pipeline runs in one
+thread; ``--workers`` is accepted, so older manifests and scripts keep
+working, but has no effect.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 data error,
 4 numerical error.
@@ -46,7 +47,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "noise": (str, "output_proportional"),
     "dt": (float, 0.01),
     "seed": (int, 0),
-    "workers": (int, 1),
+    "workers": (int, 1),  # no effect; kept so old manifests and scripts load
     "out": (str, "out"),
     "method": (str, "analytic"),
     "mc_length": (float, 400.0),
@@ -237,16 +238,6 @@ def _shock_vector(cfg: RunConfig, table: iodata.IOTable) -> np.ndarray:
     return x
 
 
-def _map_cells(fn, keys, workers: int):
-    """Apply fn over cell keys, optionally threaded; results in input order."""
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, keys))
-    return [fn(k) for k in keys]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -270,6 +261,8 @@ def _cmd_ingest(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
+    if cfg["method"] not in ("analytic", "monte_carlo"):
+        raise ConfigError(f"unknown method {cfg['method']!r}")
     panel = _load_panel(cfg)
     horizon = cfg.horizon_years
     convention = cfg["convention"]
@@ -300,20 +293,13 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
             "panel aggregation runs on the analytic path"
         )
     codes = panel.codes()
-    keys = [(t.country, t.year) for t in panel]
-
-    def cell(key):
-        table = panel.get(*key)
+    sector_values = {}
+    outputs = {}
+    for table in panel:
+        key = (table.country, table.year)
         rho = susceptibility.susceptibility_analytic(table, horizon)
-        return (
-            key,
-            susceptibility.sector_susceptibility(rho, convention=convention),
-            table.output,
-        )
-
-    results = _map_cells(cell, keys, cfg["workers"])
-    sector_values = {key: v for key, v, _ in results}
-    outputs = {key: y for key, _, y in results}
+        sector_values[key] = susceptibility.sector_susceptibility(rho, convention=convention)
+        outputs[key] = table.output
     agg = susceptibility.aggregate_susceptibilities(sector_values, outputs, codes)
     with out.open("sector_scores.csv") as fh:
         susceptibility.write_aggregates(agg, fh)
@@ -374,7 +360,7 @@ def _cmd_forecast(cfg: RunConfig, out: OutputDir) -> None:
             shock = response.implied_shock(table, y_t, y_t1)
             for code, v in zip(table.codes, shock.values):
                 shock_rows.append((country, t, code, v))
-            predicted = response.lrt_forecast(table, y_t, y_t1)
+            predicted = response.forecast_from_shock(table, y_t, shock)
             observed = (
                 panel.get(country, t + 2).output if t + 2 in years else None
             )
@@ -404,7 +390,6 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
         var_calibration_year=var_year,
         nu_builder=lambda table: iodata.noise_covariance(cfg.noise_spec(), table),
         seed=cfg["seed"],
-        workers=cfg["workers"],
         lrt_oracle=_parse_bool(cfg["lrt_oracle"]),
     )
     with out.open("evaluation.csv") as fh:

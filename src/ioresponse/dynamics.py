@@ -26,7 +26,7 @@ from .errors import (
     SingularSystem,
     UnstableDrift,
 )
-from .iodata import IOTable
+from .iodata import IOTable, leontief_solve
 from .rng import GaussianStream
 
 #: Relative residual allowed for the equilibrium solve.
@@ -57,13 +57,8 @@ def equilibrium_output(coefficients: np.ndarray, demand: np.ndarray) -> np.ndarr
     a = np.asarray(coefficients, dtype=float)
     d = np.asarray(demand, dtype=float)
     system = np.eye(a.shape[0]) - a
-    try:
-        y = np.linalg.solve(system, d)
-        y = y + np.linalg.solve(system, d - system @ y)
-    except np.linalg.LinAlgError:
-        raise SingularSystem(
-            "I - A is singular", condition=float(np.linalg.cond(system))
-        ) from None
+    y = leontief_solve(a, d)
+    y = y + leontief_solve(a, d - system @ y)
     scale = max(float(np.max(np.abs(d))), np.finfo(float).tiny)
     residual = float(np.max(np.abs(system @ y - d)))
     if not np.all(np.isfinite(y)) or residual > EQUILIBRIUM_RTOL * scale:

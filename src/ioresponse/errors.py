@@ -35,6 +35,10 @@ class MissingCountryYear(DataError):
     """The requested (country, year) cell is not present in the data."""
 
 
+class UnknownSector(DataError):
+    """A sector code is not among the sectors of the table."""
+
+
 class InconsistentTable(DataError):
     """Rows are individually well formed but contradict each other."""
 

@@ -41,6 +41,8 @@ from .errors import (
     MissingCountryYear,
     NonPositiveScale,
     NonProductiveEconomy,
+    SingularSystem,
+    UnknownSector,
     ZeroOutputSector,
 )
 from .sectors import sector_metadata
@@ -141,7 +143,7 @@ class IOTable:
         for s in self.sectors:
             if s.code == code:
                 return s.index
-        raise KeyError(f"sector {code!r} not in table {self.country}/{self.year}")
+        raise UnknownSector(f"sector {code!r} not in table {self.country}/{self.year}")
 
     def destination_index(self, dest: str) -> int:
         try:
@@ -278,12 +280,21 @@ class IOTable:
     ) -> "IOTable":
         """Build a synthetic table from (A, D); Y solves (I - A) Y = D."""
         coefficients = np.asarray(coefficients, dtype=float)
-        demand = np.asarray(demand, dtype=float)
-        n = coefficients.shape[0]
-        eye = np.eye(n)
-        output = np.linalg.solve(eye - coefficients, demand)
+        output = leontief_solve(coefficients, demand)
         flows = coefficients * output[None, :]
         return cls.from_flows(country, year, codes, flows, output)
+
+
+def leontief_solve(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - A) X = rhs; :class:`SingularSystem` when I - A is singular."""
+    a = np.asarray(coefficients, dtype=float)
+    system = np.eye(a.shape[0]) - a
+    try:
+        return np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystem(
+            "I - A is singular", condition=float(np.linalg.cond(system))
+        ) from None
 
 
 def spectral_radius(a: np.ndarray) -> float:
@@ -483,21 +494,7 @@ def parse_io_table(
     usual diagnostics (:class:`MalformedRow`, :class:`NonProductiveEconomy`,
     :class:`ZeroOutputSector`, ...) when validation fails.
     """
-    stream, close = _open_source(source)
-    acc = _TableAccumulator(str(country), int(year))
-    seen = False
-    try:
-        for lineno, rtype, c, y, rsec, col, value in _scan_rows(stream):
-            if c != acc.country or y != acc.year:
-                continue
-            seen = True
-            acc.add(lineno, rtype, rsec, col, value)
-    finally:
-        if close:
-            stream.close()
-    if not seen:
-        raise MissingCountryYear(f"no rows for {country}/{year}")
-    return acc.build(clip_negative_flows=clip_negative_flows)
+    return load_panel(source, [country], [year], clip_negative_flows).get(country, year)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,13 @@ def lrt_forecast(
     shock = implied_shock(
         table, output_t, output_t1, condition_cap=condition_cap, ridge=ridge
     )
+    return forecast_from_shock(table, output_t, shock, horizon)
+
+
+def forecast_from_shock(
+    table: IOTable, output_t, shock: ImpliedShock, horizon: float = 2.0
+) -> np.ndarray:
+    """Output level ``Y(t) + rho(t, T) X`` under an already extracted shock."""
     rho_h = truncated_susceptibility(table.coefficients, horizon)
     return np.asarray(output_t, dtype=float) + rho_h @ shock.values
 

@@ -34,8 +34,8 @@ from .dynamics import (
     drift_matrix,
     simulate_batch,
 )
-from .errors import InsufficientSamples, MissingPanelCell, SingularSystem
-from .iodata import IOTable
+from .errors import InsufficientSamples, MissingPanelCell
+from .iodata import IOTable, leontief_solve
 
 #: Normal critical value for the 95% confidence intervals of the
 #: output-weighted sector scores.
@@ -83,21 +83,14 @@ class SusceptibilityMatrix:
 def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.ndarray:
     """Closed-form rho(T) = (I - A)^{-1} (I - exp((A - I) T)); inf allowed."""
     a = np.asarray(coefficients, dtype=float)
-    n = a.shape[0]
-    eye = np.eye(n)
-    system = eye - a
+    eye = np.eye(a.shape[0])
     if math.isinf(horizon):
         rhs = eye
     elif horizon > 0.0:
         rhs = eye - expm(drift_matrix(a) * horizon)
     else:
         raise ValueError("horizon must be > 0 (or inf)")
-    try:
-        return np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystem(
-            "I - A is singular", condition=float(np.linalg.cond(system))
-        ) from None
+    return leontief_solve(a, rhs)
 
 
 def susceptibility_analytic(table: IOTable, horizon: float = math.inf) -> SusceptibilityMatrix:

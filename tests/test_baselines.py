@@ -340,3 +340,17 @@ class TestBenchmarkPipeline:
     def test_perturbed_io_baseline(self, small_panel):
         result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")
         assert len(result.evaluation.cells) > 0
+
+    def test_perturbed_io_extracts_one_shock_per_cell(self, small_panel, monkeypatch):
+        from ioresponse import baselines, response
+
+        calls = []
+
+        def counting(table, *args, **kwargs):
+            calls.append((table.country, table.year))
+            return implied_shock(table, *args, **kwargs)
+
+        monkeypatch.setattr(response, "implied_shock", counting)
+        monkeypatch.setattr(baselines, "implied_shock", counting)
+        result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")
+        assert sorted(calls) == sorted(result.observed)

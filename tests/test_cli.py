@@ -227,6 +227,24 @@ class TestOtherSubcommands:
         text = _read(out / "backbone_AAA_2004.graphml")
         assert "<graphml" in text and 'key="value"' in text
 
+    def test_forecast_extracts_one_shock_per_cell(self, panel, panel_file, tmp_path, monkeypatch):
+        from ioresponse import response
+
+        calls = []
+        original = response.implied_shock
+
+        def counting(table, *args, **kwargs):
+            calls.append((table.country, table.year))
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(response, "implied_shock", counting)
+        code = run(["forecast", "--data", str(panel_file), "--out", str(tmp_path / "out")])
+        assert code == 0
+        cells = [
+            (t.country, t.year) for t in panel if (t.country, t.year + 1) in panel
+        ]
+        assert sorted(calls) == cells
+
     def test_monte_carlo_panel_selection_is_usage_error(self, panel_file, tmp_path):
         code = run([
             "susceptibility", "--data", str(panel_file),
@@ -272,6 +290,39 @@ class TestErrorHandling:
             "--year", "2004", "--out", str(out),
         ])
         assert code == 3
+        assert not any(out.iterdir())
+
+    def test_unknown_method_exit_2(self, two_sector_file, tmp_path, capsys):
+        code = run([
+            "susceptibility", "--data", str(two_sector_file), "--country", "AAA",
+            "--year", "2014", "--method", "bogus", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: ")
+
+    def test_unknown_shock_sector_exit_3(self, two_sector_file, tmp_path, capsys):
+        code = run([
+            "response", "--data", str(two_sector_file), "--country", "AAA",
+            "--year", "2014", "--shock-sector", "NOPE", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("UnknownSector: ")
+
+    def test_unknown_scenario_sector_exit_3(self, two_sector_file, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "evaluation_year = 2014\nshock = AAA NOPE absolute 1.0\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code = run([
+            "scenario", "--data", str(two_sector_file), "--scenario-spec", str(spec),
+            "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("UnknownSector: ")
         assert not any(out.iterdir())
 
     def test_missing_data_flag(self, tmp_path):

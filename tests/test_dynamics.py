@@ -15,7 +15,7 @@ from ioresponse.dynamics import (
     write_trajectory,
 )
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
-from ioresponse.iodata import NoiseSpec, noise_covariance
+from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
 
 from conftest import random_economy
 
@@ -36,6 +36,17 @@ class TestEquilibrium:
     def test_singular_system(self):
         with pytest.raises(SingularSystem):
             equilibrium_output([[1.0]], [1.0])
+
+    def test_from_coefficients_singular_system(self):
+        with pytest.raises(SingularSystem):
+            IOTable.from_coefficients("AAA", 2000, ["S1"], [[1.0]], [1.0])
+
+    def test_leontief_solve_singular_reports_condition(self):
+        a = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(SingularSystem) as info:
+            leontief_solve(a, np.ones(2))
+        assert info.value.condition == np.linalg.cond(np.eye(2) - a)
+        assert info.value.condition > 1e15
 
     def test_residual_bound(self, panel):
         for table in panel:
