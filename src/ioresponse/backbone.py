@@ -11,6 +11,7 @@ diagonal is always excluded.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
@@ -18,6 +19,7 @@ from xml.sax.saxutils import escape, quoteattr
 import numpy as np
 
 from .errors import InvalidP, UnsupportedFormat
+from .iodata import _fmt, write_table
 from .sectors import sector_metadata
 from .susceptibility import SusceptibilityMatrix
 
@@ -141,13 +143,12 @@ def disparity_filter(
 def export_graph(graph: BackboneGraph, fmt: str = "edgelist") -> str:
     """Serialize a backbone as edge-list text or GraphML."""
     if fmt == "edgelist":
-        lines = ["from,to,weight,sign,alpha,preserved_flag"]
-        for e in graph.edges:
-            lines.append(
-                f"{e.source},{e.target},{e.weight!r},{e.sign},{e.alpha!r},"
-                f"{int(e.preserved)}"
-            )
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        fields = ("source", "target", "weight", "sign", "alpha")
+        write_table(buf, "from,to,weight,sign,alpha,preserved_flag",
+                    [[getattr(e, f) for e in graph.edges] for f in fields]
+                    + [[int(e.preserved) for e in graph.edges]])
+        return buf.getvalue()
     if fmt == "graphml":
         return _graphml(graph)
     raise UnsupportedFormat(f"unknown export format {fmt!r}")
@@ -174,17 +175,17 @@ def _graphml(graph: BackboneGraph) -> str:
     for node in graph.nodes:
         out.append(f"    <node id={quoteattr(node.code)}>")
         out.append(f"      <data key=\"group\">{escape(node.group)}</data>")
-        out.append(f"      <data key=\"in_weight\">{node.in_weight!r}</data>")
+        out.append(f"      <data key=\"in_weight\">{_fmt(node.in_weight)}</data>")
         if node.value == node.value:  # skip NaN annotations
-            out.append(f"      <data key=\"value\">{node.value!r}</data>")
+            out.append(f"      <data key=\"value\">{_fmt(node.value)}</data>")
         out.append("    </node>")
     for e in graph.edges:
         out.append(
             f"    <edge source={quoteattr(e.source)} target={quoteattr(e.target)}>"
         )
-        out.append(f"      <data key=\"weight\">{e.weight!r}</data>")
+        out.append(f"      <data key=\"weight\">{_fmt(e.weight)}</data>")
         out.append(f"      <data key=\"sign\">{e.sign}</data>")
-        out.append(f"      <data key=\"alpha\">{e.alpha!r}</data>")
+        out.append(f"      <data key=\"alpha\">{_fmt(e.alpha)}</data>")
         out.append(f"      <data key=\"preserved\">{str(e.preserved).lower()}</data>")
         out.append("    </edge>")
     out.append("  </graph>")

@@ -36,7 +36,7 @@ from .errors import (
     RankDeficientRegressors,
     TooShortSeries,
 )
-from .iodata import IOTable, Panel, leontief_solve
+from .iodata import IOTable, Panel, leontief_solve, write_table
 from .response import forecast_from_shock, implied_shock
 
 #: AR/MA coefficients are clamped to this magnitude when a fit ends on the
@@ -463,16 +463,17 @@ class BenchmarkResult:
 
 
 def _arima_cell_forecast(
-    series_by_sector: np.ndarray, upto: int, orders, calibration: str
+    series_by_sector: np.ndarray, upto: int, orders, models=None
 ) -> np.ndarray:
-    """One-step forecasts of every sector series, history ending at ``upto``."""
-    p, d, q = orders
-    n_years, n = series_by_sector.shape
-    out = np.empty(n)
-    for k in range(n):
-        full = series_by_sector[:, k]
-        history = full[: upto + 1]
-        model = fit_arima(full if calibration == "full" else history, p, d, q)
+    """One-step forecasts of every sector series, history ending at ``upto``.
+
+    ``models`` holds one fitted model per sector (full-sample calibration);
+    without it each sector is fitted to its history.
+    """
+    out = np.empty(series_by_sector.shape[1])
+    for k in range(len(out)):
+        history = series_by_sector[: upto + 1, k]
+        model = models[k] if models is not None else fit_arima(history, *orders)
         out[k] = arima_forecast(model, history, 1)[0]
     return out
 
@@ -531,6 +532,7 @@ def benchmark_lrt_vs_baseline(
     for c in countries:
         c_years = panel.years(c)
         series = np.stack([panel.get(c, y).output for y in c_years])
+        full_models = None  # fitted at the country's first scored cell
         for t in c_years:
             if t + 1 not in c_years or t + 2 not in c_years:
                 continue
@@ -547,8 +549,10 @@ def benchmark_lrt_vs_baseline(
             # evaluation harness
             pred_lrt = y_t2.copy() if lrt_oracle else forecast_from_shock(table, y_t, shock)
             if baseline == "arima":
+                if calibration == "full" and full_models is None:
+                    full_models = [fit_arima(s, p, d, q) for s in series.T]
                 pred_base = _arima_cell_forecast(
-                    series, c_years.index(t + 1), orders, calibration
+                    series, c_years.index(t + 1), orders, full_models
                 )
             elif baseline == "var":
                 # t+1 and t+2 levels come from iterating the fitted yearly map
@@ -573,13 +577,10 @@ def benchmark_lrt_vs_baseline(
 
 def write_evaluation(result: ForecastEvaluation, stream: TextIO) -> None:
     """Tabular report: per-cell scores, per-year summaries, one pooled line."""
-    stream.write("country,year,r_lrt,r_baseline,pg\n")
-    for c in result.cells:
-        stream.write(f"{c.country},{c.year},{c.r_lrt!r},{c.r_baseline!r},{c.pg!r}\n")
-    stream.write("\nyear,mean_pg,ci_low,ci_high,p_value\n")
-    for year, summary in sorted(result.by_year.items()):
-        stream.write(
-            f"{year},{summary.mean!r},{summary.ci_low!r},{summary.ci_high!r},{summary.p_value!r}\n"
-        )
-    s = result.pooled
-    stream.write(f"pooled,{s.mean!r},{s.ci_low!r},{s.ci_high!r},{s.p_value!r}\n")
+    fields = ("country", "year", "r_lrt", "r_baseline", "pg")
+    write_table(stream, ",".join(fields), [[getattr(c, f) for c in result.cells] for f in fields])
+    stream.write("\n")
+    rows = [*sorted(result.by_year.items()), ("pooled", result.pooled)]
+    stats = ("mean", "ci_low", "ci_high", "p_value")
+    write_table(stream, "year,mean_pg,ci_low,ci_high,p_value",
+                [[y for y, _ in rows]] + [[getattr(s, f) for _, s in rows] for f in stats])

@@ -242,20 +242,26 @@ def _shock_vector(cfg: RunConfig, table: iodata.IOTable) -> np.ndarray:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _identity_residual(table: iodata.IOTable) -> float:
+    """max |Y - (A Y + D)| relative to max |Y|."""
+    residual = float(
+        np.max(np.abs(table.output - (table.coefficients @ table.output + table.demand)))
+    )
+    return residual / max(float(np.max(np.abs(table.output))), np.finfo(float).tiny)
+
+
 def _cmd_ingest(cfg: RunConfig, out: OutputDir) -> None:
     panel = _load_panel(cfg)
+    tables = list(panel)
     with out.open("report.csv") as fh:
-        fh.write("country,year,n_sectors,spectral_radius,identity_residual,negative_demand\n")
-        for table in panel:
-            radius = iodata.spectral_radius(table.coefficients)
-            residual = float(
-                np.max(np.abs(table.output - (table.coefficients @ table.output + table.demand)))
-            )
-            scale = max(float(np.max(np.abs(table.output))), np.finfo(float).tiny)
-            fh.write(
-                f"{table.country},{table.year},{table.n_sectors},"
-                f"{radius!r},{residual / scale!r},{int((table.demand < 0).sum())}\n"
-            )
+        iodata.write_table(
+            fh, "country,year,n_sectors,spectral_radius,identity_residual,negative_demand", (
+                [t.country for t in tables], [t.year for t in tables],
+                [t.n_sectors for t in tables],
+                [iodata.spectral_radius(t.coefficients) for t in tables],
+                [_identity_residual(t) for t in tables],
+                [int((t.demand < 0).sum()) for t in tables],
+            ))
     with out.open("normalized.csv") as fh:
         iodata.write_panel(panel, fh)
 
@@ -282,9 +288,7 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
             susceptibility.write_matrix(rho, fh)
         scores = susceptibility.sector_susceptibility(rho, convention=convention)
         with out.open(f"sector_{table.country}_{table.year}.csv") as fh:
-            fh.write("sector,value\n")
-            for code, v in zip(rho.sectors, scores):
-                fh.write(f"{code},{float(v)!r}\n")
+            iodata.write_table(fh, "sector,value", (rho.sectors, scores))
         return
 
     if cfg["method"] == "monte_carlo":
@@ -303,21 +307,18 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
     agg = susceptibility.aggregate_susceptibilities(sector_values, outputs, codes)
     with out.open("sector_scores.csv") as fh:
         susceptibility.write_aggregates(agg, fh)
+    order = sorted(
+        range(len(codes)),
+        key=lambda i: (-(agg.weighted_sector[i]), codes[i]),
+    )
     with out.open("sector_ranking.csv") as fh:
-        fh.write("rank,sector,rho,ci_low,ci_high\n")
-        order = sorted(
-            range(len(codes)),
-            key=lambda i: (-(agg.weighted_sector[i]), codes[i]),
-        )
-        for rank, i in enumerate(order, start=1):
-            fh.write(
-                f"{rank},{codes[i]},{float(agg.weighted_sector[i])!r},"
-                f"{float(agg.ci_low[i])!r},{float(agg.ci_high[i])!r}\n"
-            )
+        iodata.write_table(fh, "rank,sector,rho,ci_low,ci_high", (
+            range(1, len(order) + 1), [codes[i] for i in order],
+            agg.weighted_sector[order], agg.ci_low[order], agg.ci_high[order],
+        ))
     with out.open("country_susceptibility.csv") as fh:
-        fh.write("country,rho\n")
-        for c in agg.countries:
-            fh.write(f"{c},{agg.country_average[c]!r}\n")
+        iodata.write_table(fh, "country,rho",
+                           (agg.countries, [agg.country_average[c] for c in agg.countries]))
 
 
 def _cmd_response(cfg: RunConfig, out: OutputDir) -> None:
@@ -340,15 +341,13 @@ def _cmd_response(cfg: RunConfig, out: OutputDir) -> None:
     if cfg["shock_kind"] == "impulse":
         times = response.recovery_time(curve, eps=cfg["recovery_eps"])
         with out.open(f"recovery_{country}_{year}.csv") as fh:
-            fh.write("sector,recovery_years\n")
-            for code, t in zip(table.codes, times):
-                fh.write(f"{code},{float(t)!r}\n")
+            iodata.write_table(fh, "sector,recovery_years", (table.codes, times))
 
 
 def _cmd_forecast(cfg: RunConfig, out: OutputDir) -> None:
     panel = _load_panel(cfg)
-    shock_rows = []
-    forecast_rows = []
+    countries, shock_years, sectors = [], [], []
+    shocks, observed, predicted = [], [], []
     for country in panel.countries():
         years = panel.years(country)
         for t in years:
@@ -358,23 +357,26 @@ def _cmd_forecast(cfg: RunConfig, out: OutputDir) -> None:
             y_t = table.output
             y_t1 = panel.get(country, t + 1).output
             shock = response.implied_shock(table, y_t, y_t1)
-            for code, v in zip(table.codes, shock.values):
-                shock_rows.append((country, t, code, v))
-            predicted = response.forecast_from_shock(table, y_t, shock)
-            observed = (
-                panel.get(country, t + 2).output if t + 2 in years else None
-            )
-            for k, code in enumerate(table.codes):
-                obs = "" if observed is None else repr(float(observed[k]))
-                forecast_rows.append((country, t + 2, code, obs, repr(float(predicted[k]))))
+            n = table.n_sectors
+            countries += [country] * n
+            shock_years += [t] * n
+            sectors += table.codes
+            shocks.extend(shock.values)
+            predicted.extend(response.forecast_from_shock(table, y_t, shock))
+            # a forecast past the panel's last year has no observation
+            observed.extend(panel.get(country, t + 2).output if t + 2 in years else [""] * n)
     with out.open("implied_shocks.csv") as fh:
-        fh.write("country,year,sector,implied_shock\n")
-        for c, t, code, v in shock_rows:
-            fh.write(f"{c},{t},{code},{float(v)!r}\n")
+        iodata.write_table(fh, "country,year,sector,implied_shock",
+                           (countries, shock_years, sectors, shocks))
     with out.open("forecast.csv") as fh:
-        fh.write("country,year,sector,observed,predicted\n")
-        for c, t, code, obs, pred in forecast_rows:
-            fh.write(f"{c},{t},{code},{obs},{pred}\n")
+        iodata.write_table(fh, "country,year,sector,observed,predicted", (
+            countries, [t + 2 for t in shock_years], sectors, observed, predicted,
+        ))
+
+
+def _summary_json(s: baselines.TTestSummary) -> dict:
+    return {"n": s.n, "mean_pg": s.mean, "ci_low": s.ci_low, "ci_high": s.ci_high,
+            "p_value": s.p_value, "status": s.status}
 
 
 def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
@@ -409,24 +411,10 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
                 for c in result.evaluation.cells
             ],
             "by_year": {
-                str(y): {
-                    "n": s.n,
-                    "mean_pg": s.mean,
-                    "ci_low": s.ci_low,
-                    "ci_high": s.ci_high,
-                    "p_value": s.p_value,
-                    "status": s.status,
-                }
+                str(y): _summary_json(s)
                 for y, s in sorted(result.evaluation.by_year.items())
             },
-            "pooled": {
-                "n": result.evaluation.pooled.n,
-                "mean_pg": result.evaluation.pooled.mean,
-                "ci_low": result.evaluation.pooled.ci_low,
-                "ci_high": result.evaluation.pooled.ci_high,
-                "p_value": result.evaluation.pooled.p_value,
-                "status": result.evaluation.pooled.status,
-            },
+            "pooled": _summary_json(result.evaluation.pooled),
         }
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -436,22 +424,13 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
         reg = response.fluctuation_panel_regression(panel)
         codes = panel.codes()
         with out.open("fluctuation_regression.csv") as fh:
-            fh.write("country,sector,predictor,observed,output_size\n")
-            i = 0
-            for c in reg.countries:
-                for code in codes:
-                    fh.write(
-                        f"{c},{code},{float(reg.predictor[i])!r},{float(reg.observed[i])!r},"
-                        f"{float(reg.output_size[i])!r}\n"
-                    )
-                    i += 1
+            iodata.write_table(fh, "country,sector,predictor,observed,output_size", (
+                [c for c in reg.countries for _ in codes], list(codes) * len(reg.countries),
+                reg.predictor, reg.observed, reg.output_size,
+            ))
+        stats = ("eta", "r", "r_size_only", "r_with_size_control", "size_control_coefficient")
         with out.open("fluctuation_summary.csv") as fh:
-            fh.write("statistic,value\n")
-            fh.write(f"eta,{reg.eta!r}\n")
-            fh.write(f"r,{reg.r!r}\n")
-            fh.write(f"r_size_only,{reg.r_size_only!r}\n")
-            fh.write(f"r_with_size_control,{reg.r_with_size_control!r}\n")
-            fh.write(f"size_control_coefficient,{reg.size_control_coefficient!r}\n")
+            iodata.write_table(fh, "statistic,value", (stats, [getattr(reg, s) for s in stats]))
 
 
 def _cmd_scenario(cfg: RunConfig, out: OutputDir) -> None:

@@ -26,7 +26,7 @@ from .errors import (
     SingularSystem,
     UnstableDrift,
 )
-from .iodata import IOTable, leontief_solve
+from .iodata import IOTable, leontief_solve, write_table
 from .rng import GaussianStream
 
 #: Relative residual allowed for the equilibrium solve.
@@ -324,10 +324,7 @@ def simulate_trajectory(
 
 
 def write_trajectory(traj: Trajectory, stream: TextIO) -> None:
-    """Tabular export, one row per step: t,Y_1,...,Y_N at full precision."""
+    """Tabular export, one row per step: t,Y_1,...,Y_N in shortest exact form."""
     n = traj.states.shape[1]
-    stream.write("t," + ",".join(f"Y_{k + 1}" for k in range(n)) + "\n")
-    for t, row in zip(traj.times, traj.states):
-        stream.write(
-            format(t, ".17g") + "," + ",".join(format(v, ".17g") for v in row) + "\n"
-        )
+    header = ",".join(["t", *(f"Y_{k + 1}" for k in range(n))])
+    write_table(stream, header, [traj.times, *traj.states.T])

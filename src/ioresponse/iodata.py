@@ -586,7 +586,40 @@ def load_panel(
 # ---------------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
+    """The number format of every output file: shortest exact ``repr``."""
     return repr(float(v))
+
+
+#: Rows formatted per write: bounds the text held in memory for long tables.
+_CHUNK_ROWS = 4096
+
+
+def _column_text(column) -> list[str]:
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(_fmt, column.tolist()))
+    return [_fmt(v) if isinstance(v, float) else str(v) for v in column]
+
+
+def write_table(stream: TextIO, header: str, columns: Sequence) -> None:
+    """Write a comma-separated table: the ``header`` line, then one row per
+    index of the equal-length ``columns``, one column per header name.
+
+    Floats, Python or numpy, are written by :func:`_fmt` and every other
+    field by ``str``; a float array is formatted as a whole, row-major when
+    it has more than one axis.  A column given as ``None`` is left out
+    together with its header name, which is how optional ``stderr`` columns
+    disappear.
+    """
+    kept = [(name, col) for name, col in zip(header.split(","), columns, strict=True)
+            if col is not None]
+    stream.write(",".join(name for name, _ in kept) + "\n")
+    cols = [col.ravel() if isinstance(col, np.ndarray) else col for _, col in kept]
+    n_rows = len(cols[0]) if cols else 0
+    if any(len(col) != n_rows for col in cols):
+        raise ValueError("table columns differ in length")
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        text = [_column_text(col[start:start + _CHUNK_ROWS]) for col in cols]
+        stream.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def write_io_table(table: IOTable, stream: TextIO, header: bool = True) -> None:

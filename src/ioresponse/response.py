@@ -18,7 +18,7 @@ from scipy.linalg import expm
 
 from .dynamics import ShockProfile, drift_matrix
 from .errors import GridMismatch, IllConditioned, MissingPanelCell, NumericalError
-from .iodata import IOTable, Panel
+from .iodata import IOTable, Panel, write_table
 from .susceptibility import SimulationBudget, monte_carlo_propagator, truncated_susceptibility
 
 #: Default relative threshold below which a sector counts as recovered.
@@ -380,11 +380,7 @@ def fluctuation_panel_regression(
 
 def write_curve(curve: ResponseCurve, sectors: Sequence[str], stream: TextIO) -> None:
     """Curve export: t_prime,sector,value[,stderr]."""
-    has_se = curve.standard_errors is not None
-    stream.write("t_prime,sector,value,stderr\n" if has_se else "t_prime,sector,value\n")
-    for g, t in enumerate(curve.grid):
-        for k, code in enumerate(sectors):
-            line = f"{float(t)!r},{code},{float(curve.values[g, k])!r}"
-            if has_se:
-                line += f",{float(curve.standard_errors[g, k])!r}"
-            stream.write(line + "\n")
+    write_table(stream, "t_prime,sector,value,stderr", (
+        np.repeat(curve.grid, len(sectors)), list(sectors) * len(curve.grid),
+        curve.values, curve.standard_errors,
+    ))

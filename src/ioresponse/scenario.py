@@ -18,7 +18,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, MissingExportDetail
-from .iodata import IOTable, Panel
+from .iodata import IOTable, Panel, write_table
 from .response import ResponseCurve, response_grid, step_response
 from .susceptibility import truncated_susceptibility
 
@@ -99,40 +99,43 @@ def parse_scenario_spec(text: str) -> ScenarioSpec:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key == "name":
-            name = value
-        elif key == "evaluation_year":
-            year = int(value)
-        elif key == "horizon":
-            horizon = math.inf if value.lower() in ("inf", "infinite") else float(value)
-        elif key == "compensation":
-            compensate = value.lower() in ("on", "true", "yes", "1")
-        elif key == "shock":
-            parts = value.split()
-            if len(parts) == 5 and parts[2] == "export_to":
-                for country in parts[0].split(","):
+        try:
+            if key == "name":
+                name = value
+            elif key == "evaluation_year":
+                year = int(value)
+            elif key == "horizon":
+                horizon = math.inf if value.lower() in ("inf", "infinite") else float(value)
+            elif key == "compensation":
+                compensate = value.lower() in ("on", "true", "yes", "1")
+            elif key == "shock":
+                parts = value.split()
+                if len(parts) == 5 and parts[2] == "export_to":
+                    for country in parts[0].split(","):
+                        shocks.append(
+                            ShockTerm(
+                                country=country,
+                                sector=parts[1],
+                                kind="export_to",
+                                dest=parts[3],
+                                fraction=float(parts[4]),
+                            )
+                        )
+                elif len(parts) == 4 and parts[2] == "absolute":
                     shocks.append(
                         ShockTerm(
-                            country=country,
+                            country=parts[0],
                             sector=parts[1],
-                            kind="export_to",
-                            dest=parts[3],
-                            fraction=float(parts[4]),
+                            kind="absolute",
+                            value=float(parts[3]),
                         )
                     )
-            elif len(parts) == 4 and parts[2] == "absolute":
-                shocks.append(
-                    ShockTerm(
-                        country=parts[0],
-                        sector=parts[1],
-                        kind="absolute",
-                        value=float(parts[3]),
-                    )
-                )
+                else:
+                    raise ConfigError(f"scenario line {lineno}: malformed shock term")
             else:
-                raise ConfigError(f"scenario line {lineno}: malformed shock term")
-        else:
-            raise ConfigError(f"scenario line {lineno}: unknown key {key!r}")
+                raise ConfigError(f"scenario line {lineno}: unknown key {key!r}")
+        except ValueError as exc:  # a bad number or a ShockTerm out of range
+            raise ConfigError(f"scenario line {lineno}: {exc}") from None
     if year is None:
         raise ConfigError("scenario needs an evaluation_year")
     if not shocks:
@@ -258,12 +261,11 @@ def run_scenario(
 
 
 def write_impacts(result: ScenarioResult, stream: TextIO) -> None:
-    stream.write("country,sector,delta_usd,delta_pct\n")
-    for row in result.impacts:
-        stream.write(f"{row.country},{row.sector},{row.delta_usd!r},{row.delta_pct!r}\n")
+    fields = ("country", "sector", "delta_usd", "delta_pct")
+    write_table(stream, ",".join(fields), [[getattr(r, f) for r in result.impacts] for f in fields])
 
 
 def write_aggregates(result: ScenarioResult, stream: TextIO) -> None:
-    stream.write("country,aggregate_usd\n")
-    for c in sorted(result.aggregates):
-        stream.write(f"{c},{result.aggregates[c]!r}\n")
+    countries = sorted(result.aggregates)
+    write_table(stream, "country,aggregate_usd",
+                (countries, [result.aggregates[c] for c in countries]))

@@ -35,7 +35,7 @@ from .dynamics import (
     simulate_batch,
 )
 from .errors import InsufficientSamples, MissingPanelCell
-from .iodata import IOTable, leontief_solve
+from .iodata import IOTable, leontief_solve, write_table
 
 #: Normal critical value for the 95% confidence intervals of the
 #: output-weighted sector scores.
@@ -338,21 +338,14 @@ def aggregate_susceptibilities(
 
 def write_matrix(rho: SusceptibilityMatrix, stream: TextIO) -> None:
     """Tabular export: row_sector,col_sector,value[,stderr], row-major."""
-    has_se = rho.standard_errors is not None
-    stream.write("row_sector,col_sector,value,stderr\n" if has_se else "row_sector,col_sector,value\n")
-    for i, row_code in enumerate(rho.sectors):
-        for j, col_code in enumerate(rho.sectors):
-            line = f"{row_code},{col_code},{float(rho.values[i, j])!r}"
-            if has_se:
-                line += f",{float(rho.standard_errors[i, j])!r}"
-            stream.write(line + "\n")
+    codes = rho.sectors
+    write_table(stream, "row_sector,col_sector,value,stderr", (
+        [c for c in codes for _ in codes], list(codes) * len(codes),
+        rho.values, rho.standard_errors,
+    ))
 
 
 def write_aggregates(agg: SusceptibilityAggregates, stream: TextIO) -> None:
     """Per-sector scores: sector,rho,ci_low,ci_high."""
-    stream.write("sector,rho,ci_low,ci_high\n")
-    for i, code in enumerate(agg.sectors):
-        stream.write(
-            f"{code},{float(agg.weighted_sector[i])!r},"
-            f"{float(agg.ci_low[i])!r},{float(agg.ci_high[i])!r}\n"
-        )
+    write_table(stream, "sector,rho,ci_low,ci_high",
+                (agg.sectors, agg.weighted_sector, agg.ci_low, agg.ci_high))

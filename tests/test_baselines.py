@@ -25,7 +25,7 @@ from ioresponse.errors import (
     RankDeficientRegressors,
     TooShortSeries,
 )
-from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
+from ioresponse.iodata import IOTable, NoiseSpec, Panel, noise_covariance
 from ioresponse.response import implied_shock
 from ioresponse.rng import GaussianStream
 from ioresponse.susceptibility import truncated_susceptibility
@@ -336,6 +336,34 @@ class TestBenchmarkPipeline:
             for k in sorted(keys_f)
         ]
         assert max(diffs) > 0.0
+
+    def test_full_calibration_fits_each_country_sector_once(self, monkeypatch):
+        from ioresponse import baselines
+
+        full = build_panel(n_countries=2, years=(2000, 2009), n_sectors=6, seed=5)
+        calls = []
+
+        def counting(series, *args, **kwargs):
+            calls.append(len(series))
+            return fit_arima(series, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "fit_arima", counting)
+        result = benchmark_lrt_vs_baseline(full, calibration="full")
+        assert calls == [10] * 12
+        for c in full.countries():
+            series = np.stack([full.get(c, y).output for y in full.years(c)])
+            models = [fit_arima(s, 1, 1, 1) for s in series.T]
+            for t in (2004, 2005, 2006, 2007):
+                history = series[: t - 2000 + 2]
+                want = [arima_forecast(m, h, 1)[0] for m, h in zip(models, history.T)]
+                np.testing.assert_array_equal(result.baseline_predictions[(c, t)], want)
+
+        # BBB keeps five years: too short for any scored ARIMA(1,1,1) cell
+        calls.clear()
+        panel = Panel(t for t in full if t.country == "AAA" or t.year <= 2004)
+        result = benchmark_lrt_vs_baseline(panel, calibration="full")
+        assert {c.country for c in result.evaluation.cells} == {"AAA"}
+        assert calls == [10] * 6
 
     def test_perturbed_io_baseline(self, small_panel):
         result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")

@@ -325,6 +325,33 @@ class TestErrorHandling:
         assert len(err) == 1 and err[0].startswith("UnknownSector: ")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("evaluation_year = 2014\nshock = AAA S1 export_to BBB 2.0\n", 2),
+            ("evaluation_year = 2014\nshock = AAA S1 export_to BBB abc\n", 2),
+            ("evaluation_year = abc\nshock = AAA S1 absolute 1.0\n", 1),
+            ("evaluation_year = 2014\nhorizon = soon\nshock = AAA S1 absolute 1.0\n", 2),
+        ],
+        ids=["fraction_out_of_range", "fraction_not_a_number", "year_not_an_integer",
+             "horizon_not_a_number"],
+    )
+    def test_malformed_scenario_value_exit_2(
+        self, two_sector_file, tmp_path, capsys, text, lineno
+    ):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = run([
+            "scenario", "--data", str(two_sector_file), "--scenario-spec", str(spec),
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"ConfigError: scenario line {lineno}: ")
+        assert not any(out.iterdir())
+
     def test_missing_data_flag(self, tmp_path):
         assert run(["ingest", "--out", str(tmp_path / "out")]) == 2
 

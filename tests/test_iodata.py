@@ -27,6 +27,7 @@ from ioresponse.iodata import (
     spectral_radius,
     write_io_table,
     write_panel,
+    write_table,
 )
 
 from conftest import build_panel, random_economy
@@ -207,6 +208,51 @@ class TestRoundTrip:
         sub = load_panel(panel_file, countries=["AAA"], years=[2000, 2001])
         assert sub.countries() == ["AAA"]
         assert sub.years() == [2000, 2001]
+
+
+class TestWriteTable:
+    EDGE = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1 + 0.2, 1e16]
+
+    @staticmethod
+    def _expected(v) -> str:
+        return repr(float(v)) if isinstance(v, float) else str(v)
+
+    def test_edge_values_in_array_and_mixed_columns(self):
+        mixed = [np.float64(0.1 + 0.2), 0.1 + 0.2, 7, "", np.float64(-0.0), math.nan, 1e16]
+        buf = io.StringIO()
+        write_table(buf, "array,mixed", (np.array(self.EDGE), mixed))
+        lines = buf.getvalue().split("\n")
+        assert lines[0] == "array,mixed"
+        assert lines[-1] == ""
+        expected = [
+            f"{self._expected(a)},{self._expected(m)}" for a, m in zip(self.EDGE, mixed)
+        ]
+        assert lines[1:-1] == expected
+        assert lines[1:4] == ["nan,0.30000000000000004", "inf,0.30000000000000004", "-inf,7"]
+        assert lines[4:8] == ["-0.0,", "5e-324,-0.0", "0.30000000000000004,nan", "1e+16,1e+16"]
+
+    def test_header_only_for_empty_columns(self):
+        buf = io.StringIO()
+        write_table(buf, "a,b", ([], np.zeros(0)))
+        assert buf.getvalue() == "a,b\n"
+
+    def test_none_column_is_left_out_with_its_header(self):
+        buf = io.StringIO()
+        write_table(buf, "key,value,stderr", (["x", "y"], np.eye(2)[0], None))
+        assert buf.getvalue() == "key,value\nx,1.0\ny,0.0\n"
+
+    def test_matrix_column_is_row_major_and_long_tables_are_whole(self):
+        values = np.arange(10_002, dtype=float).reshape(2, 5001) / 8.0
+        buf = io.StringIO()
+        write_table(buf, "k,v", (range(10_002), values))
+        lines = buf.getvalue().splitlines()
+        assert lines[1:] == [f"{k},{k / 8.0!r}" for k in range(10_002)]
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            write_table(io.StringIO(), "a,b", ([1.0], [1.0, 2.0]))
+        with pytest.raises(ValueError):
+            write_table(io.StringIO(), "a,b", ([1.0],))
 
 
 class TestNoise:
