@@ -37,15 +37,32 @@ from .errors import ConfigError, DataError, NumericalError
 
 ENV_PREFIX = "IORESPONSE_"
 
+# Value parsers: a ValueError from any of them ends the run in ConfigError.
+
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise ValueError(f"must be finite and > 0, got {value!r}")
+    return number
+
+
+def _parse_node_time(value: str) -> str:
+    """Empty (no node annotation), or a finite time >= 0 kept as written."""
+    value = str(value).strip()
+    if value and not 0.0 <= float(value) < math.inf:
+        raise ValueError(f"must be finite and >= 0, got {value!r}")
+    return value
+
+
 # key -> (parser, default); flags mirror these one-to-one.
 _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "data": (str, ""),
     "country": (str, "all"),
     "year": (str, "all"),
-    "horizon": (str, "inf"),
+    "horizon": (iodata.parse_horizon, math.inf),
     "eta": (float, 0.01),
     "noise": (str, "output_proportional"),
-    "dt": (float, 0.01),
+    "dt": (_positive_float, 0.01),
     "seed": (int, 0),
     "workers": (int, 1),  # no effect; kept so old manifests and scripts load
     "out": (str, "out"),
@@ -56,7 +73,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "shock_kind": (str, "impulse"),
     "shock_sector": (str, "all"),
     "shock_size": (float, 1.0),
-    "grid_dt": (float, 0.01),
+    "grid_dt": (_positive_float, 0.01),
     "recovery_eps": (float, 0.05),
     "baseline": (str, "arima"),
     "arima_order": (str, "1,1,1"),
@@ -67,11 +84,11 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "scenario_spec": (str, ""),
     "significance": (float, 0.05),
     "graph_format": (str, "edgelist"),
-    "node_time": (str, ""),
+    "node_time": (_parse_node_time, ""),
     "curves": (str, ""),
     "convention": (str, "response"),
-    "clip_negative_flows": (str, "off"),
-    "lrt_oracle": (str, "off"),
+    "clip_negative_flows": (iodata.parse_bool, False),
+    "lrt_oracle": (iodata.parse_bool, False),
 }
 
 _SUBCOMMANDS = (
@@ -83,17 +100,6 @@ _SUBCOMMANDS = (
     "scenario",
     "backbone",
 )
-
-
-def _parse_bool(value: str) -> bool:
-    return str(value).strip().lower() in ("on", "true", "yes", "1")
-
-
-def _parse_horizon(value: str) -> float:
-    value = str(value).strip().lower()
-    if value in ("inf", "infinite"):
-        return math.inf
-    return float(value)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -120,10 +126,6 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 class RunConfig(dict):
     """Resolved configuration; plain mapping key -> typed value."""
-
-    @property
-    def horizon_years(self) -> float:
-        return _parse_horizon(self["horizon"])
 
     def noise_spec(self) -> iodata.NoiseSpec:
         if self["noise"] == "isotropic":
@@ -220,7 +222,7 @@ def _load_panel(cfg: RunConfig) -> iodata.Panel:
         cfg["data"],
         countries=countries,
         years=years,
-        clip_negative_flows=_parse_bool(cfg["clip_negative_flows"]),
+        clip_negative_flows=cfg["clip_negative_flows"],
     )
 
 
@@ -270,7 +272,7 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
     if cfg["method"] not in ("analytic", "monte_carlo"):
         raise ConfigError(f"unknown method {cfg['method']!r}")
     panel = _load_panel(cfg)
-    horizon = cfg.horizon_years
+    horizon = cfg["horizon"]
     convention = cfg["convention"]
 
     if cfg["country"] != "all" and cfg["year"] != "all":
@@ -325,7 +327,7 @@ def _cmd_response(cfg: RunConfig, out: OutputDir) -> None:
     country, year = _require_cell(cfg)
     panel = _load_panel(cfg)
     table = panel.get(country, year)
-    horizon = cfg.horizon_years
+    horizon = cfg["horizon"]
     if not math.isfinite(horizon):
         horizon = 10.0
     grid = response.response_grid(horizon, cfg["grid_dt"])
@@ -392,7 +394,7 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
         var_calibration_year=var_year,
         nu_builder=lambda table: iodata.noise_covariance(cfg.noise_spec(), table),
         seed=cfg["seed"],
-        lrt_oracle=_parse_bool(cfg["lrt_oracle"]),
+        lrt_oracle=cfg["lrt_oracle"],
     )
     with out.open("evaluation.csv") as fh:
         baselines.write_evaluation(result.evaluation, fh)
@@ -443,7 +445,7 @@ def _cmd_scenario(cfg: RunConfig, out: OutputDir) -> None:
     spec = scenario.parse_scenario_spec(text)
     panel = _load_panel(cfg)
     curve_countries = [c for c in cfg["curves"].split(",") if c]
-    horizon = cfg.horizon_years
+    horizon = cfg["horizon"]
     result = scenario.run_scenario(
         spec,
         panel,
@@ -465,7 +467,7 @@ def _cmd_backbone(cfg: RunConfig, out: OutputDir) -> None:
     country, year = _require_cell(cfg)
     panel = _load_panel(cfg)
     table = panel.get(country, year)
-    rho = susceptibility.susceptibility_analytic(table, cfg.horizon_years)
+    rho = susceptibility.susceptibility_analytic(table, cfg["horizon"])
     node_values = None
     if cfg["node_time"]:
         # annotate nodes with the unit-impulse response at the chosen time

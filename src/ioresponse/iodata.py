@@ -590,6 +590,27 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+_BOOLEANS = {"on": True, "true": True, "yes": True, "1": True,
+             "off": False, "false": False, "no": False, "0": False}
+
+
+def parse_bool(value: str) -> bool:
+    """The one reading of a switch in a config or scenario file, any case."""
+    try:
+        return _BOOLEANS[str(value).strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected on/off, true/false, yes/no or 1/0, got {value!r}") from None
+
+
+def parse_horizon(value: str) -> float:
+    """The one reading of a horizon: years > 0, or ``inf``/``infinite``."""
+    value = str(value).strip().lower()
+    horizon = math.inf if value in ("inf", "infinite") else float(value)
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be > 0 or inf, got {value!r}")
+    return horizon
+
+
 #: Rows formatted per write: bounds the text held in memory for long tables.
 _CHUNK_ROWS = 4096
 

@@ -1,7 +1,13 @@
 """Response curves, implied shocks, and the susceptibility-based forecaster.
 
-Analytic curves evaluate the propagator ``exp((A - I) t')`` directly per grid
-point, so a step response at grid time T coincides bit-for-bit with
+Analytic curves on a uniform grid ``t_k = k h`` (what :func:`response_grid`
+returns) form ``P = exp((A - I) h)`` once and propagate by the semigroup
+property: one ``expm`` per curve, then one matrix-vector product per grid
+point.  The point at ``h`` is computed as the direct route computes it, so
+there a step response coincides bit-for-bit with
+``truncated_susceptibility(A, h) @ X``.  Any other grid evaluates the
+propagator ``exp((A - I) t')`` directly per grid point, and a step response
+at each grid time T coincides bit-for-bit with
 ``truncated_susceptibility(A, T) @ X``.  A Monte Carlo route estimates the
 same propagator from equilibrium correlations of simulated trajectories and
 carries standard errors; the two must agree within the Monte Carlo error.
@@ -18,7 +24,7 @@ from scipy.linalg import expm
 
 from .dynamics import ShockProfile, drift_matrix
 from .errors import GridMismatch, IllConditioned, MissingPanelCell, NumericalError
-from .iodata import IOTable, Panel, write_table
+from .iodata import IOTable, Panel, leontief_solve, write_table
 from .susceptibility import SimulationBudget, monte_carlo_propagator, truncated_susceptibility
 
 #: Default relative threshold below which a sector counts as recovered.
@@ -64,8 +70,19 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+def _uniform_spacing(grid: np.ndarray) -> float | None:
+    """Spacing h when ``grid == h * arange(len(grid))`` holds exactly, else None."""
+    if len(grid) > 1 and np.array_equal(grid, grid[1] * np.arange(len(grid))):
+        return float(grid[1])
+    return None
+
+
 def response_grid(horizon: float, dt: float = 0.01) -> np.ndarray:
     """Uniform grid [0, horizon] with the given spacing."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"grid spacing must be finite and > 0, got {dt!r}")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"grid horizon must be finite and >= 0, got {horizon!r}")
     steps = int(round(horizon / dt))
     return dt * np.arange(steps + 1)
 
@@ -77,8 +94,15 @@ def impulse_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
     m = drift_matrix(table.coefficients)
     values = np.empty((len(grid), len(x)))
     values[0] = x
-    for k, t in enumerate(grid[1:], start=1):
-        values[k] = expm(m * t) @ x
+    h = _uniform_spacing(grid)
+    if h is None:
+        for k, t in enumerate(grid[1:], start=1):
+            values[k] = expm(m * t) @ x
+    else:
+        # exp((A - I)(t + h)) = exp((A - I) h) exp((A - I) t)
+        p = expm(m * h)
+        for k in range(1, len(grid)):
+            values[k] = p @ values[k - 1]
     return ResponseCurve(
         grid=grid,
         values=values,
@@ -93,8 +117,19 @@ def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
     x = np.asarray(shock_vector, dtype=float)
     values = np.empty((len(grid), len(x)))
     values[0] = 0.0
-    for k, t in enumerate(grid[1:], start=1):
-        values[k] = truncated_susceptibility(table.coefficients, t) @ x
+    a = table.coefficients
+    h = _uniform_spacing(grid)
+    if h is None:
+        for k, t in enumerate(grid[1:], start=1):
+            values[k] = truncated_susceptibility(a, t) @ x
+    else:
+        # rho(t + h) = rho(h) + exp((A - I) h) rho(t), because (I - A)^{-1}
+        # commutes with exp((A - I) h); rho(h) is truncated_susceptibility's
+        # own formula, so the first point keeps its bits
+        p = expm(drift_matrix(a) * h)
+        values[1] = leontief_solve(a, np.eye(len(a)) - p) @ x
+        for k in range(2, len(grid)):
+            values[k] = values[1] + p @ values[k - 1]
     return ResponseCurve(
         grid=grid,
         values=values,

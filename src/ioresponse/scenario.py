@@ -18,7 +18,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, MissingExportDetail
-from .iodata import IOTable, Panel, write_table
+from .iodata import IOTable, Panel, parse_bool, parse_horizon, write_table
 from .response import ResponseCurve, response_grid, step_response
 from .susceptibility import truncated_susceptibility
 
@@ -76,8 +76,9 @@ class ScenarioResult:
 def parse_scenario_spec(text: str) -> ScenarioSpec:
     """Parse the key-value scenario format.
 
-    Recognized keys: ``name``, ``evaluation_year``, ``horizon`` (years or
-    ``inf``), ``compensation`` (``on``/``off``), and repeated ``shock`` lines::
+    Recognized keys: ``name``, ``evaluation_year``, ``horizon`` (years > 0
+    or ``inf``), ``compensation`` (``on``/``off``; see
+    :func:`~ioresponse.iodata.parse_bool`), and repeated ``shock`` lines::
 
         shock = <countries> <sector> export_to <dest> <fraction>
         shock = <country> <sector> absolute <value>
@@ -105,9 +106,9 @@ def parse_scenario_spec(text: str) -> ScenarioSpec:
             elif key == "evaluation_year":
                 year = int(value)
             elif key == "horizon":
-                horizon = math.inf if value.lower() in ("inf", "infinite") else float(value)
+                horizon = parse_horizon(value)
             elif key == "compensation":
-                compensate = value.lower() in ("on", "true", "yes", "1")
+                compensate = parse_bool(value)
             elif key == "shock":
                 parts = value.split()
                 if len(parts) == 5 and parts[2] == "export_to":
@@ -134,7 +135,7 @@ def parse_scenario_spec(text: str) -> ScenarioSpec:
                     raise ConfigError(f"scenario line {lineno}: malformed shock term")
             else:
                 raise ConfigError(f"scenario line {lineno}: unknown key {key!r}")
-        except ValueError as exc:  # a bad number or a ShockTerm out of range
+        except ValueError as exc:  # a bad number or switch, or a value out of range
             raise ConfigError(f"scenario line {lineno}: {exc}") from None
     if year is None:
         raise ConfigError("scenario needs an evaluation_year")

@@ -84,7 +84,7 @@ def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.nda
     """Closed-form rho(T) = (I - A)^{-1} (I - exp((A - I) T)); inf allowed."""
     a = np.asarray(coefficients, dtype=float)
     eye = np.eye(a.shape[0])
-    if math.isinf(horizon):
+    if horizon == math.inf:
         rhs = eye
     elif horizon > 0.0:
         rhs = eye - expm(drift_matrix(a) * horizon)

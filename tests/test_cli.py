@@ -332,9 +332,11 @@ class TestErrorHandling:
             ("evaluation_year = 2014\nshock = AAA S1 export_to BBB abc\n", 2),
             ("evaluation_year = abc\nshock = AAA S1 absolute 1.0\n", 1),
             ("evaluation_year = 2014\nhorizon = soon\nshock = AAA S1 absolute 1.0\n", 2),
+            ("evaluation_year = 2014\ncompensation = onn\nshock = AAA S1 absolute 1.0\n", 2),
+            ("evaluation_year = 2014\nhorizon = -1\nshock = AAA S1 absolute 1.0\n", 2),
         ],
         ids=["fraction_out_of_range", "fraction_not_a_number", "year_not_an_integer",
-             "horizon_not_a_number"],
+             "horizon_not_a_number", "compensation_not_a_switch", "horizon_not_positive"],
     )
     def test_malformed_scenario_value_exit_2(
         self, two_sector_file, tmp_path, capsys, text, lineno
@@ -370,6 +372,88 @@ class TestErrorHandling:
         assert len(err) == 1
         assert err[0].startswith("InsufficientSamples: ")
         assert not any(out.iterdir())
+
+
+def _no_outputs(out):
+    return not out.exists() or not any(out.iterdir())
+
+
+class TestSettingChecks:
+    """Out-of-range times and unreadable switches exit 2 before any work."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("response", "--grid-dt", "0"),
+            ("response", "--grid-dt", "-0.1"),
+            ("response", "--grid-dt", "nan"),
+            ("response", "--grid-dt", "inf"),
+            ("response", "--horizon", "-1"),
+            ("response", "--horizon", "0"),
+            ("response", "--horizon", "nan"),
+            ("backbone", "--node-time", "-1"),
+            ("backbone", "--node-time", "inf"),
+            ("susceptibility", "--method", "monte_carlo", "--dt", "0"),
+            ("ingest", "--clip-negative-flows", "maybe"),
+            ("benchmark", "--lrt-oracle", "onn"),
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_rejected_setting_exit_2(self, two_sector_file, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        code = run([
+            *args, "--data", str(two_sector_file), "--country", "AAA",
+            "--year", "2014", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: bad value for ")
+        assert _no_outputs(out)
+
+    def test_rejected_setting_from_config_file(self, two_sector_file, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("grid_dt = 0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run([
+            "response", "--config", str(config), "--data", str(two_sector_file),
+            "--country", "AAA", "--year", "2014", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ConfigError: bad value for grid_dt: ")
+        assert _no_outputs(out)
+
+    def test_switch_values_in_any_case_still_run(self, two_sector_file, tmp_path):
+        out = tmp_path / "out"
+        code = run([
+            "ingest", "--data", str(two_sector_file), "--clip-negative-flows", "OFF",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert "clip_negative_flows = False\n" in _read(out / "manifest.txt")
+        rerun = tmp_path / "rerun"
+        code = run(["ingest", "--config", str(out / "manifest.txt"), "--out", str(rerun)])
+        assert code == 0
+        assert _numeric_outputs(rerun) == _numeric_outputs(out)
+
+    def test_zero_node_time_still_runs(self, two_sector_file, tmp_path):
+        out = tmp_path / "out"
+        code = run([
+            "backbone", "--data", str(two_sector_file), "--country", "AAA",
+            "--year", "2014", "--node-time", "0", "--graph-format", "graphml",
+            "--out", str(out),
+        ])
+        assert code == 0
+
+    def test_scenario_compensation_no_still_runs(self, two_sector_file, tmp_path):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "evaluation_year = 2014\ncompensation = no\nshock = AAA S1 absolute 1.0\n",
+            encoding="utf-8",
+        )
+        assert run([
+            "scenario", "--data", str(two_sector_file), "--scenario-spec", str(spec),
+            "--out", str(tmp_path / "out"),
+        ]) == 0
 
 
 class TestEnvironmentOverride:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ioresponse import response as response_module
+from ioresponse import susceptibility as susceptibility_module
 from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_trajectory
 from ioresponse.errors import GridMismatch, IllConditioned
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
@@ -22,6 +24,7 @@ from ioresponse.response import (
     response_grid,
     step_response,
 )
+from ioresponse.scenario import scenario_response_curves
 from ioresponse.susceptibility import SimulationBudget, truncated_susceptibility
 
 from conftest import build_panel, random_economy
@@ -97,6 +100,83 @@ class TestStep:
         for k, t in enumerate(grid[1:], start=1):
             expected = truncated_susceptibility(two_sector_table.coefficients, t) @ x
             np.testing.assert_array_equal(curve.values[k], expected)
+
+
+class TestUniformGrid:
+    """Curves on a uniform grid are propagated with one expm per curve."""
+
+    @pytest.fixture(scope="class", params=[0.6, 0.95], ids=["radius_0.6", "radius_0.95"])
+    def economy(self, request):
+        return random_economy(56, seed=81, spectral_target=request.param)
+
+    @staticmethod
+    def _shock():
+        return np.random.default_rng(82).uniform(-1.0, 1.0, 56)
+
+    @pytest.mark.parametrize("horizon", [10.0, 80.0])
+    def test_curves_match_direct_evaluation(self, economy, horizon):
+        a = economy.coefficients
+        x = self._shock()
+        grid = response_grid(horizon, 0.01)
+        step = step_response(economy, x, grid).values
+        impulse = impulse_response(economy, x, grid).values
+        step_scale = np.max(np.abs(step))
+        impulse_scale = np.max(np.abs(impulse))
+        for k in np.unique(np.linspace(1, len(grid) - 1, 150).astype(int)):
+            t = grid[k]
+            direct_step = truncated_susceptibility(a, t) @ x
+            direct_impulse = expm((a - np.eye(56)) * t) @ x
+            assert np.max(np.abs(step[k] - direct_step)) <= 1e-12 * step_scale
+            assert np.max(np.abs(impulse[k] - direct_impulse)) <= 1e-12 * impulse_scale
+
+    def test_first_point_is_bitwise_direct(self, economy):
+        a = economy.coefficients
+        x = self._shock()
+        grid = response_grid(10.0, 0.01)
+        step = step_response(economy, x, grid).values
+        impulse = impulse_response(economy, x, grid).values
+        np.testing.assert_array_equal(step[1], truncated_susceptibility(a, grid[1]) @ x)
+        np.testing.assert_array_equal(impulse[1], expm((a - np.eye(56)) * grid[1]) @ x)
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        """Counts every expm, whether response calls it or susceptibility does."""
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(response_module, "expm", counted)
+        monkeypatch.setattr(susceptibility_module, "expm", counted)
+        return calls
+
+    @pytest.mark.parametrize("points", [11, 1001])
+    def test_one_expm_per_curve(self, expm_calls, points):
+        table = random_economy(5, seed=83)
+        x = np.ones(5)
+        grid = response_grid(0.01 * (points - 1), 0.01)
+        assert len(grid) == points
+        step_response(table, x, grid)
+        assert len(expm_calls) == 1
+        impulse_response(table, x, grid)
+        assert len(expm_calls) == 2
+
+    def test_one_expm_per_scenario_curve(self, expm_calls):
+        table = random_economy(5, seed=84)
+        curve = scenario_response_curves(table, np.ones(5), 10.0, grid_dt=0.01)
+        assert len(curve.grid) == 1001
+        assert len(expm_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "horizon, dt",
+    [(1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
+     (-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1)],
+)
+def test_response_grid_rejects_bad_settings(horizon, dt):
+    with pytest.raises(ValueError):
+        response_grid(horizon, dt)
 
 
 class TestGeneralResponse:

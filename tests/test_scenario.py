@@ -192,12 +192,25 @@ class TestSpecParsing:
         assert [s.country for s in spec.shocks] == ["AAA", "BBB"]
 
     @pytest.mark.parametrize(
+        "value, compensate",
+        [("on", True), ("Yes", True), ("1", True), ("off", False), ("no", False),
+         ("FALSE", False), ("0", False)],
+    )
+    def test_compensation_switch_values(self, value, compensate):
+        spec = parse_scenario_spec(
+            f"evaluation_year = 2014\ncompensation = {value}\nshock = AAA C24 absolute 1\n"
+        )
+        assert spec.compensate is compensate
+
+    @pytest.mark.parametrize(
         "text",
         [
             "shock = AAA C24 export_to USA -1.0\n",          # missing year
             "evaluation_year = 2014\n",                        # no shocks
             "evaluation_year = 2014\nshock = AAA C24 foo 1\n",  # bad kind
             "evaluation_year = 2014\nbogus = 1\nshock = AAA C24 absolute 1\n",
+            "evaluation_year = 2014\ncompensation = onn\nshock = AAA C24 absolute 1\n",
+            "evaluation_year = 2014\ncompensation =\nshock = AAA C24 absolute 1\n",
         ],
     )
     def test_malformed_specs_rejected(self, text):

@@ -81,8 +81,9 @@ class TestAnalytic:
         assert np.array_equal(a.values, b.values)
 
     def test_invalid_horizon(self, two_sector_table):
-        with pytest.raises(ValueError):
-            susceptibility_analytic(two_sector_table, 0.0)
+        for horizon in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                susceptibility_analytic(two_sector_table, horizon)
 
 
 @pytest.fixture(scope="module")
