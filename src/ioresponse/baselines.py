@@ -1,10 +1,15 @@
 """Econometric baselines and the forecast evaluation harness.
 
 ARIMA models are restricted to orders p, d, q in {0, 1} and estimated by
-conditional sum of squares: the series is differenced d times, innovations
-are computed recursively with zero pre-sample residuals, and the squared sum
-is minimized by L-BFGS-B from a fixed multi-start grid {0, -0.5, 0.5} per
-AR/MA coefficient.  A constant is estimated except for differenced pure-MA
+conditional sum of squares (CSS): the series is differenced d times and
+innovations are computed recursively with zero pre-sample residuals.  The
+fit is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+1973).  For a fixed MA coefficient theta the innovations are linear in the
+constant and the AR coefficient phi, so those two come from an exact
+least-squares solve, with phi boxed to +-0.9999.  Without an MA term that
+one solve is the fit; with one, the profile sum of squares is minimized over
+a fixed grid of theta in [-0.9999, 0.9999] and then over zoomed grids around
+the best point.  A constant is estimated except for differenced pure-MA
 models: (0,1,0) and (0,1,1) are the level-tracking family, so the random
 walk forecasts the last observation and exponential smoothing flattens to
 the last level, while AR-containing differenced models keep a drift term.
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .dynamics import ShockProfile, simulate_batch
 from .errors import (
@@ -43,7 +48,24 @@ from .response import forecast_from_shock, implied_shock
 #: stationarity/invertibility boundary.
 _COEF_CLAMP = 0.99
 _COEF_BOUND = 0.9999
-_MULTI_START = (0.0, -0.5, 0.5)
+
+
+def _by_magnitude(n: int) -> np.ndarray:
+    """``k / n`` for |k| <= n, ordered by |k| with the negative one first."""
+    return np.array(sorted(range(-n, n + 1), key=lambda k: (abs(k), k))) / n
+
+
+#: First theta grid, k/100 clipped to the bound.  It holds the points 0 and
+#: +-0.5, and its order by |theta| keeps theta = 0 when the profile is flat.
+_THETA_GRID = np.clip(_by_magnitude(100), -_COEF_BOUND, _COEF_BOUND)
+_THETA_SPACING = 0.01
+#: Each zoom searches one spacing either side of the best point at a tenth
+#: of the spacing, the best point first; seven zooms end at 1e-9.
+_ZOOM = _by_magnitude(10)
+_ZOOMS = 7
+#: phi is set to 0 when the lagged column's part orthogonal to the constant
+#: holds less than this share of its squared norm: it is not identified.
+_COLLINEAR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -85,11 +107,51 @@ def _css(w: Sequence[float], p: int, q: int, const: float, phi: float, theta: fl
     return total
 
 
+def _css_profile(w: np.ndarray, p: int, has_const: bool, thetas: np.ndarray):
+    """CSS minimized over (const, phi) at each theta: ``(objective, const, phi)``.
+
+    The innovations are ``F y - const F 1 - phi F x`` with ``y = w[p:]`` and
+    ``x`` the lagged series, where ``F`` is the filter ``x_t <- x_t - theta
+    x_{t-1}`` started from zero.  The constant is projected out first.  When
+    phi lies outside the box it is clipped and the constant solved again,
+    which is exact because the sum of squares is a convex quadratic; when
+    the lagged column is collinear with the constant, phi is 0.
+    """
+    cols = [w[p:], np.ones(len(w) - p)] + ([w[:-1]] if p else [])
+    f = np.stack(cols, axis=1)[:, None, :].repeat(len(thetas), axis=1)
+    const = phi = np.zeros(len(thetas))
+    # NaN or inf in the series shows as a non-finite objective, not a warning
+    with np.errstate(all="ignore"):
+        for t in range(1, len(f)):
+            f[t] -= thetas[:, None] * f[t - 1]
+        y, one = f[..., 0], f[..., 1]
+        if has_const:
+            n1 = (one * one).sum(0)
+            if p:
+                x = f[..., 2]
+                rx = x - one * ((one * x).sum(0) / n1)
+                ry = y - one * ((one * y).sum(0) / n1)
+                xx = (rx * rx).sum(0)
+                phi = np.where(xx > _COLLINEAR * (x * x).sum(0), (rx * ry).sum(0) / xx, 0.0)
+                phi = np.clip(phi, -_COEF_BOUND, _COEF_BOUND)
+                y = y - phi * x
+            const = (one * y).sum(0) / n1
+            y = y - const * one
+        return (y * y).sum(0), const, phi
+
+
 def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
     """Estimate an ARIMA(p,d,q) model by conditional sum of squares.
 
+    (const, phi) is solved exactly for each theta; theta is the best point of
+    a grid search (none without an MA term).  A coefficient that ends beyond
+    0.99 in magnitude is clamped to 0.99 and flagged ``clamped``; the other
+    coefficients keep their fitted values.  ``converged`` is True on every
+    returned model, as both steps always finish.
+
     Raises :class:`TooShortSeries` when ``len(series) < p + d + q + 3`` and
-    :class:`NonConvergent` when every optimizer start fails.
+    :class:`NonConvergent` when no theta gives a finite sum of squares (as a
+    series holding NaN or inf does).
     """
     if not all(v in (0, 1) for v in (p, d, q)):
         raise ValueError("orders p, d, q must each be 0 or 1")
@@ -103,7 +165,6 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
 
     # differenced pure-MA models track the level without drift
     has_const = (p + q) >= 1 and (p == 1 or d == 0)
-    wbar = float(np.mean(w)) if len(w) else 0.0
 
     if p + q == 0:
         css = _css(wl, 0, 0, 0.0, 0.0, 0.0)
@@ -119,62 +180,21 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
             n_obs=len(series),
         )
 
-    # parameter vector layout: [const?, phi?, theta?]
-    def unpack(vec):
-        k = 0
-        const = phi = theta = 0.0
-        if has_const:
-            const = vec[0]
-            k = 1
-        if p:
-            phi = vec[k]
-            k += 1
-        if q:
-            theta = vec[k]
-        return const, phi, theta
+    def best(thetas):
+        objective, consts, phis = _css_profile(w, p, has_const, thetas)
+        k = int(np.argmin(np.where(np.isfinite(objective), objective, np.inf)))
+        return objective[k], float(thetas[k]), float(consts[k]), float(phis[k])
 
-    def objective(vec):
-        c, phi, theta = unpack(vec)
-        return _css(wl, p, q, c, phi, theta)
-
-    bounds = [(None, None)] if has_const else []
-    starts: list[list[float]] = []
-    grids = [_MULTI_START] * (p + q)
-    if p:
-        bounds.append((-_COEF_BOUND, _COEF_BOUND))
+    objective, theta, const, phi = best(_THETA_GRID if q else np.zeros(1))
+    if not math.isfinite(objective):
+        raise NonConvergent("no MA coefficient gives a finite sum of squares")
     if q:
-        bounds.append((-_COEF_BOUND, _COEF_BOUND))
+        spacing = _THETA_SPACING
+        for _ in range(_ZOOMS):
+            grid = np.clip(theta + spacing * _ZOOM, -_COEF_BOUND, _COEF_BOUND)
+            objective, theta, const, phi = best(grid)
+            spacing /= 10.0
 
-    def build(prefix, remaining):
-        if not remaining:
-            if has_const:
-                phi0 = prefix[0] if p else 0.0
-                starts.append([wbar * (1.0 - phi0)] + list(prefix))
-            else:
-                starts.append(list(prefix))
-            return
-        for g in remaining[0]:
-            build(prefix + [g], remaining[1:])
-
-    build([], grids)
-
-    best = None
-    failures = []
-    for x0 in starts:
-        res = optimize.minimize(
-            objective, np.array(x0), method="L-BFGS-B", bounds=bounds
-        )
-        if not res.success:
-            failures.append(res.message)
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
-        raise NonConvergent(
-            "every optimizer start failed", diagnostics=failures
-        )
-
-    const, phi, theta = unpack(best.x)
     clamped = False
     if p and abs(phi) > _COEF_CLAMP:
         phi = math.copysign(_COEF_CLAMP, phi)
@@ -186,11 +206,11 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
     n_used = max(len(w) - p, 1)
     return ArimaModel(
         order=(p, d, q),
-        const=float(const),
-        phi=float(phi),
-        theta=float(theta),
+        const=const,
+        phi=phi,
+        theta=theta,
         sigma2=css / n_used,
-        converged=bool(best.success),
+        converged=True,
         objective=float(css),
         clamped=clamped,
         n_obs=len(series),
@@ -502,9 +522,18 @@ def benchmark_lrt_vs_baseline(
     baseline cannot be fitted yet (short ARIMA history) are skipped.
     Cells run one after another in sorted order in one thread; ``workers``
     is accepted for compatibility and has no effect.
+
+    ARIMA ``calibration`` is ``"expanding"`` (each cell fits the history up
+    to t+1) or ``"full"`` (one model per sector from the whole series).  An
+    unknown ``baseline``, ``calibration`` or ``target`` raises ValueError
+    before any work.
     """
     if baseline not in ("arima", "var", "perturbed_io"):
         raise ValueError(f"unknown baseline {baseline!r}")
+    if calibration not in ("expanding", "full"):
+        raise ValueError(f"unknown calibration {calibration!r}")
+    if target not in ("changes", "levels"):
+        raise ValueError(f"unknown target {target!r}")
     countries = panel.countries()
     years = panel.years()
 

@@ -46,6 +46,26 @@ def _positive_float(value: str) -> float:
     return number
 
 
+def _choice(*allowed: str) -> Callable[[str], str]:
+    """Parser for exactly one of ``allowed`` (surrounding blanks ignored)."""
+
+    def parse(value: str) -> str:
+        value = str(value).strip()
+        if value not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _parse_arima_order(value: str) -> str:
+    """``p,d,q`` with each of p, d, q 0 or 1, kept as ``p,d,q``."""
+    parts = str(value).split(",")
+    if len(parts) != 3 or any(v.strip() not in ("0", "1") for v in parts):
+        raise ValueError(f"expected p,d,q with each of p, d, q 0 or 1, got {value!r}")
+    return ",".join(v.strip() for v in parts)
+
+
 def _parse_node_time(value: str) -> str:
     """Empty (no node annotation), or a finite time >= 0 kept as written."""
     value = str(value).strip()
@@ -75,10 +95,10 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "shock_size": (float, 1.0),
     "grid_dt": (_positive_float, 0.01),
     "recovery_eps": (float, 0.05),
-    "baseline": (str, "arima"),
-    "arima_order": (str, "1,1,1"),
-    "calibration": (str, "expanding"),
-    "target": (str, "changes"),
+    "baseline": (_choice("arima", "var", "perturbed_io"), "arima"),
+    "arima_order": (_parse_arima_order, "1,1,1"),
+    "calibration": (_choice("expanding", "full"), "expanding"),
+    "target": (_choice("changes", "levels"), "changes"),
     "var_samples": (int, 10_000),
     "var_year": (str, "first"),
     "scenario_spec": (str, ""),
@@ -135,13 +155,7 @@ class RunConfig(dict):
         raise ConfigError(f"unknown noise kind {self['noise']!r}")
 
     def arima_orders(self) -> tuple[int, int, int]:
-        parts = str(self["arima_order"]).split(",")
-        if len(parts) != 3:
-            raise ConfigError("arima_order must be p,d,q")
-        try:
-            p, d, q = (int(v) for v in parts)
-        except ValueError:
-            raise ConfigError("arima_order must be integers p,d,q") from None
+        p, d, q = (int(v) for v in self["arima_order"].split(","))
         return p, d, q
 
     def budget(self) -> susceptibility.SimulationBudget:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ioresponse.baselines import (
+    _css,
+    _difference,
     arima_forecast,
     benchmark_lrt_vs_baseline,
     evaluate_forecasts,
@@ -22,6 +24,7 @@ from ioresponse.baselines import (
 from ioresponse.errors import (
     DegenerateInput,
     MisalignedPanel,
+    NonConvergent,
     RankDeficientRegressors,
     TooShortSeries,
 )
@@ -85,6 +88,103 @@ class TestFitArima:
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             fit_arima(np.arange(20.0), 2, 0, 0)
+
+
+def _lbfgsb_reference(series, p, d, q):
+    """The earlier ARIMA fit: L-BFGS-B from every start in {0, -0.5, 0.5}^(p+q).
+
+    Returns the best start's sum of squares and whether it ends beyond the
+    0.99 clamp.
+    """
+    from scipy import optimize
+
+    w = _difference(series, d).tolist()
+    has_const = p == 1 or d == 0
+    wbar = float(np.mean(w))
+
+    def unpack(vec):
+        vec = list(vec)
+        const = vec.pop(0) if has_const else 0.0
+        phi = vec.pop(0) if p else 0.0
+        theta = vec.pop(0) if q else 0.0
+        return const, phi, theta
+
+    bounds = [(None, None)] * has_const + [(-0.9999, 0.9999)] * (p + q)
+    best = None
+    for phi0 in (0.0, -0.5, 0.5) if p else (0.0,):
+        for theta0 in (0.0, -0.5, 0.5) if q else (0.0,):
+            x0 = [wbar * (1.0 - phi0)] * has_const + [phi0] * p + [theta0] * q
+            res = optimize.minimize(
+                lambda vec: _css(w, p, q, *unpack(vec)), np.array(x0),
+                method="L-BFGS-B", bounds=bounds,
+            )
+            if res.success and (best is None or res.fun < best.fun):
+                best = res
+    _, phi, theta = unpack(best.x)
+    return best.fun, max(abs(phi), abs(theta)) > 0.99
+
+
+def _short_series(seed: int, d: int) -> np.ndarray:
+    """7-15 observations of an ARMA(1,1) with drift and random coefficients."""
+    rng = np.random.default_rng(seed)
+    n = 7 + seed % 9
+    phi, theta = rng.uniform(-0.7, 0.7, 2)
+    e = rng.normal(size=n + 1)
+    w = np.empty(n)
+    for t in range(n):
+        w[t] = 0.3 + phi * (w[t - 1] if t else 0.0) + e[t + 1] + theta * e[t]
+    return w if d == 0 else 10.0 + np.cumsum(w)
+
+
+_ORDERS = [(p, d, q) for p in (0, 1) for d in (0, 1) for q in (0, 1) if p + q]
+
+
+class TestArimaOptimum:
+    @pytest.mark.parametrize("order", _ORDERS, ids=lambda o: "%d%d%d" % o)
+    def test_objective_not_above_lbfgsb(self, order):
+        free = 0
+        for seed in range(30):
+            series = _short_series(seed, order[1])
+            model = fit_arima(series, *order)
+            objective, clamped = _lbfgsb_reference(series, *order)
+            if model.clamped or clamped:
+                continue
+            free += 1
+            assert model.objective <= objective * (1.0 + 1e-9), seed
+        assert free >= 4
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_const_phi_are_least_squares_without_ma(self, d):
+        inside = 0
+        for seed in range(30):
+            series = _short_series(seed, d)
+            w = _difference(series, d)
+            design = np.column_stack([np.ones(len(w) - 1), w[:-1]])
+            (const, phi), *_ = np.linalg.lstsq(design, w[1:], rcond=None)
+            if abs(phi) > 0.99:
+                continue
+            inside += 1
+            model = fit_arima(series, 1, d, 0)
+            assert not model.clamped
+            np.testing.assert_allclose([model.const, model.phi], [const, phi],
+                                       rtol=1e-9, atol=1e-12)
+        assert inside >= 20
+
+    @pytest.mark.parametrize("q", [0, 1])
+    def test_constant_differences_leave_phi_unidentified(self, q):
+        # the lagged differences equal 3 times the constant's column
+        series = 2.0 + 3.0 * np.arange(12)
+        model = fit_arima(series, 1, 1, q)
+        assert model.phi == 0.0 and not model.clamped
+        np.testing.assert_allclose(arima_forecast(model, series, 3), [38.0, 41.0, 44.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("order", _ORDERS, ids=lambda o: "%d%d%d" % o)
+    def test_non_finite_series_not_convergent(self, order, bad):
+        series = np.linspace(1.0, 2.0, 12)
+        series[5] = bad
+        with pytest.raises(NonConvergent):
+            fit_arima(series, *order)
 
 
 class TestArimaForecast:
@@ -364,6 +464,20 @@ class TestBenchmarkPipeline:
         result = benchmark_lrt_vs_baseline(panel, calibration="full")
         assert {c.country for c in result.evaluation.cells} == {"AAA"}
         assert calls == [10] * 6
+
+    @pytest.mark.parametrize("setting", [
+        {"baseline": "nope"}, {"calibration": "bogus"}, {"target": "bogus"},
+    ])
+    def test_unknown_setting_raises_before_work(self, small_panel, monkeypatch, setting):
+        from ioresponse import baselines
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the settings were checked")
+
+        monkeypatch.setattr(baselines, "fit_arima", no_fit)
+        monkeypatch.setattr(baselines, "implied_shock", no_fit)
+        with pytest.raises(ValueError, match="unknown"):
+            benchmark_lrt_vs_baseline(small_panel, **setting)
 
     def test_perturbed_io_baseline(self, small_panel):
         result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")

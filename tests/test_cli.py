@@ -396,6 +396,11 @@ class TestSettingChecks:
             ("susceptibility", "--method", "monte_carlo", "--dt", "0"),
             ("ingest", "--clip-negative-flows", "maybe"),
             ("benchmark", "--lrt-oracle", "onn"),
+            ("benchmark", "--arima-order", "2,1,1"),
+            ("benchmark", "--arima-order", "1,1"),
+            ("benchmark", "--baseline", "nope"),
+            ("benchmark", "--target", "bogus"),
+            ("benchmark", "--calibration", "bogus"),
         ],
         ids=lambda args: " ".join(args),
     )
@@ -479,10 +484,11 @@ def test_cli_import_skips_scipy_stats():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ioresponse.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, ioresponse.cli; "
+         "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_console_script_entry_point(two_sector_file, tmp_path):
