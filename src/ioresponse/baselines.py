@@ -6,14 +6,17 @@ innovations are computed recursively with zero pre-sample residuals.  The
 fit is a variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
 1973).  For a fixed MA coefficient theta the innovations are linear in the
 constant and the AR coefficient phi, so those two come from an exact
-least-squares solve, with phi boxed to +-0.9999.  Without an MA term that
-one solve is the fit; with one, the profile sum of squares is minimized over
-a fixed grid of theta in [-0.9999, 0.9999] and then over zoomed grids around
-the best point.  A constant is estimated except for differenced pure-MA
-models: (0,1,0) and (0,1,1) are the level-tracking family, so the random
-walk forecasts the last observation and exponential smoothing flattens to
-the last level, while AR-containing differenced models keep a drift term.
-Everything is deterministic given the inputs.
+least-squares solve, with phi boxed to +-0.99.  Without an MA term that one
+solve is the fit; with one, the profile sum of squares is minimized over a
+fixed grid of theta in [-0.99, 0.99] and then over zoomed grids around the
+best point.  That box is the only bound: a fit whose optimum lies beyond it
+returns the best model on it, with every coefficient solved for the bounded
+ones, and is flagged ``clamped``.  Without AR or MA terms the same path
+returns the zero model.  A constant is estimated except for differenced
+pure-MA models: (0,1,0) and (0,1,1) are the level-tracking family, so the
+random walk forecasts the last observation and exponential smoothing
+flattens to the last level, while AR-containing differenced models keep a
+drift term.  Everything is deterministic given the inputs.
 
 The VAR(1) baseline is calibrated the simulation way: the unshocked economy
 is integrated, states are recorded at one-year intervals, and the transition
@@ -36,18 +39,26 @@ from scipy import special
 from .dynamics import ShockProfile, simulate_batch
 from .errors import (
     DegenerateInput,
+    InsufficientSamples,
     MisalignedPanel,
     NonConvergent,
     RankDeficientRegressors,
     TooShortSeries,
 )
-from .iodata import IOTable, Panel, leontief_solve, write_table
+from .iodata import (
+    DEFAULT_NOISE,
+    IOTable,
+    NoiseSpec,
+    Panel,
+    leontief_solve,
+    noise_covariance,
+    write_table,
+)
 from .response import forecast_from_shock, implied_shock
 
-#: AR/MA coefficients are clamped to this magnitude when a fit ends on the
-#: stationarity/invertibility boundary.
+#: AR/MA coefficients are searched inside this magnitude, short of the
+#: stationarity/invertibility boundary; a fit that ends on it is ``clamped``.
 _COEF_CLAMP = 0.99
-_COEF_BOUND = 0.9999
 
 
 def _by_magnitude(n: int) -> np.ndarray:
@@ -57,7 +68,7 @@ def _by_magnitude(n: int) -> np.ndarray:
 
 #: First theta grid, k/100 clipped to the bound.  It holds the points 0 and
 #: +-0.5, and its order by |theta| keeps theta = 0 when the profile is flat.
-_THETA_GRID = np.clip(_by_magnitude(100), -_COEF_BOUND, _COEF_BOUND)
+_THETA_GRID = np.clip(_by_magnitude(100), -_COEF_CLAMP, _COEF_CLAMP)
 _THETA_SPACING = 0.01
 #: Each zoom searches one spacing either side of the best point at a tenth
 #: of the spacing, the best point first; seven zooms end at 1e-9.
@@ -133,7 +144,7 @@ def _css_profile(w: np.ndarray, p: int, has_const: bool, thetas: np.ndarray):
                 ry = y - one * ((one * y).sum(0) / n1)
                 xx = (rx * rx).sum(0)
                 phi = np.where(xx > _COLLINEAR * (x * x).sum(0), (rx * ry).sum(0) / xx, 0.0)
-                phi = np.clip(phi, -_COEF_BOUND, _COEF_BOUND)
+                phi = np.clip(phi, -_COEF_CLAMP, _COEF_CLAMP)
                 y = y - phi * x
             const = (one * y).sum(0) / n1
             y = y - const * one
@@ -144,14 +155,15 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
     """Estimate an ARIMA(p,d,q) model by conditional sum of squares.
 
     (const, phi) is solved exactly for each theta; theta is the best point of
-    a grid search (none without an MA term).  A coefficient that ends beyond
-    0.99 in magnitude is clamped to 0.99 and flagged ``clamped``; the other
-    coefficients keep their fitted values.  ``converged`` is True on every
-    returned model, as both steps always finish.
+    a grid search (none without an MA term).  phi and theta are bounded to
+    0.99 in magnitude inside the fit, so the constant always belongs to the
+    returned coefficients; ``clamped`` flags a returned phi or theta on that
+    bound.  ``converged`` is True on every returned model, as both steps
+    always finish.
 
-    Raises :class:`TooShortSeries` when ``len(series) < p + d + q + 3`` and
-    :class:`NonConvergent` when no theta gives a finite sum of squares (as a
-    series holding NaN or inf does).
+    Raises :class:`TooShortSeries` when ``len(series) < p + d + q + 3`` and,
+    for every order, :class:`NonConvergent` when no theta gives a finite sum
+    of squares (as a series holding NaN or inf does).
     """
     if not all(v in (0, 1) for v in (p, d, q)):
         raise ValueError("orders p, d, q must each be 0 or 1")
@@ -161,29 +173,13 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
             f"need at least {p + d + q + 3} observations, got {len(series)}"
         )
     w = _difference(series, d)
-    wl = w.tolist()
-
     # differenced pure-MA models track the level without drift
     has_const = (p + q) >= 1 and (p == 1 or d == 0)
-
-    if p + q == 0:
-        css = _css(wl, 0, 0, 0.0, 0.0, 0.0)
-        return ArimaModel(
-            order=(p, d, q),
-            const=0.0,
-            phi=0.0,
-            theta=0.0,
-            sigma2=css / max(len(w), 1),
-            converged=True,
-            objective=css,
-            clamped=False,
-            n_obs=len(series),
-        )
 
     def best(thetas):
         objective, consts, phis = _css_profile(w, p, has_const, thetas)
         k = int(np.argmin(np.where(np.isfinite(objective), objective, np.inf)))
-        return objective[k], float(thetas[k]), float(consts[k]), float(phis[k])
+        return float(objective[k]), float(thetas[k]), float(consts[k]), float(phis[k])
 
     objective, theta, const, phi = best(_THETA_GRID if q else np.zeros(1))
     if not math.isfinite(objective):
@@ -191,28 +187,18 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
     if q:
         spacing = _THETA_SPACING
         for _ in range(_ZOOMS):
-            grid = np.clip(theta + spacing * _ZOOM, -_COEF_BOUND, _COEF_BOUND)
+            grid = np.clip(theta + spacing * _ZOOM, -_COEF_CLAMP, _COEF_CLAMP)
             objective, theta, const, phi = best(grid)
             spacing /= 10.0
-
-    clamped = False
-    if p and abs(phi) > _COEF_CLAMP:
-        phi = math.copysign(_COEF_CLAMP, phi)
-        clamped = True
-    if q and abs(theta) > _COEF_CLAMP:
-        theta = math.copysign(_COEF_CLAMP, theta)
-        clamped = True
-    css = _css(wl, p, q, const, phi, theta)
-    n_used = max(len(w) - p, 1)
     return ArimaModel(
         order=(p, d, q),
         const=const,
         phi=phi,
         theta=theta,
-        sigma2=css / n_used,
+        sigma2=objective / max(len(w) - p, 1),
         converged=True,
-        objective=float(css),
-        clamped=clamped,
+        objective=objective,
+        clamped=max(abs(phi), abs(theta)) == _COEF_CLAMP,
         n_obs=len(series),
     )
 
@@ -278,10 +264,11 @@ def fit_var1(
     The unshocked economy is integrated by Euler-Maruyama, states are
     recorded at one-year intervals until ``samples`` transition pairs exist,
     and the map is fitted by ordinary least squares with intercepts.
+    Raises :class:`InsufficientSamples` when ``samples < N + 2``.
     """
     n = table.n_sectors
     if samples < n + 2:
-        raise ValueError(f"samples must be >= N + 2 = {n + 2}")
+        raise InsufficientSamples(f"VAR samples must be >= N + 2 = {n + 2}, got {samples}")
     stride = int(round(1.0 / dt))
     states = simulate_batch(
         table.coefficients,
@@ -415,10 +402,6 @@ class ForecastEvaluation:
     by_year: Mapping[int, TTestSummary]
     pooled: TTestSummary
 
-    @property
-    def pooled_pg(self) -> np.ndarray:
-        return np.array([c.pg for c in self.cells])
-
 
 def evaluate_forecasts(
     observed: Mapping[tuple[str, int], np.ndarray],
@@ -506,9 +489,8 @@ def benchmark_lrt_vs_baseline(
     target: str = "changes",
     var_samples: int = 10_000,
     var_calibration_year: int | None = None,
-    nu_builder=None,
+    noise: NoiseSpec = DEFAULT_NOISE,
     seed: int = 0,
-    workers: int = 1,
     lrt_oracle: bool = False,
 ) -> BenchmarkResult:
     """Two-year-ahead forecast comparison over a complete panel.
@@ -519,9 +501,9 @@ def benchmark_lrt_vs_baseline(
     own information set (ARIMA: series up to t+1, one step ahead; VAR:
     the fitted yearly map applied twice from Y(t); perturbed-io: the
     perturbed equilibrium under the same implied shock).  Cells where the
-    baseline cannot be fitted yet (short ARIMA history) are skipped.
-    Cells run one after another in sorted order in one thread; ``workers``
-    is accepted for compatibility and has no effect.
+    baseline cannot be fitted yet (short ARIMA history) are skipped.  Cells
+    run one after another in sorted order; ``noise`` drives the simulated
+    economy the VAR baseline is calibrated on.
 
     ARIMA ``calibration`` is ``"expanding"`` (each cell fits the history up
     to t+1) or ``"full"`` (one model per sector from the whole series).  An
@@ -539,16 +521,10 @@ def benchmark_lrt_vs_baseline(
 
     var_models: dict[str, VarModel] = {}
     if baseline == "var":
-        from .iodata import DEFAULT_NOISE, noise_covariance
-
         calib_year = var_calibration_year if var_calibration_year is not None else years[0]
         for c in countries:
             table = panel.get(c, calib_year)
-            nu = (
-                nu_builder(table)
-                if nu_builder is not None
-                else noise_covariance(DEFAULT_NOISE, table)
-            )
+            nu = noise_covariance(noise, table)
             var_models[c] = fit_var1(table, nu, samples=var_samples, seed=seed)
 
     p, d, q = orders

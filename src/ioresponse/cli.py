@@ -39,11 +39,32 @@ ENV_PREFIX = "IORESPONSE_"
 
 # Value parsers: a ValueError from any of them ends the run in ConfigError.
 
-def _positive_float(value: str) -> float:
-    number = float(value)
-    if not 0.0 < number < math.inf:
-        raise ValueError(f"must be finite and > 0, got {value!r}")
-    return number
+def _ranged(cast: Callable[[str], float], ok: Callable[[float], bool], rule: str):
+    """Parser for a ``cast`` value that satisfies ``ok``, described by ``rule``."""
+
+    def parse(value: str):
+        number = cast(value)
+        if not ok(number):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return number
+
+    return parse
+
+
+_positive_float = _ranged(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_nonnegative_float = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
+_probability = _ranged(float, lambda v: 0.0 < v < 1.0, "> 0 and < 1")
+
+
+def _int_or(keyword: str) -> Callable[[str], object]:
+    """Parser for ``keyword`` or an integer (surrounding blanks ignored)."""
+
+    def parse(value: str):
+        value = str(value).strip()
+        return value if value == keyword else int(value)
+
+    return parse
 
 
 def _choice(*allowed: str) -> Callable[[str], str]:
@@ -69,8 +90,8 @@ def _parse_arima_order(value: str) -> str:
 def _parse_node_time(value: str) -> str:
     """Empty (no node annotation), or a finite time >= 0 kept as written."""
     value = str(value).strip()
-    if value and not 0.0 <= float(value) < math.inf:
-        raise ValueError(f"must be finite and >= 0, got {value!r}")
+    if value:
+        _nonnegative_float(value)
     return value
 
 
@@ -78,35 +99,35 @@ def _parse_node_time(value: str) -> str:
 _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "data": (str, ""),
     "country": (str, "all"),
-    "year": (str, "all"),
+    "year": (_int_or("all"), "all"),
     "horizon": (iodata.parse_horizon, math.inf),
-    "eta": (float, 0.01),
-    "noise": (str, "output_proportional"),
+    "eta": (_positive_float, 0.01),
+    "noise": (_choice("output_proportional", "isotropic"), "output_proportional"),
     "dt": (_positive_float, 0.01),
     "seed": (int, 0),
     "workers": (int, 1),  # no effect; kept so old manifests and scripts load
     "out": (str, "out"),
-    "method": (str, "analytic"),
-    "mc_length": (float, 400.0),
-    "mc_replicas": (int, 8),
-    "burn_in": (float, 50.0),
-    "shock_kind": (str, "impulse"),
+    "method": (_choice("analytic", "monte_carlo"), "analytic"),
+    "mc_length": (_positive_float, 400.0),
+    "mc_replicas": (_positive_int, 8),
+    "burn_in": (_nonnegative_float, 50.0),
+    "shock_kind": (_choice("impulse", "step"), "impulse"),
     "shock_sector": (str, "all"),
     "shock_size": (float, 1.0),
     "grid_dt": (_positive_float, 0.01),
-    "recovery_eps": (float, 0.05),
+    "recovery_eps": (_nonnegative_float, 0.05),
     "baseline": (_choice("arima", "var", "perturbed_io"), "arima"),
     "arima_order": (_parse_arima_order, "1,1,1"),
     "calibration": (_choice("expanding", "full"), "expanding"),
     "target": (_choice("changes", "levels"), "changes"),
-    "var_samples": (int, 10_000),
-    "var_year": (str, "first"),
+    "var_samples": (_positive_int, 10_000),
+    "var_year": (_int_or("first"), "first"),
     "scenario_spec": (str, ""),
-    "significance": (float, 0.05),
-    "graph_format": (str, "edgelist"),
+    "significance": (_probability, 0.05),
+    "graph_format": (_choice("edgelist", "graphml"), "edgelist"),
     "node_time": (_parse_node_time, ""),
     "curves": (str, ""),
-    "convention": (str, "response"),
+    "convention": (_choice("response", "source"), "response"),
     "clip_negative_flows": (iodata.parse_bool, False),
     "lrt_oracle": (iodata.parse_bool, False),
 }
@@ -148,11 +169,7 @@ class RunConfig(dict):
     """Resolved configuration; plain mapping key -> typed value."""
 
     def noise_spec(self) -> iodata.NoiseSpec:
-        if self["noise"] == "isotropic":
-            return iodata.NoiseSpec.isotropic(self["eta"])
-        if self["noise"] == "output_proportional":
-            return iodata.NoiseSpec.output_proportional(self["eta"])
-        raise ConfigError(f"unknown noise kind {self['noise']!r}")
+        return iodata.NoiseSpec(kind=self["noise"], scale=self["eta"])
 
     def arima_orders(self) -> tuple[int, int, int]:
         p, d, q = (int(v) for v in self["arima_order"].split(","))
@@ -231,7 +248,7 @@ def _load_panel(cfg: RunConfig) -> iodata.Panel:
     if not cfg["data"]:
         raise ConfigError("no input data file (--data)")
     countries = None if cfg["country"] == "all" else [cfg["country"]]
-    years = None if cfg["year"] == "all" else [int(cfg["year"])]
+    years = None if cfg["year"] == "all" else [cfg["year"]]
     return iodata.load_panel(
         cfg["data"],
         countries=countries,
@@ -243,7 +260,7 @@ def _load_panel(cfg: RunConfig) -> iodata.Panel:
 def _require_cell(cfg: RunConfig) -> tuple[str, int]:
     if cfg["country"] == "all" or cfg["year"] == "all":
         raise ConfigError("this subcommand needs a specific --country and --year")
-    return cfg["country"], int(cfg["year"])
+    return cfg["country"], cfg["year"]
 
 
 def _shock_vector(cfg: RunConfig, table: iodata.IOTable) -> np.ndarray:
@@ -283,14 +300,12 @@ def _cmd_ingest(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
-    if cfg["method"] not in ("analytic", "monte_carlo"):
-        raise ConfigError(f"unknown method {cfg['method']!r}")
     panel = _load_panel(cfg)
     horizon = cfg["horizon"]
     convention = cfg["convention"]
 
     if cfg["country"] != "all" and cfg["year"] != "all":
-        table = panel.get(cfg["country"], int(cfg["year"]))
+        table = panel.get(cfg["country"], cfg["year"])
         if cfg["method"] == "monte_carlo":
             if not math.isfinite(horizon):
                 raise ConfigError("monte_carlo needs a finite --horizon")
@@ -348,10 +363,8 @@ def _cmd_response(cfg: RunConfig, out: OutputDir) -> None:
     x = _shock_vector(cfg, table)
     if cfg["shock_kind"] == "impulse":
         curve = response.impulse_response(table, x, grid)
-    elif cfg["shock_kind"] == "step":
-        curve = response.step_response(table, x, grid)
     else:
-        raise ConfigError(f"unknown shock kind {cfg['shock_kind']!r}")
+        curve = response.step_response(table, x, grid)
     with out.open(f"curve_{country}_{year}.csv") as fh:
         response.write_curve(curve, table.codes, fh)
     if cfg["shock_kind"] == "impulse":
@@ -397,7 +410,7 @@ def _summary_json(s: baselines.TTestSummary) -> dict:
 
 def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
     panel = _load_panel(cfg)
-    var_year = None if cfg["var_year"] == "first" else int(cfg["var_year"])
+    var_year = None if cfg["var_year"] == "first" else cfg["var_year"]
     result = baselines.benchmark_lrt_vs_baseline(
         panel,
         baseline=cfg["baseline"],
@@ -406,7 +419,7 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
         target=cfg["target"],
         var_samples=cfg["var_samples"],
         var_calibration_year=var_year,
-        nu_builder=lambda table: iodata.noise_covariance(cfg.noise_spec(), table),
+        noise=cfg.noise_spec(),
         seed=cfg["seed"],
         lrt_oracle=cfg["lrt_oracle"],
     )

@@ -23,6 +23,7 @@ from ioresponse.baselines import (
 )
 from ioresponse.errors import (
     DegenerateInput,
+    InsufficientSamples,
     MisalignedPanel,
     NonConvergent,
     RankDeficientRegressors,
@@ -85,6 +86,17 @@ class TestFitArima:
         assert abs(model.phi) <= 0.99
         assert model.clamped or abs(model.phi) < 0.99
 
+    def test_clamped_phi_keeps_the_constant_of_the_bound(self):
+        # the free fit is phi = 1, const = 1; on the bound the constant is
+        # re-solved for phi = 0.99 instead of kept at 1
+        series = np.arange(30, dtype=float)
+        model = fit_arima(series, 1, 0, 0)
+        assert model.phi == 0.99 and model.clamped
+        expected = np.mean(series[1:] - 0.99 * series[:-1])
+        assert expected == pytest.approx(1.14, rel=1e-12)
+        assert model.const == pytest.approx(expected, rel=1e-12)
+        assert arima_forecast(model, series, 1)[0] == pytest.approx(29.85, rel=1e-12)
+
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             fit_arima(np.arange(20.0), 2, 0, 0)
@@ -136,7 +148,16 @@ def _short_series(seed: int, d: int) -> np.ndarray:
     return w if d == 0 else 10.0 + np.cumsum(w)
 
 
-_ORDERS = [(p, d, q) for p in (0, 1) for d in (0, 1) for q in (0, 1) if p + q]
+_ALL_ORDERS = [(p, d, q) for p in (0, 1) for d in (0, 1) for q in (0, 1)]
+_ORDERS = [order for order in _ALL_ORDERS if order[0] + order[2]]
+
+
+def _innovations(w, const, phi, theta):
+    """ARMA(1,1) CSS innovations of ``w``, zero pre-sample residual."""
+    e = np.zeros(len(w) - 1)
+    for t in range(1, len(w)):
+        e[t - 1] = w[t] - const - phi * w[t - 1] - theta * (e[t - 2] if t > 1 else 0.0)
+    return e
 
 
 class TestArimaOptimum:
@@ -178,8 +199,22 @@ class TestArimaOptimum:
         assert model.phi == 0.0 and not model.clamped
         np.testing.assert_allclose(arima_forecast(model, series, 3), [38.0, 41.0, 44.0])
 
+    def test_theta_on_bound_keeps_exact_const_phi(self):
+        # levels of white noise, differenced once, favour a unit MA root
+        series = np.random.default_rng(6).normal(size=12)
+        model = fit_arima(series, 1, 1, 1)
+        assert model.theta == 0.99 and abs(model.phi) < 0.99 and model.clamped
+        w = _difference(series, 1)
+        base = _innovations(w, 0.0, 0.0, 0.99)
+        design = np.column_stack([base - _innovations(w, 1.0, 0.0, 0.99),
+                                  base - _innovations(w, 0.0, 1.0, 0.99)])
+        (const, phi), *_ = np.linalg.lstsq(design, base, rcond=None)
+        np.testing.assert_allclose([model.const, model.phi], [const, phi], rtol=1e-9)
+        assert model.objective == pytest.approx(
+            _css(w.tolist(), 1, 1, model.const, model.phi, 0.99), rel=1e-12)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("order", _ORDERS, ids=lambda o: "%d%d%d" % o)
+    @pytest.mark.parametrize("order", _ALL_ORDERS, ids=lambda o: "%d%d%d" % o)
     def test_non_finite_series_not_convergent(self, order, bad):
         series = np.linspace(1.0, 2.0, 12)
         series[5] = bad
@@ -223,6 +258,10 @@ class TestVar:
     def test_zero_noise_is_rank_deficient(self, two_sector_table):
         with pytest.raises(RankDeficientRegressors):
             fit_var1(two_sector_table, np.zeros((2, 2)), samples=50, seed=0)
+
+    def test_fewer_samples_than_regressors(self, two_sector_table):
+        with pytest.raises(InsufficientSamples):
+            fit_var1(two_sector_table, np.eye(2), samples=3, seed=0)
 
     def test_scalar_ou_transition_recovered(self):
         table = IOTable.from_coefficients("AAA", 2000, ["S1"], [[0.5]], [10.0])
@@ -395,14 +434,6 @@ class TestBenchmarkPipeline:
         # expanding-window cells only start once the ARIMA history is long enough
         assert min(c.year for c in result.evaluation.cells) >= 2004
 
-    def test_worker_count_does_not_change_results(self, small_panel):
-        a = benchmark_lrt_vs_baseline(small_panel, baseline="arima", workers=1)
-        b = benchmark_lrt_vs_baseline(small_panel, baseline="arima", workers=8)
-        for ca, cb in zip(a.evaluation.cells, b.evaluation.cells):
-            assert (ca.country, ca.year) == (cb.country, cb.year)
-            assert ca.r_lrt == cb.r_lrt
-            assert ca.r_baseline == cb.r_baseline
-
     def test_lrt_oracle_hook(self, small_panel):
         result = benchmark_lrt_vs_baseline(small_panel, baseline="arima", lrt_oracle=True)
         assert all(c.r_lrt == pytest.approx(1.0) for c in result.evaluation.cells)
@@ -419,6 +450,19 @@ class TestBenchmarkPipeline:
         table = small_panel.get(c, small_panel.years(c)[0])
         nu = noise_covariance(DEFAULT_NOISE, table)
         model = fit_var1(table, nu, samples=300, seed=3)
+        expected = var_forecast(model, small_panel.get(c, t).output, steps=2)
+        np.testing.assert_allclose(
+            result.baseline_predictions[(c, t)], expected, rtol=1e-12
+        )
+
+    def test_var_baseline_is_driven_by_given_noise(self, small_panel):
+        noise = NoiseSpec.isotropic(0.5)
+        result = benchmark_lrt_vs_baseline(
+            small_panel, baseline="var", var_samples=300, seed=3, noise=noise
+        )
+        c, t = result.evaluation.cells[0].country, result.evaluation.cells[0].year
+        table = small_panel.get(c, small_panel.years(c)[0])
+        model = fit_var1(table, noise_covariance(noise, table), samples=300, seed=3)
         expected = var_forecast(model, small_panel.get(c, t).output, steps=2)
         np.testing.assert_allclose(
             result.baseline_predictions[(c, t)], expected, rtol=1e-12

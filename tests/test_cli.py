@@ -401,6 +401,23 @@ class TestSettingChecks:
             ("benchmark", "--baseline", "nope"),
             ("benchmark", "--target", "bogus"),
             ("benchmark", "--calibration", "bogus"),
+            ("susceptibility", "--method", "bogus"),
+            ("susceptibility", "--noise", "bogus"),
+            ("susceptibility", "--convention", "bogus"),
+            ("response", "--shock-kind", "bogus"),
+            ("backbone", "--graph-format", "bogus"),
+            ("benchmark", "--var-year", "bogus"),
+            ("benchmark", "--var-samples", "-3"),
+            ("benchmark", "--var-samples", "0"),
+            ("susceptibility", "--method", "monte_carlo", "--mc-replicas", "0"),
+            ("susceptibility", "--method", "monte_carlo", "--mc-length", "-5"),
+            ("susceptibility", "--eta", "0"),
+            ("susceptibility", "--eta", "nan"),
+            ("susceptibility", "--method", "monte_carlo", "--burn-in", "-1"),
+            ("response", "--recovery-eps", "-1"),
+            ("response", "--recovery-eps", "inf"),
+            ("backbone", "--significance", "0"),
+            ("backbone", "--significance", "1"),
         ],
         ids=lambda args: " ".join(args),
     )
@@ -413,6 +430,32 @@ class TestSettingChecks:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ConfigError: bad value for ")
+        assert _no_outputs(out)
+
+    @pytest.mark.parametrize("year", ["abc", "2014.5"])
+    def test_rejected_year_exit_2_before_data_is_read(self, tmp_path, capsys, year):
+        out = tmp_path / "out"
+        code = run([
+            "susceptibility", "--data", str(tmp_path / "missing.csv"),
+            "--year", year, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: bad value for year: ")
+        assert _no_outputs(out)
+
+    def test_var_samples_below_regressor_count_exit_3(
+        self, two_sector_file, tmp_path, capsys
+    ):
+        # two sectors need at least N + 2 = 4 yearly samples
+        out = tmp_path / "out"
+        code = run([
+            "benchmark", "--data", str(two_sector_file), "--baseline", "var",
+            "--var-samples", "3", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("InsufficientSamples: ")
         assert _no_outputs(out)
 
     def test_rejected_setting_from_config_file(self, two_sector_file, tmp_path, capsys):

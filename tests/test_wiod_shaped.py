@@ -63,7 +63,7 @@ def test_fluctuation_regression_runs_full_span(wiod_shaped):
 def test_expanding_arima_benchmark_runs(wiod_shaped):
     result = benchmark_lrt_vs_baseline(
         wiod_shaped, baseline="arima", orders=(1, 1, 1),
-        calibration="expanding", target="changes", workers=2,
+        calibration="expanding", target="changes",
     )
     years = sorted({c.year for c in result.evaluation.cells})
     assert years[0] == 2004  # first year with 6 observations through t+1
