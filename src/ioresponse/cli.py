@@ -32,7 +32,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from . import baselines, backbone, iodata, response, scenario, susceptibility
+from . import baselines, backbone, dynamics, iodata, response, scenario, susceptibility
 from .errors import ConfigError, DataError, NumericalError
 
 ENV_PREFIX = "IORESPONSE_"
@@ -51,9 +51,11 @@ def _ranged(cast: Callable[[str], float], ok: Callable[[float], bool], rule: str
     return parse
 
 
+_finite_float = _ranged(float, math.isfinite, "finite")
 _positive_float = _ranged(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _nonnegative_float = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
+_nonnegative_int = _ranged(int, lambda v: v >= 0, ">= 0")
 _probability = _ranged(float, lambda v: 0.0 < v < 1.0, "> 0 and < 1")
 
 
@@ -95,27 +97,28 @@ def _parse_node_time(value: str) -> str:
     return value
 
 
-# key -> (parser, default); flags mirror these one-to-one.
+# key -> (parser, default); flags mirror these one-to-one.  Simulation
+# defaults are the library's, except mc_length (see the README).
 _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "data": (str, ""),
     "country": (str, "all"),
     "year": (_int_or("all"), "all"),
     "horizon": (iodata.parse_horizon, math.inf),
-    "eta": (_positive_float, 0.01),
-    "noise": (_choice("output_proportional", "isotropic"), "output_proportional"),
-    "dt": (_positive_float, 0.01),
-    "seed": (int, 0),
+    "eta": (_positive_float, iodata.DEFAULT_NOISE.scale),
+    "noise": (_choice("output_proportional", "isotropic"), iodata.DEFAULT_NOISE.kind),
+    "dt": (_positive_float, dynamics.DEFAULT_DT),
+    "seed": (_nonnegative_int, 0),
     "workers": (int, 1),  # no effect; kept so old manifests and scripts load
     "out": (str, "out"),
     "method": (_choice("analytic", "monte_carlo"), "analytic"),
     "mc_length": (_positive_float, 400.0),
-    "mc_replicas": (_positive_int, 8),
-    "burn_in": (_nonnegative_float, 50.0),
+    "mc_replicas": (_positive_int, susceptibility.SimulationBudget().replicas),
+    "burn_in": (_nonnegative_float, dynamics.DEFAULT_BURN_IN),
     "shock_kind": (_choice("impulse", "step"), "impulse"),
     "shock_sector": (str, "all"),
-    "shock_size": (float, 1.0),
+    "shock_size": (_finite_float, 1.0),
     "grid_dt": (_positive_float, 0.01),
-    "recovery_eps": (_nonnegative_float, 0.05),
+    "recovery_eps": (_nonnegative_float, response.RECOVERY_EPS),
     "baseline": (_choice("arima", "var", "perturbed_io"), "arima"),
     "arima_order": (_parse_arima_order, "1,1,1"),
     "calibration": (_choice("expanding", "full"), "expanding"),
@@ -263,6 +266,31 @@ def _require_cell(cfg: RunConfig) -> tuple[str, int]:
     return cfg["country"], cfg["year"]
 
 
+def _curve_horizon(cfg: RunConfig) -> float:
+    """Span of the run's response-curve grid (10 years for an infinite
+    horizon), checked so that the grid can be formed before any data is read."""
+    horizon = cfg["horizon"] if math.isfinite(cfg["horizon"]) else 10.0
+    try:
+        dynamics.step_count(horizon, cfg["grid_dt"])
+    except ValueError as exc:
+        raise ConfigError(f"bad horizon or grid_dt: {exc}") from None
+    return horizon
+
+
+def _monte_carlo_budget(cfg: RunConfig) -> susceptibility.SimulationBudget:
+    """The run's simulation budget, checked against its horizon before any
+    data is read."""
+    if not math.isfinite(cfg["horizon"]):
+        raise ConfigError("monte_carlo needs a finite --horizon")
+    budget = cfg.budget()
+    try:
+        susceptibility.lag_count(cfg["horizon"], budget)
+        dynamics.step_count(budget.burn_in, budget.dt)
+    except ValueError as exc:
+        raise ConfigError(f"bad horizon, dt, mc_length or burn_in: {exc}") from None
+    return budget
+
+
 def _shock_vector(cfg: RunConfig, table: iodata.IOTable) -> np.ndarray:
     if cfg["shock_sector"] == "all":
         return cfg["shock_size"] * np.ones(table.n_sectors)
@@ -300,19 +328,23 @@ def _cmd_ingest(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
-    panel = _load_panel(cfg)
     horizon = cfg["horizon"]
     convention = cfg["convention"]
+    one_cell = cfg["country"] != "all" and cfg["year"] != "all"
+    if cfg["method"] == "monte_carlo":
+        if not one_cell:
+            raise ConfigError(
+                "monte_carlo needs a specific --country and --year; "
+                "panel aggregation runs on the analytic path"
+            )
+        budget = _monte_carlo_budget(cfg)
+    panel = _load_panel(cfg)
 
-    if cfg["country"] != "all" and cfg["year"] != "all":
+    if one_cell:
         table = panel.get(cfg["country"], cfg["year"])
         if cfg["method"] == "monte_carlo":
-            if not math.isfinite(horizon):
-                raise ConfigError("monte_carlo needs a finite --horizon")
             nu = iodata.noise_covariance(cfg.noise_spec(), table)
-            rho = susceptibility.susceptibility_monte_carlo(
-                table, nu, horizon, cfg.budget()
-            )
+            rho = susceptibility.susceptibility_monte_carlo(table, nu, horizon, budget)
         else:
             rho = susceptibility.susceptibility_analytic(table, horizon)
         with out.open(f"matrix_{table.country}_{table.year}.csv") as fh:
@@ -322,11 +354,6 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
             iodata.write_table(fh, "sector,value", (rho.sectors, scores))
         return
 
-    if cfg["method"] == "monte_carlo":
-        raise ConfigError(
-            "monte_carlo needs a specific --country and --year; "
-            "panel aggregation runs on the analytic path"
-        )
     codes = panel.codes()
     sector_values = {}
     outputs = {}
@@ -354,11 +381,9 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
 
 def _cmd_response(cfg: RunConfig, out: OutputDir) -> None:
     country, year = _require_cell(cfg)
+    horizon = _curve_horizon(cfg)
     panel = _load_panel(cfg)
     table = panel.get(country, year)
-    horizon = cfg["horizon"]
-    if not math.isfinite(horizon):
-        horizon = 10.0
     grid = response.response_grid(horizon, cfg["grid_dt"])
     x = _shock_vector(cfg, table)
     if cfg["shock_kind"] == "impulse":
@@ -465,19 +490,19 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
 def _cmd_scenario(cfg: RunConfig, out: OutputDir) -> None:
     if not cfg["scenario_spec"]:
         raise ConfigError("scenario needs --scenario-spec FILE")
+    curve_countries = [c for c in cfg["curves"].split(",") if c]
+    curve_horizon = _curve_horizon(cfg) if curve_countries else 0.0  # no curve drawn
     try:
         text = Path(cfg["scenario_spec"]).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read scenario spec: {exc}") from None
     spec = scenario.parse_scenario_spec(text)
     panel = _load_panel(cfg)
-    curve_countries = [c for c in cfg["curves"].split(",") if c]
-    horizon = cfg["horizon"]
     result = scenario.run_scenario(
         spec,
         panel,
         curve_countries=curve_countries,
-        curve_horizon=horizon if math.isfinite(horizon) else 10.0,
+        curve_horizon=curve_horizon,
         curve_dt=cfg["grid_dt"],
     )
     with out.open("scenario_impacts.csv") as fh:

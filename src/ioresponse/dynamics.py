@@ -14,6 +14,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -40,6 +41,18 @@ DEFAULT_DT = 0.01
 DEFAULT_BURN_IN = 50.0
 
 _NOISE_CHUNK = 16384
+
+
+def step_count(span: float, dt: float) -> int:
+    """``span / dt`` rounded to whole steps.
+
+    :class:`ValueError` when the quotient is not finite or too large to be an
+    array length, as a horizon of 1e308 years in steps of 0.01 is.
+    """
+    steps = span / dt
+    if not steps < sys.maxsize:
+        raise ValueError(f"{span!r} in steps of {dt!r} is more steps than an array holds")
+    return int(round(steps))
 
 
 def drift_matrix(coefficients: np.ndarray) -> np.ndarray:
@@ -244,8 +257,8 @@ def simulate_batch(
     m = drift_matrix(a)
     y0 = equilibrium_output(a, d)
 
-    burn_steps = int(round(burn_in / dt))
-    rec_steps = int(round(horizon / dt))
+    burn_steps = step_count(burn_in, dt)
+    rec_steps = step_count(horizon, dt)
     if rec_steps % record_stride != 0:
         raise ValueError("horizon must be a whole number of record strides")
     total_steps = burn_steps + rec_steps

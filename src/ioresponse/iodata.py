@@ -13,7 +13,8 @@ Canonical input is a comma-separated long format with a mandatory header::
 col_sector), ``FINAL`` (final demand of row_sector, the col field holding the
 destination country code), or ``OUTPUT`` (gross output of row_sector, col
 field empty).  Values are in millions USD with a decimal point and no
-thousands separators; the stream is UTF-8.
+thousands separators; the stream is UTF-8.  Rows may come in any order; the
+OUTPUT rows of a table define its sector order.
 
 Final demand ``D`` is *not* summed from the FINAL rows.  It is taken as the
 residual ``D = (I - A) Y`` so that the equilibrium identity
@@ -50,9 +51,6 @@ from .sectors import sector_metadata
 CANONICAL_HEADER = "record_type,country,year,row_sector,col_sector_or_dest,value"
 _HEADER_FIELDS = tuple(CANONICAL_HEADER.split(","))
 _RECORD_TYPES = frozenset({"FLOW", "FINAL", "OUTPUT"})
-
-#: Relative tolerance for the accounting identity ||Y - (A Y + D)|| / ||Y||.
-IDENTITY_RTOL = 1e-9
 
 
 class NegativeResidualDemand(UserWarning):
@@ -384,98 +382,86 @@ def _scan_rows(stream: TextIO) -> Iterator[tuple[int, str, str, int, str, str, f
 class _TableAccumulator:
     """Collects the rows of one (country, year) cell and assembles arrays.
 
-    Rows whose sector codes are already known (the common case: OUTPUT rows
-    lead the table) are resolved immediately into compact index/value
-    buffers, so a world-scale panel parses in tens of megabytes.  Rows that
-    arrive before their OUTPUT row are parked and resolved at build time.
+    Each sector code gets an id the first time any row names it, and every
+    FLOW and FINAL row is stored at once as compact (id, id, value) buffers,
+    so a world-scale panel parses in tens of megabytes whatever the row
+    order.  OUTPUT rows fix the sector order; ids are mapped to it at build
+    time.
     """
 
     def __init__(self, country: str, year: int):
         self.country = country
         self.year = year
-        self.codes: list[str] = []
-        self.code_index: dict[str, int] = {}
+        self.ids: dict[str, int] = {}
+        self.first_line: list[int] = []  # line of the first row naming each id
+        self.rank: dict[str, int] = {}  # code -> position of its OUTPUT row
         self.dest_index: dict[str, int] = {}
         self.outputs: list[float] = []
         self.flow_cells = (array("i"), array("i"), array("d"))
         self.final_cells = (array("i"), array("i"), array("d"))
-        self.pending: list[tuple[int, str, str, str, float]] = []
+
+    def _new_id(self, code: str, lineno: int) -> int:
+        self.first_line.append(lineno)
+        return self.ids.setdefault(code, len(self.ids))
 
     def add(self, lineno: int, rtype: str, rsec: str, col: str, value: float):
         if rtype == "OUTPUT":
-            if rsec in self.code_index:
+            if rsec in self.rank:
                 raise InconsistentTable(
                     f"line {lineno}: duplicate OUTPUT row for sector {rsec} "
                     f"in {self.country}/{self.year}"
                 )
-            self.code_index[rsec] = len(self.codes)
-            self.codes.append(rsec)
+            self.rank[rsec] = len(self.rank)
             self.outputs.append(value)
             return
-        i = self.code_index.get(rsec)
+        ids = self.ids
+        i = ids.get(rsec)
+        if i is None:
+            i = self._new_id(rsec, lineno)
         if rtype == "FLOW":
-            j = self.code_index.get(col)
-            if i is None or j is None:
-                self.pending.append((lineno, rtype, rsec, col, value))
-                return
+            j = ids.get(col)
+            if j is None:
+                j = self._new_id(col, lineno)
             cells = self.flow_cells
         else:
             j = self.dest_index.setdefault(col, len(self.dest_index))
-            if i is None:
-                self.pending.append((lineno, rtype, rsec, col, value))
-                return
             cells = self.final_cells
         cells[0].append(i)
         cells[1].append(j)
         cells[2].append(value)
 
-    def _require(self, lineno: int, code: str) -> int:
-        idx = self.code_index.get(code)
-        if idx is None:
-            raise InconsistentTable(
-                f"line {lineno}: sector {code!r} has no OUTPUT row "
-                f"in {self.country}/{self.year}"
-            )
-        return idx
-
     def build(self, clip_negative_flows: bool = False) -> IOTable:
-        n = len(self.codes)
+        n = len(self.rank)
         if n == 0:
             raise MissingCountryYear(
                 f"no OUTPUT rows for {self.country}/{self.year}"
             )
-        for lineno, rtype, rsec, col, value in self.pending:
-            i = self._require(lineno, rsec)
-            if rtype == "FLOW":
-                j = self._require(lineno, col)
-                cells = self.flow_cells
-            else:
-                j = self.dest_index[col]
-                cells = self.final_cells
-            cells[0].append(i)
-            cells[1].append(j)
-            cells[2].append(value)
-        self.pending.clear()
+        # ids run in order of first use, so the first unranked one is the
+        # code of the earliest row that names a sector without an OUTPUT row
+        for code, lineno in zip(self.ids, self.first_line):
+            if code not in self.rank:
+                raise InconsistentTable(
+                    f"line {lineno}: sector {code!r} has no OUTPUT row "
+                    f"in {self.country}/{self.year}"
+                )
+        position = np.array([self.rank[code] for code in self.ids], dtype=np.intp)
 
-        output = np.asarray(self.outputs)
         flows = np.zeros((n, n))
-        fi, fj, fv = (np.frombuffer(c, dtype=t) for c, t in
-                      zip(self.flow_cells, (np.int32, np.int32, np.float64)))
-        np.add.at(flows, (fi, fj), fv)
+        fi, fj = (position[np.frombuffer(c, dtype=np.int32)] for c in self.flow_cells[:2])
+        np.add.at(flows, (fi, fj), np.frombuffer(self.flow_cells[2]))
         if clip_negative_flows:
             np.clip(flows, 0.0, None, out=flows)
 
         dests = list(self.dest_index)
         final = np.zeros((n, len(dests)))
-        gi, gj, gv = (np.frombuffer(c, dtype=t) for c, t in
-                      zip(self.final_cells, (np.int32, np.int32, np.float64)))
-        np.add.at(final, (gi, gj), gv)
+        gi, gj = (np.frombuffer(c, dtype=np.int32) for c in self.final_cells[:2])
+        np.add.at(final, (position[gi], gj), np.frombuffer(self.final_cells[2]))
         return IOTable.from_flows(
             self.country,
             self.year,
-            self.codes,
+            list(self.rank),
             flows,
-            output,
+            np.asarray(self.outputs),
             final_demand=final,
             final_destinations=dests,
         )
@@ -634,7 +620,12 @@ def write_table(stream: TextIO, header: str, columns: Sequence) -> None:
     kept = [(name, col) for name, col in zip(header.split(","), columns, strict=True)
             if col is not None]
     stream.write(",".join(name for name, _ in kept) + "\n")
-    cols = [col.ravel() if isinstance(col, np.ndarray) else col for _, col in kept]
+    _write_rows(stream, [col for _, col in kept])
+
+
+def _write_rows(stream: TextIO, columns: Sequence) -> None:
+    """The row loop of :func:`write_table`, without the header line."""
+    cols = [col.ravel() if isinstance(col, np.ndarray) else col for col in columns]
     n_rows = len(cols[0]) if cols else 0
     if any(len(col) != n_rows for col in cols):
         raise ValueError("table columns differ in length")
@@ -643,34 +634,38 @@ def write_table(stream: TextIO, header: str, columns: Sequence) -> None:
         stream.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
-def write_io_table(table: IOTable, stream: TextIO, header: bool = True) -> None:
+def _io_table_columns(table: IOTable) -> tuple:
+    """The six canonical columns of one table, in :func:`write_io_table` order."""
+    codes = list(table.codes)
+    n = len(codes)
+    dests = [table.country, *table.destinations]
+    fi, fj = np.nonzero(table.flows)
+    final = np.column_stack((table.domestic_final, table.export_demand))
+    n_rows = n + len(fi) + final.size
+    return (
+        ["OUTPUT"] * n + ["FLOW"] * len(fi) + ["FINAL"] * final.size,
+        [table.country] * n_rows,
+        [table.year] * n_rows,
+        codes + [codes[i] for i in fi.tolist()] + [c for c in codes for _ in dests],
+        [""] * n + [codes[j] for j in fj.tolist()] + dests * n,
+        np.concatenate((table.output, table.flows[fi, fj], final.ravel())),
+    )
+
+
+def write_io_table(table: IOTable, stream: TextIO) -> None:
     """Serialize a table to canonical long format.
 
     OUTPUT rows come first (they define the sector order), then nonzero FLOW
-    cells, then every FINAL cell: domestic residual under the home country
-    code plus the full export detail.  Values use shortest exact ``repr`` so
+    cells in row-major order, then for each sector its FINAL cells: the
+    domestic residual under the home country code, then the export detail
+    by destination in sorted order.  Values use shortest exact ``repr`` so
     parse -> write -> parse is the identity.
     """
-    if header:
-        stream.write(CANONICAL_HEADER + "\n")
-    c, y = table.country, table.year
-    codes = table.codes
-    for i, code in enumerate(codes):
-        stream.write(f"OUTPUT,{c},{y},{code},,{_fmt(table.output[i])}\n")
-    for i, row_code in enumerate(codes):
-        for j, col_code in enumerate(codes):
-            v = table.flows[i, j]
-            if v != 0.0:
-                stream.write(f"FLOW,{c},{y},{row_code},{col_code},{_fmt(v)}\n")
-    for i, code in enumerate(codes):
-        stream.write(f"FINAL,{c},{y},{code},{c},{_fmt(table.domestic_final[i])}\n")
-        for k, dest in enumerate(table.destinations):
-            stream.write(
-                f"FINAL,{c},{y},{code},{dest},{_fmt(table.export_demand[i, k])}\n"
-            )
+    write_table(stream, CANONICAL_HEADER, _io_table_columns(table))
 
 
 def write_panel(panel: Panel, stream: TextIO) -> None:
+    """Serialize every table of a panel under one canonical header."""
     stream.write(CANONICAL_HEADER + "\n")
     for table in panel:
-        write_io_table(table, stream, header=False)
+        _write_rows(stream, _io_table_columns(table))

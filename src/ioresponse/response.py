@@ -22,7 +22,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 from scipy.linalg import expm
 
-from .dynamics import ShockProfile, drift_matrix
+from .dynamics import ShockProfile, drift_matrix, step_count
 from .errors import GridMismatch, IllConditioned, MissingPanelCell, NumericalError
 from .iodata import IOTable, Panel, leontief_solve, write_table
 from .susceptibility import SimulationBudget, monte_carlo_propagator, truncated_susceptibility
@@ -83,8 +83,7 @@ def response_grid(horizon: float, dt: float = 0.01) -> np.ndarray:
         raise ValueError(f"grid spacing must be finite and > 0, got {dt!r}")
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"grid horizon must be finite and >= 0, got {horizon!r}")
-    steps = int(round(horizon / dt))
-    return dt * np.arange(steps + 1)
+    return dt * np.arange(step_count(horizon, dt) + 1)
 
 
 def impulse_response(table: IOTable, shock_vector, grid) -> ResponseCurve:

@@ -33,6 +33,7 @@ from .dynamics import (
     ShockProfile,
     drift_matrix,
     simulate_batch,
+    step_count,
 )
 from .errors import InsufficientSamples, MissingPanelCell
 from .iodata import IOTable, leontief_solve, write_table
@@ -106,12 +107,17 @@ def susceptibility_analytic(table: IOTable, horizon: float = math.inf) -> Suscep
     )
 
 
-def _lag_count(horizon: float, budget: SimulationBudget) -> int:
-    """Number of dt lag steps up to the horizon; each lag needs a sample pair."""
-    n_lags = int(round(horizon / budget.dt))
+def lag_count(horizon: float, budget: SimulationBudget) -> int:
+    """Number of dt lag steps up to the horizon; each lag needs a sample pair.
+
+    :class:`ValueError` when the horizon is under one step or a step count
+    cannot be formed, :class:`InsufficientSamples` when the lags outrun the
+    recorded states.
+    """
+    n_lags = step_count(horizon, budget.dt)
     if n_lags < 1:
-        raise ValueError("horizon must cover at least one lag step")
-    n_records = int(round(budget.length / budget.dt)) + 1
+        raise ValueError(f"horizon {horizon!r} must cover at least one lag step of {budget.dt!r}")
+    n_records = step_count(budget.length, budget.dt) + 1
     if n_lags >= n_records:
         raise InsufficientSamples(
             f"horizon of {n_lags} lag steps needs more than the "
@@ -179,7 +185,7 @@ def monte_carlo_propagator(
     the replica-r estimate of ``C(k dt) sigma^{-1}`` (a (n_lags+1, N, N)
     array) and ``integrals[r]`` its trapezoid integral up to the horizon.
     """
-    n_lags = _lag_count(horizon, budget)
+    n_lags = lag_count(horizon, budget)
     lags = budget.dt * np.arange(n_lags + 1)
     propagators = []
     integrals = []
@@ -207,7 +213,7 @@ def susceptibility_monte_carlo(
         raise InsufficientSamples(
             "standard errors need at least 2 replicas"
         )
-    n_lags = _lag_count(horizon, budget)
+    n_lags = lag_count(horizon, budget)
     stack = np.stack([
         _green_kubo_integral(y, n_lags, budget.dt)
         for y in _centered_replicas(table, nu, budget)

@@ -418,6 +418,10 @@ class TestSettingChecks:
             ("response", "--recovery-eps", "inf"),
             ("backbone", "--significance", "0"),
             ("backbone", "--significance", "1"),
+            ("response", "--shock-size", "nan"),
+            ("response", "--shock-size", "inf"),
+            ("response", "--shock-size=-inf"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--seed", "-1"),
         ],
         ids=lambda args: " ".join(args),
     )
@@ -442,6 +446,33 @@ class TestSettingChecks:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ConfigError: bad value for year: ")
+        assert _no_outputs(out)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("response", "--horizon", "1e308"),
+            ("response", "--grid-dt", "1e-320"),
+            ("scenario", "--curves", "AAA", "--horizon", "1e308"),
+            ("scenario", "--curves", "AAA", "--grid-dt", "1e-320"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "0.001"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1e308"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--dt", "1e-320"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--mc-length", "1e308"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--burn-in", "1e308"),
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_unformable_step_count_exit_2_before_data_is_read(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        code = run([
+            *args, "--data", str(tmp_path / "missing.csv"), "--country", "AAA",
+            "--year", "2014", "--scenario-spec", str(tmp_path / "missing.txt"),
+            "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: bad horizon")
         assert _no_outputs(out)
 
     def test_var_samples_below_regressor_count_exit_3(

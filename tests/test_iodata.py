@@ -21,6 +21,7 @@ from ioresponse.iodata import (
     IOTable,
     NegativeResidualDemand,
     NoiseSpec,
+    Panel,
     load_panel,
     noise_covariance,
     parse_io_table,
@@ -125,13 +126,26 @@ class TestParse:
                 2000,
             )
 
-    def test_flow_to_unknown_sector_rejected(self):
-        with pytest.raises(InconsistentTable):
-            parse_io_table(
-                _stream("OUTPUT,AAA,2000,S1,,5.0", "FLOW,AAA,2000,S1,S9,1.0"),
-                "AAA",
-                2000,
-            )
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            (("OUTPUT,AAA,2000,S1,,5.0", "FLOW,AAA,2000,S1,S9,1.0"), 3),
+            (("FLOW,AAA,2000,S1,S9,1.0", "OUTPUT,AAA,2000,S1,,5.0"), 2),
+            (
+                (
+                    "OUTPUT,AAA,2000,S1,,5.0",
+                    "FINAL,AAA,2000,S9,AAA,1.0",
+                    "FLOW,AAA,2000,S1,S8,1.0",
+                    "FLOW,AAA,2000,S9,S1,1.0",
+                ),
+                3,
+            ),
+        ],
+        ids=["after_output", "before_output", "earliest_of_two"],
+    )
+    def test_flow_to_unknown_sector_rejected(self, rows, line):
+        with pytest.raises(InconsistentTable, match=rf"^line {line}: sector 'S9' has no OUTPUT row"):
+            parse_io_table(_stream(*rows), "AAA", 2000)
 
     def test_negative_flow_rejected_unless_clipped(self):
         rows = ("OUTPUT,AAA,2000,S1,,5.0", "FLOW,AAA,2000,S1,S1,-1.0")
@@ -204,6 +218,21 @@ class TestRoundTrip:
         again = parse_io_table(buf, table.country, table.year)
         assert table.equals(again)
 
+    def test_rows_before_their_output_rows_parse_the_same(self, panel):
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        header, *body = buf.getvalue().splitlines()
+        # every FLOW and FINAL row of every table first; OUTPUT order kept
+        body.sort(key=lambda line: line.startswith("OUTPUT,"))
+        assert not body[0].startswith("OUTPUT,")
+        reordered = load_panel(io.StringIO("\n".join([header, *body]) + "\n"))
+        assert len(reordered) == len(panel)
+        for table in panel:
+            again = reordered.get(table.country, table.year)
+            assert table.equals(again)
+            np.testing.assert_array_equal(table.coefficients, again.coefficients)
+            np.testing.assert_array_equal(table.domestic_final, again.domestic_final)
+
     def test_load_panel_filters(self, panel_file):
         sub = load_panel(panel_file, countries=["AAA"], years=[2000, 2001])
         assert sub.countries() == ["AAA"]
@@ -253,6 +282,37 @@ class TestWriteTable:
             write_table(io.StringIO(), "a,b", ([1.0], [1.0, 2.0]))
         with pytest.raises(ValueError):
             write_table(io.StringIO(), "a,b", ([1.0],))
+
+
+class TestWriteIOTable:
+    def test_layout_of_a_small_table(self):
+        # A = [[0, 0.5], [0.125, 0.125]], D = (3, 1.25): every value is exact
+        table = IOTable.from_flows(
+            "AAA", 2000, ["S1", "S2"],
+            np.array([[0.0, 1.0], [0.5, 0.25]]), np.array([4.0, 2.0]),
+            final_demand=np.array([[0.5, 1.0], [0.25, 0.125]]),
+            final_destinations=["CCC", "BBB"],
+        )
+        expected = (
+            CANONICAL_HEADER + "\n"
+            "OUTPUT,AAA,2000,S1,,4.0\n"
+            "OUTPUT,AAA,2000,S2,,2.0\n"
+            "FLOW,AAA,2000,S1,S2,1.0\n"
+            "FLOW,AAA,2000,S2,S1,0.5\n"
+            "FLOW,AAA,2000,S2,S2,0.25\n"
+            "FINAL,AAA,2000,S1,AAA,1.5\n"
+            "FINAL,AAA,2000,S1,BBB,1.0\n"
+            "FINAL,AAA,2000,S1,CCC,0.5\n"
+            "FINAL,AAA,2000,S2,AAA,0.875\n"
+            "FINAL,AAA,2000,S2,BBB,0.125\n"
+            "FINAL,AAA,2000,S2,CCC,0.25\n"
+        )
+        buf = io.StringIO()
+        write_io_table(table, buf)
+        assert buf.getvalue() == expected
+        buf = io.StringIO()
+        write_panel(Panel([table]), buf)
+        assert buf.getvalue() == expected
 
 
 class TestNoise:

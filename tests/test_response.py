@@ -172,7 +172,7 @@ class TestUniformGrid:
 @pytest.mark.parametrize(
     "horizon, dt",
     [(1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
-     (-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1)],
+     (-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1), (1e308, 0.01), (10.0, 1e-320)],
 )
 def test_response_grid_rejects_bad_settings(horizon, dt):
     with pytest.raises(ValueError):
