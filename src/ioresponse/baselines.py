@@ -18,9 +18,9 @@ random walk forecasts the last observation and exponential smoothing
 flattens to the last level, while AR-containing differenced models keep a
 drift term.  Everything is deterministic given the inputs.
 
-The VAR(1) baseline is calibrated the simulation way: the unshocked economy
-is integrated, states are recorded at one-year intervals, and the transition
-matrix is fitted by ordinary least squares.
+The VAR(1) baseline is fitted by ordinary least squares to yearly states of
+the unshocked economy, drawn from the exact yearly transition of that
+Ornstein-Uhlenbeck process (Gillespie, Phys. Rev. E 54, 2084, 1996).
 
 ``evaluate_forecasts`` scores aligned panels of predictions with per-cell
 Pearson correlations, predictability gains, and one-sample two-sided t-tests
@@ -35,8 +35,9 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 from scipy import special
+from scipy.linalg import expm
 
-from .dynamics import ShockProfile, simulate_batch
+from .dynamics import _noise_transform, drift_matrix, equilibrium_output, stationary_covariance
 from .errors import (
     DegenerateInput,
     InsufficientSamples,
@@ -55,6 +56,7 @@ from .iodata import (
     write_table,
 )
 from .response import forecast_from_shock, implied_shock
+from .rng import GaussianStream
 
 #: AR/MA coefficients are searched inside this magnitude, short of the
 #: stationarity/invertibility boundary; a fit that ends on it is ``clamped``.
@@ -256,32 +258,34 @@ def fit_var1(
     nu: np.ndarray,
     samples: int = 10_000,
     seed: int = 0,
-    dt: float = 0.01,
-    burn_in: float = 50.0,
 ) -> VarModel:
     """Calibrate a sectoral VAR(1) on simulated yearly observations.
 
-    The unshocked economy is integrated by Euler-Maruyama, states are
-    recorded at one-year intervals until ``samples`` transition pairs exist,
-    and the map is fitted by ordinary least squares with intercepts.
+    The unshocked economy is sampled from its exact yearly transition
+    ``Y(k+1) - Y* = Phi (Y(k) - Y*) + xi(k)``, ``Phi = exp(A - I)``,
+    ``cov(xi) = Sigma - Phi Sigma Phi^T`` (``Sigma`` stationary, ``Y*`` the
+    equilibrium output), starting at ``Y*`` plus a draw from ``N(0, Sigma)``,
+    so no burn-in is needed.  ``GaussianStream(seed)`` gives the first N
+    variates to that start, then ``samples x N`` to the innovations, year by
+    year.  The ``samples`` transition pairs are fitted by ordinary least
+    squares with intercepts.
     Raises :class:`InsufficientSamples` when ``samples < N + 2``.
     """
     n = table.n_sectors
     if samples < n + 2:
         raise InsufficientSamples(f"VAR samples must be >= N + 2 = {n + 2}, got {samples}")
-    stride = int(round(1.0 / dt))
-    states = simulate_batch(
-        table.coefficients,
-        table.demand,
-        nu,
-        ShockProfile.none(),
-        dt=dt,
-        horizon=float(samples),
-        burn_in=burn_in,
-        seed=seed,
-        replicas=1,
-        record_stride=stride,
-    )[0]
+    phi = expm(drift_matrix(table.coefficients))
+    sigma = stationary_covariance(table.coefficients, nu)
+    start = _noise_transform(sigma)
+    step = _noise_transform(sigma - phi @ sigma @ phi.T)
+    states = np.zeros((samples + 1, n))
+    if start is not None and step is not None:  # zero noise leaves every state at Y*
+        stream = GaussianStream(seed)
+        states[0] = start(stream.normals(n))
+        innovations = step(stream.normals((samples, n)))
+        for k in range(samples):
+            states[k + 1] = phi @ states[k] + innovations[k]
+    states += equilibrium_output(table.coefficients, table.demand)
     lagged = states[:-1]
     leading = states[1:]
     design = np.column_stack([lagged, np.ones(len(lagged))])
@@ -381,6 +385,10 @@ def t_test_mean_zero(values) -> TTestSummary:
     )
 
 
+#: Columns of a scored cell in the evaluation outputs.
+CELL_FIELDS = ("country", "year", "r_lrt", "r_baseline", "pg")
+
+
 @dataclass(frozen=True)
 class CellScore:
     country: str
@@ -417,6 +425,8 @@ def evaluate_forecasts(
     the predictions hold target-year output levels; ``anchor`` holds the
     observed levels one year earlier, which the default ``"changes"`` target
     subtracts before correlating.  ``"levels"`` correlates the raw levels.
+    Fewer than 2 cells, or vectors shorter than 3, cannot be scored
+    (:class:`InsufficientSamples`).
     """
     if target not in ("changes", "levels"):
         raise ValueError(f"unknown target {target!r}")
@@ -424,6 +434,8 @@ def evaluate_forecasts(
     for name, panel in (("anchor", anchor), ("lrt", lrt), ("baseline", baseline)):
         if sorted(panel) != keys:
             raise MisalignedPanel(f"{name} predictions cover different cells")
+    if len(keys) < 2:
+        raise InsufficientSamples(f"need at least 2 cells to score, got {len(keys)}")
     cells = []
     for c, y in keys:
         obs = np.asarray(observed[(c, y)], dtype=float)
@@ -432,6 +444,8 @@ def evaluate_forecasts(
         p_b = np.asarray(baseline[(c, y)], dtype=float)
         if not (obs.shape == anc.shape == p_l.shape == p_b.shape):
             raise MisalignedPanel(f"vector lengths differ in cell {(c, y)}")
+        if len(obs) < 3:
+            raise InsufficientSamples(f"cell {(c, y)} has {len(obs)} sectors; correlations need 3")
         if target == "changes":
             r_l = pearson_r(obs - anc, p_l - anc)
             r_b = pearson_r(obs - anc, p_b - anc)
@@ -582,8 +596,8 @@ def benchmark_lrt_vs_baseline(
 
 def write_evaluation(result: ForecastEvaluation, stream: TextIO) -> None:
     """Tabular report: per-cell scores, per-year summaries, one pooled line."""
-    fields = ("country", "year", "r_lrt", "r_baseline", "pg")
-    write_table(stream, ",".join(fields), [[getattr(c, f) for c in result.cells] for f in fields])
+    cells = [[getattr(c, f) for c in result.cells] for f in CELL_FIELDS]
+    write_table(stream, ",".join(CELL_FIELDS), cells)
     stream.write("\n")
     rows = [*sorted(result.by_year.items()), ("pooled", result.pooled)]
     stats = ("mean", "ci_low", "ci_high", "p_value")

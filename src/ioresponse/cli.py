@@ -36,6 +36,8 @@ from . import baselines, backbone, dynamics, iodata, response, scenario, suscept
 from .errors import ConfigError, DataError, NumericalError
 
 ENV_PREFIX = "IORESPONSE_"
+#: Exit code of each error family; the first match wins (a ConfigError is a DataError).
+_EXIT_CODES = ((ConfigError, 2), (DataError, 3), (OSError, 3), (NumericalError, 4))
 
 # Value parsers: a ValueError from any of them ends the run in ConfigError.
 
@@ -134,16 +136,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "clip_negative_flows": (iodata.parse_bool, False),
     "lrt_oracle": (iodata.parse_bool, False),
 }
-
-_SUBCOMMANDS = (
-    "ingest",
-    "susceptibility",
-    "response",
-    "forecast",
-    "benchmark",
-    "scenario",
-    "backbone",
-)
+_FLAGS = {key: "--" + key.replace("_", "-") for key in _SCHEMA}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -454,16 +447,8 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
         payload = {
             "target": result.evaluation.target,
             "baseline": result.baseline,
-            "cells": [
-                {
-                    "country": c.country,
-                    "year": c.year,
-                    "r_lrt": c.r_lrt,
-                    "r_baseline": c.r_baseline,
-                    "pg": c.pg,
-                }
-                for c in result.evaluation.cells
-            ],
+            "cells": [{f: getattr(c, f) for f in baselines.CELL_FIELDS}
+                      for c in result.evaluation.cells],
             "by_year": {
                 str(y): _summary_json(s)
                 for y, s in sorted(result.evaluation.by_year.items())
@@ -473,18 +458,16 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    years = panel.years()
-    if len(years) >= 3:
-        reg = response.fluctuation_panel_regression(panel)
-        codes = panel.codes()
-        with out.open("fluctuation_regression.csv") as fh:
-            iodata.write_table(fh, "country,sector,predictor,observed,output_size", (
-                [c for c in reg.countries for _ in codes], list(codes) * len(reg.countries),
-                reg.predictor, reg.observed, reg.output_size,
-            ))
-        stats = ("eta", "r", "r_size_only", "r_with_size_control", "size_control_coefficient")
-        with out.open("fluctuation_summary.csv") as fh:
-            iodata.write_table(fh, "statistic,value", (stats, [getattr(reg, s) for s in stats]))
+    reg = response.fluctuation_panel_regression(panel)
+    codes = panel.codes()
+    with out.open("fluctuation_regression.csv") as fh:
+        iodata.write_table(fh, "country,sector,predictor,observed,output_size", (
+            [c for c in reg.countries for _ in codes], list(codes) * len(reg.countries),
+            reg.predictor, reg.observed, reg.output_size,
+        ))
+    stats = ("eta", "r", "r_size_only", "r_with_size_control", "size_control_coefficient")
+    with out.open("fluctuation_summary.csv") as fh:
+        iodata.write_table(fh, "statistic,value", (stats, [getattr(reg, s) for s in stats]))
 
 
 def _cmd_scenario(cfg: RunConfig, out: OutputDir) -> None:
@@ -547,26 +530,43 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors end the run in one ConfigError line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ioresponse",
         description="Susceptibility analysis and forecasting for input-output economies.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="flat key = value config file (or a manifest)")
-        for key in _SCHEMA:
-            flag = "--" + key.replace("_", "-")
+        for key, flag in _FLAGS.items():
             p.add_argument(flag, dest=key, help=argparse.SUPPRESS if key == "lrt_oracle" else None)
     return parser
 
 
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Join every ``--flag value`` pair into ``--flag=value``, so that a value
+    starting with ``-`` (``-1e3``, ``-inf``) is taken rather than read as an
+    option."""
+    flags = {"--config", *_FLAGS.values()}
+    tokens = iter(argv)
+    joined = []
+    for token in tokens:
+        value = next(tokens, None) if token in flags else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = None
     try:
+        args = build_parser().parse_args(_attach_values(argv))
         cfg = resolve_config(args)
         out = OutputDir(cfg["out"])
         try:
@@ -575,18 +575,10 @@ def run(argv: Sequence[str]) -> int:
         except BaseException:
             out.discard()
             raise
-    except ConfigError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"OSError: {exc}", file=sys.stderr)
-        return 3
+    except (DataError, NumericalError, OSError) as exc:
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(f"{name}: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return 0
 
 

@@ -209,7 +209,8 @@ class Trajectory:
 
 
 def _noise_transform(nu: np.ndarray):
-    """Factor nu = F F^T; returns None for zero noise, or ('diag', s)/('full', F)."""
+    """Map from standard normal draws (last axis N) to draws of covariance nu,
+    through a factor nu = F F^T; None for zero noise."""
     nu = np.asarray(nu, dtype=float)
     if not nu.any():
         return None
@@ -218,11 +219,13 @@ def _noise_transform(nu: np.ndarray):
         diag = np.diag(nu)
         if np.any(diag < 0.0):
             raise ValueError("noise covariance has negative diagonal entries")
-        return ("diag", np.sqrt(diag))
+        scale = np.sqrt(diag)
+        return lambda draws: draws * scale
     w, v = np.linalg.eigh(0.5 * (nu + nu.T))
     if np.min(w) < -1e-12 * max(np.max(np.abs(w)), 1.0):
         raise ValueError("noise covariance is not positive semidefinite")
-    return ("full", v * np.sqrt(np.clip(w, 0.0, None)))
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    return lambda draws: draws @ factor.T
 
 
 def simulate_batch(
@@ -235,14 +238,13 @@ def simulate_batch(
     burn_in: float,
     seed: int,
     replicas: int,
-    record_stride: int = 1,
 ) -> np.ndarray:
     """Euler-Maruyama integration of ``replicas`` independent paths.
 
-    Returns states of shape (replicas, n_records, N) sampled every
-    ``record_stride`` steps starting at t = 0 (the end of the burn-in, where
-    every path sits at the deterministic fixed point Y0 when the run begins).
-    Shock times refer to the recorded clock; the burn-in occupies t < 0.
+    Returns states of shape (replicas, steps + 1, N), one per step of the
+    ``horizon`` starting at t = 0, the end of the burn-in (every path sits at
+    the deterministic fixed point Y0 when the run begins).  Shock times refer
+    to the recorded clock; the burn-in occupies t < 0.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -259,11 +261,8 @@ def simulate_batch(
 
     burn_steps = step_count(burn_in, dt)
     rec_steps = step_count(horizon, dt)
-    if rec_steps % record_stride != 0:
-        raise ValueError("horizon must be a whole number of record strides")
     total_steps = burn_steps + rec_steps
-    n_records = rec_steps // record_stride + 1
-    out = np.empty((replicas, n_records, n))
+    out = np.empty((replicas, rec_steps + 1, n))
 
     transform = _noise_transform(nu)
     stream = GaussianStream(seed) if transform is not None else None
@@ -275,22 +274,16 @@ def simulate_batch(
         impulse_step = burn_steps + int(np.floor(shock.t0 / dt + 1e-9))
 
     y = np.tile(y0, (replicas, 1))
-    record_at = 0
     step = 0
     # overflow inside a diverging run is caught by the blowup check below
     with np.errstate(over="ignore", invalid="ignore"):
         while step < total_steps:
             chunk = min(_NOISE_CHUNK, total_steps - step)
             if transform is not None:
-                draws = stream.normals((chunk, replicas, n))
-                if transform[0] == "diag":
-                    noise = draws * transform[1][None, None, :]
-                else:
-                    noise = draws @ transform[1].T
+                noise = transform(stream.normals((chunk, replicas, n)))
             for k in range(chunk):
-                if step >= burn_steps and (step - burn_steps) % record_stride == 0:
-                    out[:, record_at] = y
-                    record_at += 1
+                if step >= burn_steps:
+                    out[:, step - burn_steps] = y
                 t = (step - burn_steps) * dt
                 drift = y @ m.T + d
                 extra = shock.drift_at(t, n)
@@ -308,7 +301,7 @@ def simulate_batch(
                     f"state magnitude exceeded {BLOWUP_FACTOR:.0e} x ||Y0||_inf "
                     f"at t = {(step - burn_steps) * dt:.4g}"
                 )
-        out[:, record_at] = y
+        out[:, -1] = y
     return out
 
 

@@ -113,10 +113,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IOTable:
-    """A validated, immutable country-year economy.
-
-    Arrays are read-only; instances are safe to share across workers.
-    """
+    """A validated, immutable country-year economy.  Arrays are read-only."""
 
     country: str
     year: int

@@ -145,7 +145,7 @@ def test_criterion_4_baselines():
     # VAR(1) on a one-sector economy recovers the yearly OU autoregression
     table = IOTable.from_coefficients("AAA", 2000, ["S1"], [[0.5]], [10.0])
     nu = noise_covariance(NoiseSpec.output_proportional(0.01), table)
-    model = fit_var1(table, nu, samples=10_000, seed=5, dt=0.02)
+    model = fit_var1(table, nu, samples=10_000, seed=5)
     assert abs(model.ar[0, 0] - math.exp(-0.5)) < 3.0 * model.ar_stderr[0, 0]
 
     # CSS estimation recovers known ARIMA(1,1,1) coefficients

@@ -266,14 +266,14 @@ class TestVar:
     def test_scalar_ou_transition_recovered(self):
         table = IOTable.from_coefficients("AAA", 2000, ["S1"], [[0.5]], [10.0])
         nu = noise_covariance(NoiseSpec.output_proportional(0.01), table)
-        model = fit_var1(table, nu, samples=10_000, seed=5, dt=0.02)
+        model = fit_var1(table, nu, samples=10_000, seed=5)
         target = math.exp(-0.5)
         assert abs(model.ar[0, 0] - target) < 3.0 * model.ar_stderr[0, 0]
 
     def test_matrix_exponential_recovered_entrywise(self):
         table = random_economy(3, seed=80)
         nu = noise_covariance(NoiseSpec.output_proportional(0.02), table)
-        model = fit_var1(table, nu, samples=20_000, seed=6, dt=0.02)
+        model = fit_var1(table, nu, samples=20_000, seed=6)
         target = expm(table.coefficients - np.eye(3))
         gap = np.abs(model.ar - target)
         # 3 standard errors plus room for the O(dt) integrator bias

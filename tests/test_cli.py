@@ -1,16 +1,23 @@
 """End-to-end command-line pipeline tests."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ioresponse.cli import run
+from ioresponse.cli import _FLAGS, _HANDLERS, run
+from ioresponse.iodata import write_panel
 
 from conftest import build_panel
 
@@ -73,15 +80,16 @@ class TestSusceptibility:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("baseline", ["arima", "var"])
     def test_benchmark_byte_identical_across_runs_and_workers(
-        self, panel_file, tmp_path
+        self, panel_file, tmp_path, baseline
     ):
         outputs = []
         for name, workers in (("a", "1"), ("b", "1"), ("c", "8")):
             out = tmp_path / name
             code = run([
                 "benchmark", "--data", str(panel_file), "--seed", "11",
-                "--workers", workers, "--out", str(out),
+                "--baseline", baseline, "--workers", workers, "--out", str(out),
             ])
             assert code == 0
             outputs.append(_numeric_outputs(out))
@@ -378,6 +386,73 @@ def _no_outputs(out):
     return not out.exists() or not any(out.iterdir())
 
 
+class TestUsageErrors:
+    """Command-line syntax errors end in one ConfigError line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [(), ("bogus",), ("response", "--bogus", "1"), ("response", "--seed")],
+        ids=["no_subcommand", "unknown_subcommand", "unknown_flag", "flag_without_value"],
+    )
+    def test_one_line_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        code = run([*args[:1], "--out", str(out), *args[1:]] if args else [])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: ")
+        assert _no_outputs(out)
+
+    @pytest.mark.parametrize("value", ["-1e3", "-2", "-.5"])
+    def test_value_starting_with_dash_is_taken(self, two_sector_file, tmp_path, value):
+        common = ["response", "--data", str(two_sector_file), "--country", "AAA",
+                  "--year", "2014", "--shock-kind", "step"]
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert run([*common, "--shock-size", value, "--out", str(spaced)]) == 0
+        assert run([*common, f"--shock-size={value}", "--out", str(joined)]) == 0
+        assert _numeric_outputs(spaced) == _numeric_outputs(joined)
+
+        def settings_lines(out):
+            return [line for line in _read(out / "manifest.txt").splitlines()
+                    if not line.startswith(("timestamp", "out "))]
+
+        assert settings_lines(spaced) == settings_lines(joined)
+        assert f"shock_size = {float(value)!r}" in settings_lines(spaced)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            run(["benchmark", "--help"])
+        assert stop.value.code == 0
+        assert "--var-samples" in capsys.readouterr().out
+
+
+_PROBE_KEYS = sorted(set(_FLAGS) - {"data", "out"})
+_PROBE_VALUES = ["-1e3", "-inf", "nan", "1e308", "1e-320", "0", "-1", "abc", "",
+                 "on", "all", "first", "2,1,1"]
+
+
+@pytest.mark.parametrize("subcommand", list(_HANDLERS))
+@settings(derandomize=True, deadline=None)
+@given(pairs=st.lists(
+    st.tuples(st.sampled_from(_PROBE_KEYS), st.sampled_from(_PROBE_VALUES)),
+    max_size=4, unique_by=lambda pair: pair[0],
+))
+def test_any_settings_without_data_fail_in_one_line(subcommand, pairs):
+    """Whatever settings are given, a run on a missing data file exits 2 or
+    3 with one ``ErrorClass: detail`` line and leaves no outputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [subcommand, "--data", str(Path(tmp) / "missing.csv"), "--out", str(out)]
+        for key, value in pairs:
+            argv += [_FLAGS[key], value]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        lines = stderr.getvalue().splitlines()
+        assert code in (2, 3)
+        assert len(lines) == 1 and re.match(r"\w+: ", lines[0])
+        assert _no_outputs(out)
+
+
 class TestSettingChecks:
     """Out-of-range times and unreadable switches exit 2 before any work."""
 
@@ -484,6 +559,37 @@ class TestSettingChecks:
             "benchmark", "--data", str(two_sector_file), "--baseline", "var",
             "--var-samples", "3", "--out", str(out),
         ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("InsufficientSamples: ")
+        assert _no_outputs(out)
+
+    @pytest.mark.parametrize(
+        "shape, args",
+        [
+            (None, ("--baseline", "var", "--var-samples", "200")),
+            (None, ("--baseline", "perturbed_io")),
+            ((1, (2000, 2002), 5), ("--baseline", "perturbed_io")),
+            ((1, (2000, 2003), 5), ("--baseline", "arima")),
+            ((2, (2000, 2008), 2), ("--baseline", "arima")),
+            ((2, (2000, 2008), 2), ("--baseline", "var")),
+            ((2, (2000, 2008), 2), ("--baseline", "perturbed_io")),
+        ],
+        ids=["one_year_var", "one_year_perturbed_io", "one_cell_perturbed_io",
+             "no_arima_cell", "two_sectors_arima", "two_sectors_var",
+             "two_sectors_perturbed_io"],
+    )
+    def test_panel_too_small_to_score_exit_3(
+        self, two_sector_file, tmp_path, capsys, shape, args
+    ):
+        data = two_sector_file
+        if shape is not None:
+            data = tmp_path / "panel.csv"
+            with open(data, "w", encoding="utf-8", newline="") as fh, \
+                    np.errstate(divide="ignore"):  # one country has no export partners
+                write_panel(build_panel(*shape), fh)
+        out = tmp_path / "out"
+        code = run(["benchmark", "--data", str(data), *args, "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("InsufficientSamples: ")
