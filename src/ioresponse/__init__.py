@@ -36,7 +36,6 @@ from .iodata import (
     IOTable,
     NoiseSpec,
     Panel,
-    SectorId,
     leontief_solve,
     load_panel,
     noise_covariance,

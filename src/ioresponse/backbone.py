@@ -3,10 +3,10 @@
 Edge weights are absolute susceptibilities; the sign is kept as an
 attribute.  For a node direction with degree k >= 2 and strength s, the edge
 disparity is ``alpha = (1 - w / s)**(k - 1)``; an edge survives when alpha
-falls below the significance level in either direction (a flag restricts the
-test to the out-direction).  Single edges of degree-1 directions are
-preserved and flagged, since the formula is uninformative there.  The
-diagonal is always excluded.
+falls below the significance level in either direction (the library
+argument ``mode="out"`` restricts the test to the out-direction).  Single
+edges of degree-1 directions are preserved and flagged, since the formula is
+uninformative there.  The diagonal is always excluded.
 """
 
 from __future__ import annotations

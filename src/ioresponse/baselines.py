@@ -90,7 +90,6 @@ class ArimaModel:
     phi: float
     theta: float
     sigma2: float
-    converged: bool
     objective: float
     clamped: bool
     n_obs: int
@@ -160,8 +159,7 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
     a grid search (none without an MA term).  phi and theta are bounded to
     0.99 in magnitude inside the fit, so the constant always belongs to the
     returned coefficients; ``clamped`` flags a returned phi or theta on that
-    bound.  ``converged`` is True on every returned model, as both steps
-    always finish.
+    bound.
 
     Raises :class:`TooShortSeries` when ``len(series) < p + d + q + 3`` and,
     for every order, :class:`NonConvergent` when no theta gives a finite sum
@@ -198,7 +196,6 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
         phi=phi,
         theta=theta,
         sigma2=objective / max(len(w) - p, 1),
-        converged=True,
         objective=objective,
         clamped=max(abs(phi), abs(theta)) == _COEF_CLAMP,
         n_obs=len(series),

@@ -57,6 +57,7 @@ _finite_float = _ranged(float, math.isfinite, "finite")
 _positive_float = _ranged(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _nonnegative_float = _ranged(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _positive_int = _ranged(int, lambda v: v >= 1, ">= 1")
+_replica_count = _ranged(int, lambda v: v >= 2, ">= 2")  # standard errors need a spread
 _nonnegative_int = _ranged(int, lambda v: v >= 0, ">= 0")
 _probability = _ranged(float, lambda v: 0.0 < v < 1.0, "> 0 and < 1")
 
@@ -114,7 +115,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "out": (str, "out"),
     "method": (_choice("analytic", "monte_carlo"), "analytic"),
     "mc_length": (_positive_float, 400.0),
-    "mc_replicas": (_positive_int, susceptibility.SimulationBudget().replicas),
+    "mc_replicas": (_replica_count, susceptibility.SimulationBudget().replicas),
     "burn_in": (_nonnegative_float, dynamics.DEFAULT_BURN_IN),
     "shock_kind": (_choice("impulse", "step"), "impulse"),
     "shock_sector": (str, "all"),
@@ -261,10 +262,14 @@ def _require_cell(cfg: RunConfig) -> tuple[str, int]:
 
 def _curve_horizon(cfg: RunConfig) -> float:
     """Span of the run's response-curve grid (10 years for an infinite
-    horizon), checked so that the grid can be formed before any data is read."""
+    horizon), checked before any data is read: the grid must be formable and
+    hold at least one step."""
     horizon = cfg["horizon"] if math.isfinite(cfg["horizon"]) else 10.0
     try:
-        dynamics.step_count(horizon, cfg["grid_dt"])
+        if dynamics.step_count(horizon, cfg["grid_dt"]) < 1:
+            raise ValueError(
+                f"horizon {horizon!r} must cover at least one grid step of {cfg['grid_dt']!r}"
+            )
     except ValueError as exc:
         raise ConfigError(f"bad horizon or grid_dt: {exc}") from None
     return horizon

@@ -109,21 +109,14 @@ def stationary_covariance(coefficients: np.ndarray, nu: np.ndarray) -> np.ndarra
     return sigma
 
 
-def lagged_covariance(
-    coefficients: np.ndarray,
-    nu: np.ndarray,
-    tau: float,
-    sigma: np.ndarray | None = None,
-) -> np.ndarray:
+def lagged_covariance(coefficients: np.ndarray, nu: np.ndarray, tau: float) -> np.ndarray:
     """Equilibrium lagged covariance C(tau) = exp(M tau) sigma, tau >= 0.
 
-    Entry (k, j) is the centered correlation <y_k(t + tau) y_j(t)>.  Pass a
-    precomputed ``sigma`` to avoid re-solving the Lyapunov equation on grids.
+    Entry (k, j) is the centered correlation <y_k(t + tau) y_j(t)>.
     """
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
-    if sigma is None:
-        sigma = stationary_covariance(coefficients, nu)
+    sigma = stationary_covariance(coefficients, nu)
     if tau == 0.0:
         return sigma
     return expm(drift_matrix(coefficients) * tau) @ sigma
@@ -137,15 +130,14 @@ def lagged_covariance(
 class ShockProfile:
     """External demand shock X(t).
 
-    Kinds: ``none``; ``impulse`` (delta of weight ``vector`` at ``t0``);
-    ``step`` (``vector`` switched on from ``t0``); ``tabulated`` (linear
+    Kinds: ``none``; ``impulse`` (delta of weight ``vector`` at t = 0);
+    ``step`` (``vector`` switched on from t = 0); ``tabulated`` (linear
     interpolation of ``values`` on the strictly increasing ``times`` grid,
     zero outside it).
     """
 
     kind: str
     vector: np.ndarray | None = None
-    t0: float = 0.0
     times: np.ndarray | None = None
     values: np.ndarray | None = None
 
@@ -154,12 +146,12 @@ class ShockProfile:
         return cls(kind="none")
 
     @classmethod
-    def impulse(cls, vector, t0: float = 0.0) -> "ShockProfile":
-        return cls(kind="impulse", vector=np.asarray(vector, dtype=float), t0=float(t0))
+    def impulse(cls, vector) -> "ShockProfile":
+        return cls(kind="impulse", vector=np.asarray(vector, dtype=float))
 
     @classmethod
-    def step(cls, vector, t0: float = 0.0) -> "ShockProfile":
-        return cls(kind="step", vector=np.asarray(vector, dtype=float), t0=float(t0))
+    def step(cls, vector) -> "ShockProfile":
+        return cls(kind="step", vector=np.asarray(vector, dtype=float))
 
     @classmethod
     def tabulated(cls, times, values) -> "ShockProfile":
@@ -181,7 +173,7 @@ class ShockProfile:
 
     def drift_at(self, t: float, n: int) -> np.ndarray | None:
         """Additive drift contribution at time t (impulse handled separately)."""
-        if self.kind == "step" and t >= self.t0:
+        if self.kind == "step" and t >= 0.0:
             return self.vector
         if self.kind == "tabulated":
             if t < self.times[0] or t > self.times[-1]:
@@ -198,14 +190,13 @@ class Trajectory:
     """A sampled path of sectoral outputs."""
 
     dt: float
-    t_start: float
     states: np.ndarray  # (steps + 1, N)
     seed: int
     shock: ShockProfile
 
     @property
     def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.states.shape[0])
+        return self.dt * np.arange(self.states.shape[0])
 
 
 def _noise_transform(nu: np.ndarray):
@@ -269,9 +260,7 @@ def simulate_batch(
     sqrt_dt = np.sqrt(dt)
     blow_cap = BLOWUP_FACTOR * max(float(np.max(np.abs(y0))), 1.0)
 
-    impulse_step = None
-    if shock.kind == "impulse":
-        impulse_step = burn_steps + int(np.floor(shock.t0 / dt + 1e-9))
+    impulse_step = burn_steps if shock.kind == "impulse" else None
 
     y = np.tile(y0, (replicas, 1))
     step = 0
@@ -326,7 +315,7 @@ def simulate_trajectory(
         seed=seed,
         replicas=1,
     )[0]
-    return Trajectory(dt=dt, t_start=0.0, states=states, seed=seed, shock=shock)
+    return Trajectory(dt=dt, states=states, seed=seed, shock=shock)
 
 
 def write_trajectory(traj: Trajectory, stream: TextIO) -> None:

@@ -40,13 +40,13 @@ from .errors import (
     InconsistentTable,
     MalformedRow,
     MissingCountryYear,
+    MissingExportDetail,
     NonPositiveScale,
     NonProductiveEconomy,
     SingularSystem,
     UnknownSector,
     ZeroOutputSector,
 )
-from .sectors import sector_metadata
 
 CANONICAL_HEADER = "record_type,country,year,row_sector,col_sector_or_dest,value"
 _HEADER_FIELDS = tuple(CANONICAL_HEADER.split(","))
@@ -55,21 +55,6 @@ _RECORD_TYPES = frozenset({"FLOW", "FINAL", "OUTPUT"})
 
 class NegativeResidualDemand(UserWarning):
     """Residual demand (I - A) Y has at least one negative component."""
-
-
-@dataclass(frozen=True)
-class SectorId:
-    """One production sector of a table."""
-
-    code: str
-    index: int
-    short_name: str
-    group: str
-
-    @classmethod
-    def from_code(cls, code: str, index: int) -> "SectorId":
-        short_name, group = sector_metadata(code)
-        return cls(code=code, index=index, short_name=short_name, group=group)
 
 
 @dataclass(frozen=True)
@@ -117,7 +102,7 @@ class IOTable:
 
     country: str
     year: int
-    sectors: tuple[SectorId, ...]
+    codes: tuple[str, ...]       # sector codes, in table order
     flows: np.ndarray            # Z, N x N
     output: np.ndarray           # Y, N
     coefficients: np.ndarray     # A, N x N
@@ -128,24 +113,22 @@ class IOTable:
 
     @property
     def n_sectors(self) -> int:
-        return len(self.sectors)
-
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return tuple(s.code for s in self.sectors)
+        return len(self.codes)
 
     def sector_index(self, code: str) -> int:
-        for s in self.sectors:
-            if s.code == code:
-                return s.index
-        raise UnknownSector(f"sector {code!r} not in table {self.country}/{self.year}")
+        try:
+            return self.codes.index(code)
+        except ValueError:
+            raise UnknownSector(
+                f"sector {code!r} not in table {self.country}/{self.year}"
+            ) from None
 
     def destination_index(self, dest: str) -> int:
         try:
             return self.destinations.index(dest)
         except ValueError:
-            raise KeyError(
-                f"destination {dest!r} not in table {self.country}/{self.year}"
+            raise MissingExportDetail(
+                f"{self.country}/{self.year} has no export detail for destination {dest}"
             ) from None
 
     def equals(self, other: "IOTable") -> bool:
@@ -250,11 +233,10 @@ class IOTable:
         destinations = tuple(dests[k] for k in order)
         domestic = demand - export.sum(axis=1)
 
-        sectors = tuple(SectorId.from_code(c, i) for i, c in enumerate(codes))
         return cls(
             country=str(country),
             year=int(year),
-            sectors=sectors,
+            codes=tuple(codes),
             flows=_readonly(flows),
             output=_readonly(output),
             coefficients=_readonly(coeff),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 from scipy.linalg import expm
@@ -29,7 +29,7 @@ from .susceptibility import SimulationBudget, monte_carlo_propagator, truncated_
 
 #: Default relative threshold below which a sector counts as recovered.
 RECOVERY_EPS = 0.05
-#: Default condition-estimate cap for the implied-shock solve.
+#: Condition-estimate cap for the implied-shock solve.
 CONDITION_CAP = 1e12
 #: Relative tolerance of the implied-shock round trip rho(1) X = dY.
 ROUND_TRIP_RTOL = 1e-8
@@ -56,7 +56,6 @@ class ImpliedShock:
     values: np.ndarray
     truncation: float
     condition: float
-    ridge: float | None = None
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -241,34 +240,24 @@ def recovery_time(curve: ResponseCurve, eps: float = RECOVERY_EPS) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def implied_shock(
-    table: IOTable,
-    output_t,
-    output_t1,
-    truncation: float = 1.0,
-    condition_cap: float = CONDITION_CAP,
-    ridge: float | None = None,
+    table: IOTable, output_t, output_t1, truncation: float = 1.0
 ) -> ImpliedShock:
     """Solve rho(T=1) X = Y(t+1) - Y(t) for the step shock X implied by data.
 
     A direct LU solve is used; the 2-norm condition estimate of the truncated
-    susceptibility must stay below ``condition_cap`` unless a ridge parameter
-    (Tikhonov factor relative to the largest singular value) is supplied.
+    susceptibility must stay below :data:`CONDITION_CAP`
+    (:class:`IllConditioned` otherwise).
     """
     y_t = np.asarray(output_t, dtype=float)
     y_t1 = np.asarray(output_t1, dtype=float)
     delta = y_t1 - y_t
     rho = truncated_susceptibility(table.coefficients, truncation)
     condition = float(np.linalg.cond(rho))
-    if condition > condition_cap and ridge is None:
-        raise IllConditioned(condition, condition_cap)
-    if ridge is not None:
-        smax = float(np.linalg.norm(rho, 2))
-        lam = ridge * smax
-        x = np.linalg.solve(rho.T @ rho + lam**2 * np.eye(len(delta)), rho.T @ delta)
-    else:
-        x = np.linalg.solve(rho, delta)
+    if condition > CONDITION_CAP:
+        raise IllConditioned(condition, CONDITION_CAP)
+    x = np.linalg.solve(rho, delta)
     scale = float(np.max(np.abs(delta)))
-    if scale > 0.0 and ridge is None:
+    if scale > 0.0:
         residual = float(np.max(np.abs(rho @ x - delta)))
         if residual > ROUND_TRIP_RTOL * scale:
             raise NumericalError(
@@ -280,28 +269,18 @@ def implied_shock(
         values=x,
         truncation=float(truncation),
         condition=condition,
-        ridge=ridge,
     )
 
 
-def lrt_forecast(
-    table: IOTable,
-    output_t,
-    output_t1,
-    horizon: float = 2.0,
-    condition_cap: float = CONDITION_CAP,
-    ridge: float | None = None,
-) -> np.ndarray:
+def lrt_forecast(table: IOTable, output_t, output_t1) -> np.ndarray:
     """Two-year-ahead output level implied by the extracted step shock.
 
     ``Y_hat(t+2) = Y(t) + rho(t, 2) X_tilde``.  By construction the
     intermediate one-year prediction ``Y(t) + rho(t, 1) X_tilde`` equals the
     observed ``Y(t+1)`` up to solver roundoff.
     """
-    shock = implied_shock(
-        table, output_t, output_t1, condition_cap=condition_cap, ridge=ridge
-    )
-    return forecast_from_shock(table, output_t, shock, horizon)
+    shock = implied_shock(table, output_t, output_t1)
+    return forecast_from_shock(table, output_t, shock)
 
 
 def forecast_from_shock(
@@ -312,16 +291,15 @@ def forecast_from_shock(
     return np.asarray(output_t, dtype=float) + rho_h @ shock.values
 
 
-def fluctuation_prediction(
-    table: IOTable, horizon: float = math.inf
-) -> np.ndarray:
-    """Structural term sum_i rho_ki Y_i of the fluctuation-size predictor.
+def fluctuation_prediction(table: IOTable) -> np.ndarray:
+    """Structural term sum_i rho_ki Y_i of the fluctuation-size predictor,
+    with the stationary (infinite-horizon) susceptibility.
 
     The proportionality constant (the common noise amplitude) is fitted
     downstream as the regression slope against observed time-averaged output
     changes.
     """
-    rho = truncated_susceptibility(table.coefficients, horizon)
+    rho = truncated_susceptibility(table.coefficients, math.inf)
     return rho @ table.output
 
 
@@ -341,19 +319,13 @@ class FluctuationRegression:
     size_control_coefficient: float
 
 
-def fluctuation_panel_regression(
-    panel: Panel,
-    base_year: int | None = None,
-    horizon: float = math.inf,
-    absolute: bool = False,
-) -> FluctuationRegression:
+def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
     """Evaluate the fluctuation predictor against a whole panel.
 
     For every country the observed statistic is the time-averaged annual
     output change ``mean_t (Y(t+1) - Y(t))`` with the 1/(n_years - 2)
     prefactor used in the yearly-average definition; the predictor is
-    ``rho(t0) Y(t0)`` from the base year.  ``absolute=True`` averages
-    ``|Y(t+1) - Y(t)|`` instead of the signed differences.  Returns pooled
+    ``rho(t0) Y(t0)`` from the base year, the panel's first.  Returns pooled
     Pearson correlations and the control regression that adds the base-year
     output as an extra regressor.
     """
@@ -361,8 +333,7 @@ def fluctuation_panel_regression(
 
     countries = panel.countries()
     years = panel.years()
-    if base_year is None:
-        base_year = years[0]
+    base_year = years[0]
     missing = [
         (c, y) for c in countries for y in years if (c, y) not in panel
     ]
@@ -376,17 +347,13 @@ def fluctuation_panel_regression(
     sizes = []
     for c in countries:
         base = panel.get(c, base_year)
-        preds.append(fluctuation_prediction(base, horizon=horizon))
+        preds.append(fluctuation_prediction(base))
         sizes.append(base.output)
         diffs = [
             panel.get(c, years[k + 1]).output - panel.get(c, years[k]).output
             for k in range(len(years) - 1)
         ]
-        if absolute:
-            total = np.sum(np.abs(diffs), axis=0)
-        else:
-            total = np.sum(diffs, axis=0)
-        obs.append(total / (len(years) - 2))
+        obs.append(np.sum(diffs, axis=0) / (len(years) - 2))
     x = np.concatenate(preds)
     y = np.concatenate(obs)
     size = np.concatenate(sizes)
@@ -400,7 +367,7 @@ def fluctuation_panel_regression(
     r_multi = pearson_r(fitted, y)
     return FluctuationRegression(
         countries=tuple(countries),
-        base_year=int(base_year),
+        base_year=base_year,
         predictor=x,
         observed=y,
         output_size=size,

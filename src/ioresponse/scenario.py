@@ -6,7 +6,8 @@ one destination; when compensation is on (the default) the destination
 country receives the absolute sum of what was removed as a positive demand
 shock on the same sector, applied directly to its demand vector.  Stationary
 impacts use the infinite-horizon susceptibility (a finite horizon is
-available through a flag); country aggregates use compensated summation.
+available through the scenario file's ``horizon`` key); country aggregates
+use compensated summation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError, MissingExportDetail
+from .errors import ConfigError
 from .iodata import IOTable, Panel, parse_bool, parse_horizon, write_table
 from .response import ResponseCurve, response_grid, step_response
 from .susceptibility import truncated_susceptibility
@@ -185,13 +186,7 @@ def build_shock_vectors(spec: ScenarioSpec, panel: Panel) -> dict[str, np.ndarra
         if term.kind == "absolute":
             vectors[term.country][i] += term.value
             continue
-        try:
-            k = table.destination_index(term.dest)
-        except KeyError:
-            raise MissingExportDetail(
-                f"{term.country}/{year} has no export detail for destination "
-                f"{term.dest}"
-            ) from None
+        k = table.destination_index(term.dest)
         amount = term.fraction * float(table.export_demand[i, k])
         vectors[term.country][i] += amount
         key = (term.dest, term.sector)

@@ -204,12 +204,12 @@ def susceptibility_monte_carlo(
     nu: np.ndarray,
     horizon: float,
     budget: SimulationBudget = SimulationBudget(),
-    with_standard_errors: bool = True,
 ) -> SusceptibilityMatrix:
-    """Green-Kubo estimate of rho(T) from unshocked trajectories."""
+    """Green-Kubo estimate of rho(T) from unshocked trajectories, with
+    standard errors from the replica spread (at least 2 replicas)."""
     if not math.isfinite(horizon):
         raise ValueError("Monte Carlo susceptibility needs a finite horizon")
-    if with_standard_errors and budget.replicas < 2:
+    if budget.replicas < 2:
         raise InsufficientSamples(
             "standard errors need at least 2 replicas"
         )
@@ -218,19 +218,15 @@ def susceptibility_monte_carlo(
         _green_kubo_integral(y, n_lags, budget.dt)
         for y in _centered_replicas(table, nu, budget)
     ])
-    values = stack.mean(axis=0)
-    stderr = None
-    if with_standard_errors:
-        stderr = stack.std(axis=0, ddof=1) / math.sqrt(budget.replicas)
     return SusceptibilityMatrix(
-        values=values,
+        values=stack.mean(axis=0),
         sectors=table.codes,
         country=table.country,
         year=table.year,
         horizon=float(horizon),
         method="monte_carlo",
         budget=budget,
-        standard_errors=stderr,
+        standard_errors=stack.std(axis=0, ddof=1) / math.sqrt(budget.replicas),
     )
 
 
@@ -274,23 +270,19 @@ def aggregate_susceptibilities(
     sector_values: Mapping[tuple[str, int], np.ndarray],
     outputs: Mapping[tuple[str, int], np.ndarray],
     sectors: Sequence[str],
-    countries: Sequence[str] | None = None,
-    years: Sequence[int] | None = None,
 ) -> SusceptibilityAggregates:
     """Aggregate per-cell sector susceptibilities over a complete panel.
 
+    The panel is every country and year that ``sector_values`` names; a
+    pair of them missing from either mapping raises :class:`MissingPanelCell`.
     ``country_average[c]`` is the plain mean of the sector values over all
     sectors and years of country c.  The weighted per-sector score is the
     output-weighted mean over all (country, year) cells, with a normal 95%
     confidence interval built from the weighted standard deviation and the
     Kish effective sample size.
     """
-    if countries is None:
-        countries = sorted({c for c, _ in sector_values})
-    if years is None:
-        years = sorted({y for _, y in sector_values})
-    countries = tuple(countries)
-    years = tuple(int(y) for y in years)
+    countries = tuple(sorted({c for c, _ in sector_values}))
+    years = tuple(sorted({int(y) for _, y in sector_values}))
     missing = [
         (c, y)
         for c in countries

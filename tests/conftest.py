@@ -59,7 +59,8 @@ def build_panel(
         demand = rng.uniform(50.0, 150.0, size=n_sectors)
         others = [d for d in countries if d != country]
         share = rng.uniform(0.5, 1.5, size=(n_sectors, len(others)))
-        share *= 0.4 / share.sum(axis=1, keepdims=True)
+        if others:  # a lone country has no export partners to share among
+            share *= 0.4 / share.sum(axis=1, keepdims=True)
         eye = np.eye(n_sectors)
         for year in year_list:
             output = np.linalg.solve(eye - a, demand)

@@ -61,7 +61,6 @@ class TestFitArima:
         series = _arma_series(0.8, 0.0, 500, seed=1)
         model = fit_arima(series, 1, 0, 0)
         assert model.phi == pytest.approx(0.8, abs=0.1)
-        assert model.converged
 
     def test_recovers_arima_111_coefficients(self):
         series = _arma_series(0.5, 0.3, 1000, seed=2, d=1)
@@ -233,7 +232,7 @@ class TestArimaForecast:
 
         model = ArimaModel(
             order=(1, 0, 0), const=0.0, phi=0.5, theta=0.0, sigma2=1.0,
-            converged=True, objective=0.0, clamped=False, n_obs=10,
+            objective=0.0, clamped=False, n_obs=10,
         )
         series = np.array([1.0, 2.0, 8.0])
         np.testing.assert_allclose(arima_forecast(model, series, 2), [4.0, 2.0])

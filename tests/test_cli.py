@@ -485,6 +485,7 @@ class TestSettingChecks:
             ("benchmark", "--var-samples", "-3"),
             ("benchmark", "--var-samples", "0"),
             ("susceptibility", "--method", "monte_carlo", "--mc-replicas", "0"),
+            ("susceptibility", "--method", "monte_carlo", "--mc-replicas", "1"),
             ("susceptibility", "--method", "monte_carlo", "--mc-length", "-5"),
             ("susceptibility", "--eta", "0"),
             ("susceptibility", "--eta", "nan"),
@@ -530,6 +531,8 @@ class TestSettingChecks:
             ("response", "--grid-dt", "1e-320"),
             ("scenario", "--curves", "AAA", "--horizon", "1e308"),
             ("scenario", "--curves", "AAA", "--grid-dt", "1e-320"),
+            ("response", "--horizon", "0.001", "--grid-dt", "0.01"),
+            ("scenario", "--curves", "AAA", "--horizon", "0.004"),
             ("susceptibility", "--method", "monte_carlo", "--horizon", "0.001"),
             ("susceptibility", "--method", "monte_carlo", "--horizon", "1e308"),
             ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--dt", "1e-320"),
@@ -585,8 +588,7 @@ class TestSettingChecks:
         data = two_sector_file
         if shape is not None:
             data = tmp_path / "panel.csv"
-            with open(data, "w", encoding="utf-8", newline="") as fh, \
-                    np.errstate(divide="ignore"):  # one country has no export partners
+            with open(data, "w", encoding="utf-8", newline="") as fh:
                 write_panel(build_panel(*shape), fh)
         out = tmp_path / "out"
         code = run(["benchmark", "--data", str(data), *args, "--out", str(out)])

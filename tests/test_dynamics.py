@@ -191,7 +191,7 @@ class TestSimulate:
     def test_impulse_injected_once(self, two_sector_table):
         x = np.array([1.0, 0.0])
         traj = simulate_trajectory(
-            two_sector_table, np.zeros((2, 2)), ShockProfile.impulse(x, t0=0.0),
+            two_sector_table, np.zeros((2, 2)), ShockProfile.impulse(x),
             dt=0.01, horizon=1.0, burn_in=0.5,
         )
         y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)

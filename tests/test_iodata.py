@@ -30,6 +30,7 @@ from ioresponse.iodata import (
     write_panel,
     write_table,
 )
+from ioresponse.sectors import GROUP_VOCABULARY, sector_metadata
 
 from conftest import build_panel, random_economy
 
@@ -186,9 +187,9 @@ class TestInvariants:
 
     def test_sector_metadata_vocabulary(self, panel):
         table = next(iter(panel))
-        for s in table.sectors:
-            assert s.index < table.n_sectors
-            assert s.group
+        for k, code in enumerate(table.codes):
+            assert table.sector_index(code) == k
+            assert sector_metadata(code)[1] in GROUP_VOCABULARY
 
     def test_arrays_are_readonly(self, two_sector_table):
         with pytest.raises(ValueError):

@@ -272,16 +272,17 @@ class TestImpliedShock:
         np.testing.assert_allclose(shock.values, x, rtol=1e-8)
         np.testing.assert_allclose(rho1 @ shock.values, delta, rtol=1e-8)
 
-    def test_condition_cap_and_ridge(self, two_sector_table):
+    def test_condition_cap(self, two_sector_table, monkeypatch):
         y = two_sector_table.output
         delta = np.array([0.1, 0.1])
+        shock = implied_shock(two_sector_table, y, y + delta)
+        assert 1.0 < shock.condition < response_module.CONDITION_CAP
+        # the cap is read at call time
+        monkeypatch.setattr(response_module, "CONDITION_CAP", 1.0)
         with pytest.raises(IllConditioned):
-            implied_shock(two_sector_table, y, y + delta, condition_cap=1.0)
-        shock = implied_shock(
-            two_sector_table, y, y + delta, condition_cap=1.0, ridge=1e-8
-        )
-        rho1 = truncated_susceptibility(two_sector_table.coefficients, 1.0)
-        np.testing.assert_allclose(rho1 @ shock.values, delta, rtol=1e-5)
+            implied_shock(two_sector_table, y, y + delta)
+        with pytest.raises(IllConditioned):
+            lrt_forecast(two_sector_table, y, y + delta)
 
 
 class TestForecast:
@@ -326,7 +327,7 @@ class TestForecast:
 
 class TestFluctuation:
     def test_identity_susceptibility_prediction_proportional_to_output(self, decoupled):
-        pred = fluctuation_prediction(decoupled, horizon=math.inf)
+        pred = fluctuation_prediction(decoupled)
         np.testing.assert_allclose(pred, decoupled.output, rtol=1e-12)
 
     def test_panel_regression_fields(self):
@@ -337,13 +338,6 @@ class TestFluctuation:
         assert -1.0 <= reg.r <= 1.0
         assert -1.0 <= reg.r_with_size_control <= 1.0
         assert np.isfinite(reg.eta)
-
-    def test_absolute_change_variant(self):
-        panel = build_panel(n_countries=3, years=(2000, 2006), n_sectors=4, seed=9)
-        signed = fluctuation_panel_regression(panel)
-        absolute = fluctuation_panel_regression(panel, absolute=True)
-        assert np.all(absolute.observed >= signed.observed - 1e-12)
-        assert np.all(absolute.observed >= 0.0)
 
 
 class TestWiodExamples:

@@ -124,10 +124,6 @@ class TestMonteCarlo:
         budget = SimulationBudget(dt=0.01, length=50.0, replicas=1, seed=4)
         with pytest.raises(InsufficientSamples):
             susceptibility_monte_carlo(economy, nu, 1.0, budget)
-        est = susceptibility_monte_carlo(
-            economy, nu, 1.0, budget, with_standard_errors=False
-        )
-        assert est.standard_errors is None
 
     def test_infinite_horizon_rejected(self, economy, nu):
         with pytest.raises(ValueError):
@@ -230,13 +226,11 @@ class TestAggregates:
     def test_missing_cell_listed(self):
         with pytest.raises(MissingPanelCell) as err:
             aggregate_susceptibilities(
-                {("AAA", 2000): np.array([0.1])},
-                {("AAA", 2000): np.array([1.0])},
+                {("AAA", 2000): np.array([0.1]), ("BBB", 2001): np.array([0.2])},
+                {("AAA", 2000): np.array([1.0]), ("BBB", 2001): np.array([2.0])},
                 ["S1"],
-                countries=["AAA", "BBB"],
-                years=[2000],
             )
-        assert ("BBB", 2000) in err.value.cells
+        assert err.value.cells == [("AAA", 2001), ("BBB", 2000)]
 
 
 class TestExports:
