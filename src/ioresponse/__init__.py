@@ -48,7 +48,6 @@ from .response import (
     ResponseCurve,
     fluctuation_panel_regression,
     fluctuation_prediction,
-    forecast_from_shock,
     general_response,
     implied_shock,
     impulse_response,
@@ -73,6 +72,7 @@ from .susceptibility import (
     SusceptibilityAggregates,
     SusceptibilityMatrix,
     aggregate_susceptibilities,
+    propagator,
     sector_susceptibility,
     susceptibility_analytic,
     susceptibility_monte_carlo,

@@ -131,7 +131,7 @@ def disparity_filter(
     nodes = tuple(
         BackboneNode(
             code=code,
-            group=sector_metadata(code)[1],
+            group=sector_metadata(code),
             in_weight=float(in_weight[k]),
             value=float(node_values.get(code, float("nan"))),
         )

@@ -35,9 +35,8 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 from scipy import special
-from scipy.linalg import expm
 
-from .dynamics import _noise_transform, drift_matrix, equilibrium_output, stationary_covariance
+from .dynamics import _noise_transform, equilibrium_output, stationary_covariance
 from .errors import (
     DegenerateInput,
     InsufficientSamples,
@@ -51,12 +50,13 @@ from .iodata import (
     IOTable,
     NoiseSpec,
     Panel,
+    guarded_solve,
     leontief_solve,
     noise_covariance,
     write_table,
 )
-from .response import forecast_from_shock, implied_shock
 from .rng import GaussianStream
+from .susceptibility import propagator
 
 #: AR/MA coefficients are searched inside this magnitude, short of the
 #: stationarity/invertibility boundary; a fit that ends on it is ``clamped``.
@@ -259,7 +259,8 @@ def fit_var1(
     """Calibrate a sectoral VAR(1) on simulated yearly observations.
 
     The unshocked economy is sampled from its exact yearly transition
-    ``Y(k+1) - Y* = Phi (Y(k) - Y*) + xi(k)``, ``Phi = exp(A - I)``,
+    ``Y(k+1) - Y* = Phi (Y(k) - Y*) + xi(k)``, ``Phi = exp(A - I)`` (the
+    forecaster's propagator ``P``, so the population AR matrix is ``P``),
     ``cov(xi) = Sigma - Phi Sigma Phi^T`` (``Sigma`` stationary, ``Y*`` the
     equilibrium output), starting at ``Y*`` plus a draw from ``N(0, Sigma)``,
     so no burn-in is needed.  ``GaussianStream(seed)`` gives the first N
@@ -271,7 +272,7 @@ def fit_var1(
     n = table.n_sectors
     if samples < n + 2:
         raise InsufficientSamples(f"VAR samples must be >= N + 2 = {n + 2}, got {samples}")
-    phi = expm(drift_matrix(table.coefficients))
+    phi = propagator(table.coefficients, 1.0)
     sigma = stationary_covariance(table.coefficients, nu)
     start = _noise_transform(sigma)
     step = _noise_transform(sigma - phi @ sigma @ phi.T)
@@ -507,14 +508,18 @@ def benchmark_lrt_vs_baseline(
     """Two-year-ahead forecast comparison over a complete panel.
 
     For every country and shock year t with data at t, t+1, and t+2, the
-    susceptibility model extracts the implied shock from (t, t+1) and
-    predicts the level at t+2; the baseline predicts the same level from its
-    own information set (ARIMA: series up to t+1, one step ahead; VAR:
-    the fitted yearly map applied twice from Y(t); perturbed-io: the
-    perturbed equilibrium under the same implied shock).  Cells where the
-    baseline cannot be fitted yet (short ARIMA history) are skipped.  Cells
-    run one after another in sorted order; ``noise`` drives the simulated
-    economy the VAR baseline is calibrated on.
+    susceptibility model predicts the level at t+2 as ``Y(t+1) + P dY``, with
+    ``P = exp(A - I)`` formed once per cell and ``dY = Y(t+1) - Y(t)`` (what
+    :func:`~ioresponse.response.lrt_forecast` returns); the baseline predicts
+    the same level from its own information set (ARIMA: series up to t+1,
+    one step ahead; VAR: the fitted yearly map applied twice from Y(t);
+    perturbed-io: the perturbed equilibrium ``Y(t) + (I - A)^{-1} X`` under
+    the step shock X with ``rho(1) X = dY``, computed as
+    ``Y(t) + (I - P)^{-1} dY``).  No implied shock is extracted, so no
+    condition cap applies.  Cells where the baseline cannot be fitted yet
+    (short ARIMA history) are skipped.  Cells run one after another in
+    sorted order; ``noise`` drives the simulated economy the VAR baseline is
+    calibrated on.
 
     ARIMA ``calibration`` is ``"expanding"`` (each cell fits the history up
     to t+1) or ``"full"`` (one model per sector from the whole series).  An
@@ -558,12 +563,12 @@ def benchmark_lrt_vs_baseline(
             y_t = table.output
             y_t1 = panel.get(c, t + 1).output
             y_t2 = panel.get(c, t + 2).output
-            if not lrt_oracle or baseline == "perturbed_io":
-                shock = implied_shock(table, y_t, y_t1)
+            p_year = propagator(table.coefficients, 1.0)
+            delta = y_t1 - y_t
             # the oracle hook replaces predictions by the observations
             # themselves (r_lrt becomes exactly 1), used to validate the
             # evaluation harness
-            pred_lrt = y_t2.copy() if lrt_oracle else forecast_from_shock(table, y_t, shock)
+            pred_lrt = y_t2.copy() if lrt_oracle else y_t1 + p_year @ delta
             if baseline == "arima":
                 if calibration == "full" and full_models is None:
                     full_models = [fit_arima(s, p, d, q) for s in series.T]
@@ -574,7 +579,10 @@ def benchmark_lrt_vs_baseline(
                 # t+1 and t+2 levels come from iterating the fitted yearly map
                 pred_base = var_forecast(var_models[c], y_t, steps=2)
             else:
-                pred_base = y_t + perturbed_io_forecast(table, shock)
+                # (I - A)^{-1} X = (I - P)^{-1} dY, as (I - A)^{-1} commutes with P
+                pred_base = y_t + guarded_solve(
+                    np.eye(len(delta)) - p_year, delta, "I - exp(A - I)"
+                )
             observed[(c, t)] = y_t2
             anchor[(c, t)] = y_t1
             lrt_pred[(c, t)] = pred_lrt

@@ -208,14 +208,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 class OutputDir:
-    """Tracks written files so a failed run leaves no partial outputs."""
+    """Tracks written files so a failed run leaves no partial outputs.
+
+    The directory is made at the first ``open``, and ``discard`` removes the
+    directories that this run made once they are empty again.
+    """
 
     def __init__(self, path: str):
         self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
+        self.made: list[Path] = []  # deepest first
 
     def open(self, name: str) -> TextIO:
+        if not self.written:
+            self.made = [p for p in (self.path, *self.path.parents) if not p.exists()]
+            self.path.mkdir(parents=True, exist_ok=True)
         target = self.path / name
         self.written.append(target)
         return open(target, "w", encoding="utf-8", newline="")
@@ -226,6 +233,11 @@ class OutputDir:
                 target.unlink()
             except OSError:
                 pass
+        for directory in self.made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
 
 
 def _write_manifest(out: OutputDir, subcommand: str, cfg: RunConfig) -> None:
@@ -414,7 +426,7 @@ def _cmd_forecast(cfg: RunConfig, out: OutputDir) -> None:
             shock_years += [t] * n
             sectors += table.codes
             shocks.extend(shock.values)
-            predicted.extend(response.forecast_from_shock(table, y_t, shock))
+            predicted.extend(response.lrt_forecast(table, y_t, y_t1))
             # a forecast past the panel's last year has no observation
             observed.extend(panel.get(country, t + 2).output if t + 2 in years else [""] * n)
     with out.open("implied_shocks.csv") as fh:

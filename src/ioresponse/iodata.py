@@ -262,16 +262,21 @@ class IOTable:
         return cls.from_flows(country, year, codes, flows, output)
 
 
-def leontief_solve(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - A) X = rhs; :class:`SingularSystem` when I - A is singular."""
-    a = np.asarray(coefficients, dtype=float)
-    system = np.eye(a.shape[0]) - a
+def guarded_solve(system: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """Solve system X = rhs; :class:`SingularSystem`, naming the system, when
+    it is singular."""
     try:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         raise SingularSystem(
-            "I - A is singular", condition=float(np.linalg.cond(system))
+            f"{name} is singular", condition=float(np.linalg.cond(system))
         ) from None
+
+
+def leontief_solve(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - A) X = rhs; :class:`SingularSystem` when I - A is singular."""
+    a = np.asarray(coefficients, dtype=float)
+    return guarded_solve(np.eye(a.shape[0]) - a, rhs, "I - A")
 
 
 def spectral_radius(a: np.ndarray) -> float:

@@ -25,7 +25,12 @@ from scipy.linalg import expm
 from .dynamics import ShockProfile, drift_matrix, step_count
 from .errors import GridMismatch, IllConditioned, MissingPanelCell, NumericalError
 from .iodata import IOTable, Panel, leontief_solve, write_table
-from .susceptibility import SimulationBudget, monte_carlo_propagator, truncated_susceptibility
+from .susceptibility import (
+    SimulationBudget,
+    monte_carlo_propagator,
+    propagator,
+    truncated_susceptibility,
+)
 
 #: Default relative threshold below which a sector counts as recovered.
 RECOVERY_EPS = 0.05
@@ -273,22 +278,16 @@ def implied_shock(
 
 
 def lrt_forecast(table: IOTable, output_t, output_t1) -> np.ndarray:
-    """Two-year-ahead output level implied by the extracted step shock.
+    """Two-year-ahead output level ``Y(t+1) + exp(A - I) dY``, ``dY = Y(t+1) - Y(t)``.
 
-    ``Y_hat(t+2) = Y(t) + rho(t, 2) X_tilde``.  By construction the
-    intermediate one-year prediction ``Y(t) + rho(t, 1) X_tilde`` equals the
-    observed ``Y(t+1)`` up to solver roundoff.
+    This is the forecast ``Y(t) + rho(t, 2) X`` under the step shock X with
+    ``rho(t, 1) X = dY``, without extracting X: ``rho(2) = rho(1) + P rho(1)``
+    with ``P = exp(A - I)``, so ``rho(2) X = dY + P dY``.  No shock is solved
+    for, so neither the condition cap nor the round-trip check applies.
     """
-    shock = implied_shock(table, output_t, output_t1)
-    return forecast_from_shock(table, output_t, shock)
-
-
-def forecast_from_shock(
-    table: IOTable, output_t, shock: ImpliedShock, horizon: float = 2.0
-) -> np.ndarray:
-    """Output level ``Y(t) + rho(t, T) X`` under an already extracted shock."""
-    rho_h = truncated_susceptibility(table.coefficients, horizon)
-    return np.asarray(output_t, dtype=float) + rho_h @ shock.values
+    y_t1 = np.asarray(output_t1, dtype=float)
+    delta = y_t1 - np.asarray(output_t, dtype=float)
+    return y_t1 + propagator(table.coefficients, 1.0) @ delta
 
 
 def fluctuation_prediction(table: IOTable) -> np.ndarray:

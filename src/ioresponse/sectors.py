@@ -1,75 +1,75 @@
 """Registry of the 56 WIOD 2016 industries (2-digit ISIC rev. 4).
 
-Maps sector codes to a short display name and a coarse group label.  Codes
-outside the registry (synthetic test economies, custom aggregations) fall
-back to the code itself and the group ``"Other"``.
+Maps sector codes to a coarse group label.  Codes outside the registry
+(synthetic test economies, custom aggregations) fall in the group
+``"Other"``.
 """
 
 from __future__ import annotations
 
-# code -> (short name, group)
-WIOD_SECTORS: dict[str, tuple[str, str]] = {
-    "A01": ("Agriculture", "Agriculture"),
-    "A02": ("Forestry", "Agriculture"),
-    "A03": ("Fishing", "Agriculture"),
-    "B": ("Mining", "Mining"),
-    "C10-C12": ("Food", "Manufacturing"),
-    "C13-C15": ("Textiles", "Manufacturing"),
-    "C16": ("Wood", "Manufacturing"),
-    "C17": ("Paper", "Manufacturing"),
-    "C18": ("Printing", "Manufacturing"),
-    "C19": ("Coke", "Manufacturing"),
-    "C20": ("Chemicals", "Manufacturing"),
-    "C21": ("Pharmaceuticals", "Manufacturing"),
-    "C22": ("Rubber", "Manufacturing"),
-    "C23": ("Mineral products", "Manufacturing"),
-    "C24": ("Metals", "Manufacturing"),
-    "C25": ("Metal products", "Manufacturing"),
-    "C26": ("Computer", "Manufacturing"),
-    "C27": ("Electricals", "Manufacturing"),
-    "C28": ("Machinery", "Manufacturing"),
-    "C29": ("Motor vehicles", "Manufacturing"),
-    "C30": ("Transport equ.", "Manufacturing"),
-    "C31-32": ("Furniture", "Manufacturing"),
-    "C33": ("Repair", "Manufacturing"),
-    "D35": ("Electricity", "Electricity & Water"),
-    "E36": ("Water", "Electricity & Water"),
-    "E37-E39": ("Waste", "Electricity & Water"),
-    "F": ("Construction", "Construction"),
-    "G45": ("Car trade", "Trade"),
-    "G46": ("Wholesale trade", "Trade"),
-    "G47": ("Retail trade", "Trade"),
-    "H49": ("Land transport", "Transport"),
-    "H50": ("Water transport", "Transport"),
-    "H51": ("Air transport", "Transport"),
-    "H52": ("Warehousing", "Transport"),
-    "H53": ("Post", "Transport"),
-    "I": ("Accommodation", "Accommodation"),
-    "J58": ("Publishing", "Inform. & Comm."),
-    "J59-J60": ("Entertainment", "Inform. & Comm."),
-    "J61": ("Telecommunication", "Inform. & Comm."),
-    "J62-J63": ("Computer programming", "Inform. & Comm."),
-    "K64": ("Financial services", "Finance"),
-    "K65": ("Insurance", "Finance"),
-    "K66": ("Auxiliary financial serv.", "Finance"),
-    "L68": ("Real estate", "Other"),
-    "M69-M70": ("Legal activities", "Other"),
-    "M71": ("Architecture", "Other"),
-    "M72": ("Research", "Research"),
-    "M73": ("Advertising", "Research"),
-    "M74-M75": ("Other technical activities", "Research"),
-    "N": ("Administration", "Administration"),
-    "O84": ("Public administration", "Administration"),
-    "P85": ("Education", "Other"),
-    "Q": ("Health", "Other"),
-    "R-S": ("Other services", "Other"),
-    "T": ("Household activities", "Other"),
-    "U": ("Extraterritorial org.", "Other"),
+# code -> group
+WIOD_SECTORS: dict[str, str] = {
+    "A01": "Agriculture",
+    "A02": "Agriculture",
+    "A03": "Agriculture",
+    "B": "Mining",
+    "C10-C12": "Manufacturing",
+    "C13-C15": "Manufacturing",
+    "C16": "Manufacturing",
+    "C17": "Manufacturing",
+    "C18": "Manufacturing",
+    "C19": "Manufacturing",
+    "C20": "Manufacturing",
+    "C21": "Manufacturing",
+    "C22": "Manufacturing",
+    "C23": "Manufacturing",
+    "C24": "Manufacturing",
+    "C25": "Manufacturing",
+    "C26": "Manufacturing",
+    "C27": "Manufacturing",
+    "C28": "Manufacturing",
+    "C29": "Manufacturing",
+    "C30": "Manufacturing",
+    "C31-32": "Manufacturing",
+    "C33": "Manufacturing",
+    "D35": "Electricity & Water",
+    "E36": "Electricity & Water",
+    "E37-E39": "Electricity & Water",
+    "F": "Construction",
+    "G45": "Trade",
+    "G46": "Trade",
+    "G47": "Trade",
+    "H49": "Transport",
+    "H50": "Transport",
+    "H51": "Transport",
+    "H52": "Transport",
+    "H53": "Transport",
+    "I": "Accommodation",
+    "J58": "Inform. & Comm.",
+    "J59-J60": "Inform. & Comm.",
+    "J61": "Inform. & Comm.",
+    "J62-J63": "Inform. & Comm.",
+    "K64": "Finance",
+    "K65": "Finance",
+    "K66": "Finance",
+    "L68": "Other",
+    "M69-M70": "Other",
+    "M71": "Other",
+    "M72": "Research",
+    "M73": "Research",
+    "M74-M75": "Research",
+    "N": "Administration",
+    "O84": "Administration",
+    "P85": "Other",
+    "Q": "Other",
+    "R-S": "Other",
+    "T": "Other",
+    "U": "Other",
 }
 
-GROUP_VOCABULARY = frozenset(group for _, group in WIOD_SECTORS.values())
+GROUP_VOCABULARY = frozenset(WIOD_SECTORS.values())
 
 
-def sector_metadata(code: str) -> tuple[str, str]:
-    """Return ``(short_name, group)`` for a sector code."""
-    return WIOD_SECTORS.get(code, (code, "Other"))
+def sector_metadata(code: str) -> str:
+    """Return the group of a sector code."""
+    return WIOD_SECTORS.get(code, "Other")

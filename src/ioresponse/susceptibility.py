@@ -81,6 +81,15 @@ class SusceptibilityMatrix:
         return len(self.sectors)
 
 
+def propagator(coefficients: np.ndarray, t: float) -> np.ndarray:
+    """exp((A - I) t): carries a deviation from equilibrium t years ahead.
+
+    At ``t = 1`` it is the yearly map ``P`` that the forecaster applies to
+    the last observed change and the VAR baseline's population AR matrix.
+    """
+    return expm(drift_matrix(coefficients) * t)
+
+
 def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.ndarray:
     """Closed-form rho(T) = (I - A)^{-1} (I - exp((A - I) T)); inf allowed."""
     a = np.asarray(coefficients, dtype=float)
@@ -88,7 +97,7 @@ def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.nda
     if horizon == math.inf:
         rhs = eye
     elif horizon > 0.0:
-        rhs = eye - expm(drift_matrix(a) * horizon)
+        rhs = eye - propagator(a, horizon)
     else:
         raise ValueError("horizon must be > 0 (or inf)")
     return leontief_solve(a, rhs)

@@ -27,12 +27,20 @@ from ioresponse.errors import (
     MisalignedPanel,
     NonConvergent,
     RankDeficientRegressors,
+    SingularSystem,
     TooShortSeries,
 )
-from ioresponse.iodata import IOTable, NoiseSpec, Panel, noise_covariance
-from ioresponse.response import implied_shock
+from ioresponse.iodata import (
+    IOTable,
+    NoiseSpec,
+    Panel,
+    guarded_solve,
+    leontief_solve,
+    noise_covariance,
+)
+from ioresponse.response import implied_shock, lrt_forecast
 from ioresponse.rng import GaussianStream
-from ioresponse.susceptibility import truncated_susceptibility
+from ioresponse.susceptibility import propagator, truncated_susceptibility
 
 from conftest import build_panel, random_economy
 
@@ -268,6 +276,25 @@ class TestVar:
         model = fit_var1(table, nu, samples=10_000, seed=5)
         target = math.exp(-0.5)
         assert abs(model.ar[0, 0] - target) < 3.0 * model.ar_stderr[0, 0]
+
+    def test_transition_is_the_propagator(self, monkeypatch):
+        from ioresponse import baselines
+
+        table = random_economy(3, seed=80)
+        seen = []
+
+        def spy(coefficients, t):
+            seen.append((np.asarray(coefficients), t, propagator(coefficients, t)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(baselines, "propagator", spy)
+        fit_var1(table, 0.01 * np.eye(3), samples=50, seed=0)
+        [(coefficients, t, phi)] = seen
+        np.testing.assert_array_equal(coefficients, table.coefficients)
+        assert t == 1.0
+        np.testing.assert_array_equal(phi, propagator(table.coefficients, 1.0))
+        # the same bits as exp(A - I) formed directly
+        np.testing.assert_array_equal(phi, expm(table.coefficients - np.eye(3)))
 
     def test_matrix_exponential_recovered_entrywise(self):
         table = random_economy(3, seed=80)
@@ -518,7 +545,7 @@ class TestBenchmarkPipeline:
             raise AssertionError("fitted before the settings were checked")
 
         monkeypatch.setattr(baselines, "fit_arima", no_fit)
-        monkeypatch.setattr(baselines, "implied_shock", no_fit)
+        monkeypatch.setattr(baselines, "propagator", no_fit)
         with pytest.raises(ValueError, match="unknown"):
             benchmark_lrt_vs_baseline(small_panel, **setting)
 
@@ -526,16 +553,43 @@ class TestBenchmarkPipeline:
         result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")
         assert len(result.evaluation.cells) > 0
 
-    def test_perturbed_io_extracts_one_shock_per_cell(self, small_panel, monkeypatch):
-        from ioresponse import baselines, response
+    def test_one_propagator_per_cell(self, small_panel, monkeypatch):
+        from ioresponse import baselines
 
         calls = []
 
-        def counting(table, *args, **kwargs):
-            calls.append((table.country, table.year))
-            return implied_shock(table, *args, **kwargs)
+        def counting(coefficients, t):
+            calls.append(t)
+            return propagator(coefficients, t)
 
-        monkeypatch.setattr(response, "implied_shock", counting)
-        monkeypatch.setattr(baselines, "implied_shock", counting)
+        monkeypatch.setattr(baselines, "propagator", counting)
         result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")
-        assert sorted(calls) == sorted(result.observed)
+        assert calls == [1.0] * len(result.observed)
+
+    @pytest.mark.parametrize("shape", [(3, (2000, 2008), 4, 13), (1, (2000, 2003), 56, 5)],
+                             ids=["4_sectors", "56_sectors"])
+    def test_predictions_equal_shock_route(self, shape):
+        """Both predictions equal the implied-shock forms within 1e-12 of the
+        predicted change: Y(t) + rho(2) X for the model, Y(t) + (I - A)^{-1} X
+        for the perturbed equilibrium; the model's is lrt_forecast's bits."""
+        panel = build_panel(*shape)
+        result = benchmark_lrt_vs_baseline(panel, baseline="perturbed_io")
+        for c, t in result.observed:
+            table = panel.get(c, t)
+            y_t, y_t1 = table.output, panel.get(c, t + 1).output
+            x = implied_shock(table, y_t, y_t1).values
+            pred_lrt = result.lrt_predictions[(c, t)]
+            pred_base = result.baseline_predictions[(c, t)]
+            np.testing.assert_array_equal(pred_lrt, lrt_forecast(table, y_t, y_t1))
+            via_shock = y_t + truncated_susceptibility(table.coefficients, 2.0) @ x
+            assert np.max(np.abs(pred_lrt - via_shock)) <= 1e-12 * np.max(np.abs(via_shock - y_t))
+            change = leontief_solve(table.coefficients, x)
+            assert np.max(np.abs(pred_base - (y_t + change))) <= 1e-12 * np.max(np.abs(change))
+
+
+def test_singular_system_guard_is_shared():
+    with pytest.raises(SingularSystem, match=r"I - exp\(A - I\) is singular"):
+        guarded_solve(np.ones((2, 2)), np.ones(2), "I - exp(A - I)")
+    # leontief_solve goes through the same guard
+    with pytest.raises(SingularSystem, match="I - A is singular"):
+        leontief_solve(np.eye(2), np.ones(2))

@@ -298,7 +298,7 @@ class TestErrorHandling:
             "--year", "2004", "--out", str(out),
         ])
         assert code == 3
-        assert not any(out.iterdir())
+        assert _no_outputs(out)
 
     def test_unknown_method_exit_2(self, two_sector_file, tmp_path, capsys):
         code = run([
@@ -331,7 +331,7 @@ class TestErrorHandling:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("UnknownSector: ")
-        assert not any(out.iterdir())
+        assert _no_outputs(out)
 
     @pytest.mark.parametrize(
         "text, lineno",
@@ -360,7 +360,7 @@ class TestErrorHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"ConfigError: scenario line {lineno}: ")
-        assert not any(out.iterdir())
+        assert _no_outputs(out)
 
     def test_missing_data_flag(self, tmp_path):
         assert run(["ingest", "--out", str(tmp_path / "out")]) == 2
@@ -379,11 +379,11 @@ class TestErrorHandling:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("InsufficientSamples: ")
-        assert not any(out.iterdir())
+        assert _no_outputs(out)
 
 
 def _no_outputs(out):
-    return not out.exists() or not any(out.iterdir())
+    return not out.exists()
 
 
 class TestUsageErrors:
@@ -552,6 +552,27 @@ class TestSettingChecks:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ConfigError: bad horizon")
         assert _no_outputs(out)
+
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "runs" / "out"
+        code = run([
+            "response", "--horizon", "0.001", "--grid-dt", "0.01",
+            "--data", str(tmp_path / "missing.csv"), "--country", "AAA", "--year", "2014",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ConfigError: bad horizon")
+        assert not (tmp_path / "runs").exists()
+
+    def test_failed_run_keeps_an_existing_directory(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n", encoding="utf-8")
+        code = run([
+            "susceptibility", "--data", str(tmp_path / "missing.csv"), "--out", str(out),
+        ])
+        assert code == 3
+        assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
 
     def test_var_samples_below_regressor_count_exit_3(
         self, two_sector_file, tmp_path, capsys

@@ -189,7 +189,7 @@ class TestInvariants:
         table = next(iter(panel))
         for k, code in enumerate(table.codes):
             assert table.sector_index(code) == k
-            assert sector_metadata(code)[1] in GROUP_VOCABULARY
+            assert sector_metadata(code) in GROUP_VOCABULARY
 
     def test_arrays_are_readonly(self, two_sector_table):
         with pytest.raises(ValueError):

@@ -281,8 +281,12 @@ class TestImpliedShock:
         monkeypatch.setattr(response_module, "CONDITION_CAP", 1.0)
         with pytest.raises(IllConditioned):
             implied_shock(two_sector_table, y, y + delta)
-        with pytest.raises(IllConditioned):
-            lrt_forecast(two_sector_table, y, y + delta)
+        # the forecaster extracts no shock, so the cap does not reach it
+        y1 = y + delta
+        p = expm(two_sector_table.coefficients - np.eye(2))
+        np.testing.assert_array_equal(
+            lrt_forecast(two_sector_table, y, y1), y1 + p @ (y1 - y)
+        )
 
 
 class TestForecast:
@@ -306,6 +310,30 @@ class TestForecast:
         rho1 = truncated_susceptibility(table.coefficients, 1.0)
         reconstructed = y_t + rho1 @ shock.values
         np.testing.assert_allclose(reconstructed, y_t1, rtol=1e-10)
+
+    @staticmethod
+    def _assert_shock_route_identity(table, y_t, y_t1):
+        """lrt_forecast equals Y(t) + rho(2) X, X the implied shock, within
+        1e-12 of the predicted change."""
+        shock = implied_shock(table, y_t, y_t1)
+        via_shock = y_t + truncated_susceptibility(table.coefficients, 2.0) @ shock.values
+        forecast = lrt_forecast(table, y_t, y_t1)
+        scale = np.max(np.abs(via_shock - y_t))
+        assert np.max(np.abs(forecast - via_shock)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, seed", [(3, 70), (8, 71), (20, 72), (56, 73)])
+    def test_propagator_route_equals_shock_route(self, n, seed):
+        table = random_economy(n, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        y_t = table.output
+        self._assert_shock_route_identity(
+            table, y_t, y_t * (1.0 + rng.normal(0.0, 0.05, size=n))
+        )
+
+    def test_propagator_route_equals_shock_route_on_panel_cell(self):
+        panel = build_panel(n_countries=1, years=(2000, 2001), n_sectors=56, seed=5)
+        table = panel.get("AAA", 2000)
+        self._assert_shock_route_identity(table, table.output, panel.get("AAA", 2001).output)
 
     def test_matches_noiseless_step_simulation(self):
         table = random_economy(4, seed=60)
