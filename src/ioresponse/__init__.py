@@ -21,7 +21,6 @@ from .baselines import (
     fit_arima,
     fit_var1,
     pearson_r,
-    perturbed_io_forecast,
     var_forecast,
 )
 from .dynamics import (

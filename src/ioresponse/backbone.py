@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
@@ -166,6 +165,10 @@ _GRAPHML_KEYS = """\
 
 
 def _graphml(graph: BackboneGraph) -> str:
+    # imported here: xml.sax.saxutils pulls in urllib.request, about 35 ms
+    # that every other CLI process would pay for nothing
+    from xml.sax.saxutils import escape, quoteattr
+
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, TextIO
 
 import numpy as np
-from scipy import special
 
 from .dynamics import _noise_transform, equilibrium_output, stationary_covariance
 from .errors import (
@@ -51,7 +50,6 @@ from .iodata import (
     NoiseSpec,
     Panel,
     guarded_solve,
-    leontief_solve,
     noise_covariance,
     write_table,
 )
@@ -315,12 +313,6 @@ def var_forecast(model: VarModel, state, steps: int = 1) -> np.ndarray:
     return y
 
 
-def perturbed_io_forecast(table: IOTable, shock) -> np.ndarray:
-    """Perturbed-equilibrium output change (I - A)^{-1} X for a step shock."""
-    x = np.asarray(getattr(shock, "values", shock), dtype=float)
-    return leontief_solve(table.coefficients, x)
-
-
 # ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------
@@ -374,7 +366,10 @@ def t_test_mean_zero(values) -> TTestSummary:
     se = sd / math.sqrt(n)
     t_stat = mean / se
     # Student t tail and quantile straight from scipy.special (what
-    # scipy.stats.t evaluates), so importing this module skips scipy.stats
+    # scipy.stats.t evaluates), imported at the call, so importing this
+    # module loads no scipy and a t-test loads no scipy.stats
+    from scipy import special
+
     p = 2.0 * float(special.stdtr(n - 1, -abs(t_stat)))
     half = float(special.stdtrit(n - 1, 0.975)) * se
     return TTestSummary(

@@ -144,7 +144,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -494,7 +494,7 @@ def _cmd_scenario(cfg: RunConfig, out: OutputDir) -> None:
     curve_horizon = _curve_horizon(cfg) if curve_countries else 0.0  # no curve drawn
     try:
         text = Path(cfg["scenario_spec"]).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read scenario spec: {exc}") from None
     spec = scenario.parse_scenario_spec(text)
     panel = _load_panel(cfg)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .errors import (
     NumericalBlowup,
@@ -93,6 +92,8 @@ def stationary_covariance(coefficients: np.ndarray, nu: np.ndarray) -> np.ndarra
     sigma solves the continuous Lyapunov equation
     ``M sigma + sigma M^T + nu = 0`` with ``M = A - I``.
     """
+    from scipy.linalg import solve_continuous_lyapunov
+
     m = drift_matrix(coefficients)
     nu = np.asarray(nu, dtype=float)
     if not is_hurwitz(m):
@@ -114,6 +115,8 @@ def lagged_covariance(coefficients: np.ndarray, nu: np.ndarray, tau: float) -> n
 
     Entry (k, j) is the centered correlation <y_k(t + tau) y_j(t)>.
     """
+    from scipy.linalg import expm
+
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     sigma = stationary_covariance(coefficients, nu)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
-from scipy.linalg import expm
 
-from .dynamics import ShockProfile, drift_matrix, step_count
+from .dynamics import ShockProfile, step_count
 from .errors import GridMismatch, IllConditioned, MissingPanelCell, NumericalError
 from .iodata import IOTable, Panel, leontief_solve, write_table
 from .susceptibility import (
@@ -94,16 +93,16 @@ def impulse_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
     """<dY(t')> = exp((A - I) t') X for an impulse of weight X at t' = 0."""
     grid = _check_grid(grid)
     x = np.asarray(shock_vector, dtype=float)
-    m = drift_matrix(table.coefficients)
+    a = table.coefficients
     values = np.empty((len(grid), len(x)))
     values[0] = x
     h = _uniform_spacing(grid)
     if h is None:
         for k, t in enumerate(grid[1:], start=1):
-            values[k] = expm(m * t) @ x
+            values[k] = propagator(a, t) @ x
     else:
         # exp((A - I)(t + h)) = exp((A - I) h) exp((A - I) t)
-        p = expm(m * h)
+        p = propagator(a, h)
         for k in range(1, len(grid)):
             values[k] = p @ values[k - 1]
     return ResponseCurve(
@@ -129,7 +128,7 @@ def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
         # rho(t + h) = rho(h) + exp((A - I) h) rho(t), because (I - A)^{-1}
         # commutes with exp((A - I) h); rho(h) is truncated_susceptibility's
         # own formula, so the first point keeps its bits
-        p = expm(drift_matrix(a) * h)
+        p = propagator(a, h)
         values[1] = leontief_solve(a, np.eye(len(a)) - p) @ x
         for k in range(2, len(grid)):
             values[k] = values[1] + p @ values[k - 1]
@@ -152,7 +151,6 @@ def general_response(table: IOTable, shock: ShockProfile, grid) -> ResponseCurve
         raise ValueError("general_response expects a tabulated shock profile")
     grid = _check_grid(grid)
     shock.check_dimension(table.n_sectors)
-    m = drift_matrix(table.coefficients)
     times = shock.times
     xvals = shock.values
     n = table.n_sectors
@@ -162,7 +160,7 @@ def general_response(table: IOTable, shock: ShockProfile, grid) -> ResponseCurve
     def propagate(dt: float) -> np.ndarray:
         key = round(dt, 15)
         if key not in exp_cache:
-            exp_cache[key] = expm(m * dt)
+            exp_cache[key] = propagator(table.coefficients, dt)
         return exp_cache[key]
 
     values = np.zeros((len(grid), n))

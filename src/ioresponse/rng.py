@@ -12,7 +12,6 @@ stream position is a pure function of how many variates were drawn.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _TWO_53 = 1 << 53
 _INV_TWO_53 = 1.0 / _TWO_53
@@ -35,6 +34,8 @@ class GaussianStream:
 
     def normals(self, shape) -> np.ndarray:
         """Return an array of independent N(0, 1) draws."""
+        from scipy.special import ndtri
+
         k = self._gen.integers(0, _TWO_53, size=shape, dtype=np.uint64)
         u = (k.astype(np.float64) + 0.5) * _INV_TWO_53
         return ndtri(u)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import expm
 
 from .dynamics import (
     DEFAULT_BURN_IN,
@@ -79,6 +77,19 @@ class SusceptibilityMatrix:
     @property
     def n_sectors(self) -> int:
         return len(self.sectors)
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported at the first call.
+
+    Every propagator, and so every response curve and forecast, goes through
+    this one module attribute, so importing the package (and running
+    ``ingest`` or the analytic ranking, which form none) leaves
+    ``scipy.linalg`` unloaded.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(m)
 
 
 def propagator(coefficients: np.ndarray, t: float) -> np.ndarray:
@@ -170,6 +181,8 @@ def _green_kubo_integral(y: np.ndarray, n_lags: int, dt: float) -> np.ndarray:
     ``z.T @ y`` for the filtered path ``z[t] = sum_k w_k y[t + k] / (n - k)``,
     which one zero-padded FFT correlation computes for all lags at once.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n = y.shape[0]
     weights = np.full(n_lags + 1, dt)
     weights[[0, -1]] = 0.5 * dt

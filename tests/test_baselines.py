@@ -17,7 +17,6 @@ from ioresponse.baselines import (
     fit_arima,
     fit_var1,
     pearson_r,
-    perturbed_io_forecast,
     t_test_mean_zero,
     var_forecast,
 )
@@ -313,35 +312,6 @@ class TestVar:
         one = var_forecast(model, y, steps=1)
         two = var_forecast(model, y, steps=2)
         np.testing.assert_allclose(two, model.ar @ one + model.intercept, rtol=1e-12)
-
-
-class TestPerturbedIO:
-    def test_zero_shock(self, two_sector_table):
-        np.testing.assert_array_equal(
-            perturbed_io_forecast(two_sector_table, np.zeros(2)), [0.0, 0.0]
-        )
-
-    def test_identity_leontief(self):
-        table = IOTable.from_coefficients("AAA", 2000, ["S1", "S2"], np.zeros((2, 2)), [1.0, 1.0])
-        np.testing.assert_allclose(
-            perturbed_io_forecast(table, np.array([0.3, -0.4])), [0.3, -0.4]
-        )
-
-    def test_two_sector_hand_solve(self, two_sector_table):
-        np.testing.assert_allclose(
-            perturbed_io_forecast(two_sector_table, np.array([0.9, 0.0])),
-            [1.0, 0.2],
-            rtol=1e-12,
-        )
-
-    def test_matches_infinite_horizon_scenario_impact(self):
-        table = random_economy(5, seed=90)
-        rng = np.random.default_rng(91)
-        x = rng.normal(size=5)
-        shock = implied_shock(table, table.output, table.output + 0.01 * table.output)
-        via_perturbed = perturbed_io_forecast(table, shock)
-        via_rho = truncated_susceptibility(table.coefficients, math.inf) @ shock.values
-        np.testing.assert_allclose(via_perturbed, via_rho, rtol=1e-10)
 
 
 class TestPearson:

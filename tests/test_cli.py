@@ -679,19 +679,69 @@ class TestEnvironmentOverride:
         assert code == 0  # explicit flag overrides the environment
 
 
-def test_cli_import_skips_scipy_stats():
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout; its stdout."""
     import ioresponse
 
     src = str(Path(ioresponse.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ioresponse.cli; "
-         "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert proc.stdout.strip() == "False False"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.strip()
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_cli_import_skips_scipy_stats():
+    assert _fresh_python(f"import sys, ioresponse.cli; print({_LOADED_SCIPY})") == "[]"
+
+
+@pytest.mark.parametrize("args", [("ingest",), ("susceptibility",),
+                                  ("susceptibility", "--country", "AAA", "--year", "2014")])
+def test_scipy_free_subcommands_load_no_scipy(two_sector_file, tmp_path, args):
+    argv = [*args, "--data", str(two_sector_file), "--out", str(tmp_path / "out")]
+    code = f"import sys; from ioresponse.cli import run; print(run({argv!r}), {_LOADED_SCIPY})"
+    assert _fresh_python(code) == "0 []"
+
+
+class TestNotUtf8:
+    """A latin-1 byte in any input file ends the run in one error line."""
+
+    def test_data_file(self, two_sector_file, tmp_path, capsys):
+        lines = two_sector_file.read_bytes().splitlines(keepends=True)
+        lines[4] = lines[4].replace(b"S2", b"S\xe92")
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        code = run(["ingest", "--data", str(data), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MalformedRow: line 5: not UTF-8 text (")
+        assert _no_outputs(out)
+
+    def test_config_file(self, two_sector_file, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"# caf\xe9\nseed = 1\n")
+        out = tmp_path / "out"
+        code = run(["ingest", "--config", str(config), "--data", str(two_sector_file),
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ConfigError: cannot read config file {config}")
+        assert _no_outputs(out)
+
+    def test_scenario_spec(self, two_sector_file, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes(b"name = caf\xe9\nevaluation_year = 2014\n")
+        out = tmp_path / "out"
+        code = run(["scenario", "--data", str(two_sector_file), "--scenario-spec", str(spec),
+                    "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("DataError: cannot read scenario spec: ")
+        assert _no_outputs(out)
 
 
 def test_console_script_entry_point(two_sector_file, tmp_path):

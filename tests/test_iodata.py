@@ -164,6 +164,86 @@ class TestParse:
         assert table.demand[0] < 0.0
 
 
+class TestScanner:
+    """What the row scanner accepts and where it reports each failure."""
+
+    ROWS = (
+        "OUTPUT,AAA,2000,S1,,2.0",
+        "OUTPUT,AAA,2000,S2,,2.0",
+        "FLOW,AAA,2000,S1,S2,1.0",
+        "FLOW,AAA,2000,S2,S1,0.4",
+        "FINAL,AAA,2000,S1,BBB,0.25",
+    )
+
+    def _plain(self) -> IOTable:
+        return parse_io_table(_stream(*self.ROWS), "AAA", 2000)
+
+    def test_fields_padded_with_spaces(self):
+        header = " , ".join(CANONICAL_HEADER.split(","))
+        rows = [" " + "  ,  ".join(r.split(",")) + " " for r in self.ROWS]
+        text = "\n".join([header, *rows]) + "\n"
+        assert parse_io_table(io.StringIO(text), "AAA", 2000).equals(self._plain())
+
+    def test_quoted_fields(self):
+        rows = [",".join(f'"{f}"' for f in r.split(",")) for r in self.ROWS]
+        assert parse_io_table(_stream(*rows), "AAA", 2000).equals(self._plain())
+
+    def test_quoted_field_keeps_its_comma(self):
+        table = parse_io_table(
+            _stream('OUTPUT,AAA,2000,"S,1",,2.0', 'FLOW,AAA,2000,"S,1","S,1",1.0'),
+            "AAA", 2000,
+        )
+        assert table.codes == ("S,1",)
+        assert table.coefficients[0, 0] == 0.5
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        lines = (CANONICAL_HEADER, *self.ROWS)
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        assert parse_io_table(path, "AAA", 2000).equals(self._plain())
+        path.write_bytes(("\r\n".join((*lines, "FLOW,AAA,2000,S1")) + "\r\n").encode())
+        with pytest.raises(MalformedRow, match="^line 7: expected 6 fields, got 4$"):
+            parse_io_table(path, "AAA", 2000)
+
+    def test_blank_lines_are_skipped_and_counted(self):
+        lines = ["", "   ", CANONICAL_HEADER, self.ROWS[0], "", "  ", *self.ROWS[1:], ""]
+        text = "\n".join(lines) + "\n"
+        assert parse_io_table(io.StringIO(text), "AAA", 2000).equals(self._plain())
+        text += "FLOW,AAA,2000,S1,S2,x\n"
+        with pytest.raises(MalformedRow, match=r"^line 12: value 'x' is not a number$"):
+            parse_io_table(io.StringIO(text), "AAA", 2000)
+
+    @pytest.mark.parametrize("year", [" 2000 ", "+2000", "02000"])
+    def test_year_forms(self, year):
+        rows = [r.replace(",2000,", f",{year},") for r in self.ROWS[:2]] + list(self.ROWS[2:])
+        panel = load_panel(_stream(*rows), years=[2000])
+        assert [(t.country, t.year) for t in panel] == [("AAA", 2000)]
+        assert panel.get("AAA", 2000).equals(self._plain())
+
+    def test_duplicate_output_raises_at_its_own_line(self):
+        rows = (*self.ROWS, "OUTPUT,AAA,2000,S1,,2.0", "FLOW,AAA,2000,S1")
+        with pytest.raises(InconsistentTable, match="^line 7: duplicate OUTPUT row for sector S1"):
+            load_panel(_stream(*rows))
+
+    @pytest.mark.parametrize(
+        "bad", ["OUTPUT,BBB,2001,S1,,nan", "FLOW,BBB,1999,S1", "NOISE,AAA,2001,S1,,1.0"]
+    )
+    def test_one_cell_selection_checks_every_row(self, bad):
+        with pytest.raises(MalformedRow) as err:
+            load_panel(_stream(*self.ROWS, bad), countries=["AAA"], years=[2000])
+        assert err.value.line_number == 7
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        # the bad byte lies far past the first read chunk of the stream
+        path = tmp_path / "latin1.csv"
+        rows = [*self.ROWS, *["FLOW,AAA,2000,S1,S2,0.0"] * 2000, "OUTPUT,AAA,2000,S\xe93,,1.0"]
+        path.write_bytes(("\n".join((CANONICAL_HEADER, *rows)) + "\n").encode("latin-1"))
+        reason = r"^line 2007: not UTF-8 text \(invalid continuation byte\)$"
+        with pytest.raises(MalformedRow, match=reason) as err:
+            load_panel(path)
+        assert err.value.line_number == 2007
+
+
 class TestInvariants:
     def test_accounting_identity_on_panel(self, panel):
         for table in panel:
