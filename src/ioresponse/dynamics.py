@@ -115,14 +115,14 @@ def lagged_covariance(coefficients: np.ndarray, nu: np.ndarray, tau: float) -> n
 
     Entry (k, j) is the centered correlation <y_k(t + tau) y_j(t)>.
     """
-    from scipy.linalg import expm
+    from .susceptibility import propagator  # which imports this module
 
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     sigma = stationary_covariance(coefficients, nu)
     if tau == 0.0:
         return sigma
-    return expm(drift_matrix(coefficients) * tau) @ sigma
+    return propagator(coefficients, tau) @ sigma
 
 
 # ---------------------------------------------------------------------------

@@ -706,6 +706,33 @@ def test_scipy_free_subcommands_load_no_scipy(two_sector_file, tmp_path, args):
     assert _fresh_python(code) == "0 []"
 
 
+@pytest.mark.parametrize("args", [
+    ("forecast",),
+    ("response", "--country", "AAA", "--year", "2004", "--horizon", "10"),
+    ("scenario", "--curves", "AAA", "--horizon", "10"),
+    ("backbone", "--country", "AAA", "--year", "2004", "--node-time", "1"),
+], ids=["forecast", "response", "scenario_curves", "backbone_node_time"])
+def test_propagator_subcommands_load_no_scipy(panel_file, tmp_path, args):
+    # every finite horizon goes through the numpy exponential
+    if args[0] == "scenario":
+        spec = tmp_path / "spec.txt"
+        spec.write_text("evaluation_year = 2004\nshock = * A01 export_to AAA -1.0\n",
+                        encoding="utf-8")
+        args = (*args, "--scenario-spec", str(spec))
+    argv = [*args, "--data", str(panel_file), "--out", str(tmp_path / "out")]
+    code = f"import sys; from ioresponse.cli import run; print(run({argv!r}), {_LOADED_SCIPY})"
+    assert _fresh_python(code) == "0 []"
+
+
+def test_perturbed_io_benchmark_loads_no_scipy_linalg(panel_file, tmp_path):
+    # its t-tests load scipy.special, its propagators no scipy.linalg
+    argv = ["benchmark", "--baseline", "perturbed_io", "--data", str(panel_file),
+            "--out", str(tmp_path / "out")]
+    code = ("import sys; from ioresponse.cli import run; "
+            f"print(run({argv!r}), [m for m in {_LOADED_SCIPY} if m.startswith('scipy.linalg')])")
+    assert _fresh_python(code) == "0 []"
+
+
 class TestNotUtf8:
     """A latin-1 byte in any input file ends the run in one error line."""
 

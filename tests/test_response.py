@@ -136,7 +136,8 @@ class TestUniformGrid:
         step = step_response(economy, x, grid).values
         impulse = impulse_response(economy, x, grid).values
         np.testing.assert_array_equal(step[1], truncated_susceptibility(a, grid[1]) @ x)
-        np.testing.assert_array_equal(impulse[1], expm((a - np.eye(56)) * grid[1]) @ x)
+        direct = susceptibility_module.expm((a - np.eye(56)) * grid[1])
+        np.testing.assert_array_equal(impulse[1], direct @ x)
 
     @pytest.fixture
     def expm_calls(self, monkeypatch):
