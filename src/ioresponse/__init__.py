@@ -47,7 +47,6 @@ from .response import (
     ResponseCurve,
     fluctuation_panel_regression,
     fluctuation_prediction,
-    general_response,
     implied_shock,
     impulse_response,
     impulse_response_monte_carlo,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import (
     SingularSystem,
     UnstableDrift,
 )
-from .iodata import IOTable, leontief_solve, write_table
+from .iodata import IOTable, leontief_solve
 from .rng import GaussianStream
 
 #: Relative residual allowed for the equilibrium solve.
@@ -133,16 +132,12 @@ def lagged_covariance(coefficients: np.ndarray, nu: np.ndarray, tau: float) -> n
 class ShockProfile:
     """External demand shock X(t).
 
-    Kinds: ``none``; ``impulse`` (delta of weight ``vector`` at t = 0);
-    ``step`` (``vector`` switched on from t = 0); ``tabulated`` (linear
-    interpolation of ``values`` on the strictly increasing ``times`` grid,
-    zero outside it).
+    Three kinds: ``none``; ``impulse`` (delta of weight ``vector`` at
+    t = 0); ``step`` (``vector`` switched on from t = 0).
     """
 
     kind: str
     vector: np.ndarray | None = None
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
 
     @classmethod
     def none(cls) -> "ShockProfile":
@@ -156,36 +151,9 @@ class ShockProfile:
     def step(cls, vector) -> "ShockProfile":
         return cls(kind="step", vector=np.asarray(vector, dtype=float))
 
-    @classmethod
-    def tabulated(cls, times, values) -> "ShockProfile":
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValueError("tabulated shock needs at least two grid points")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("tabulated shock grid must be strictly increasing")
-        if values.shape[0] != times.shape[0]:
-            raise ValueError("times and values must have matching first dimension")
-        return cls(kind="tabulated", times=times, values=values)
-
     def check_dimension(self, n: int) -> None:
         if self.kind in ("impulse", "step") and self.vector.shape != (n,):
             raise ValueError(f"shock vector must have length {n}")
-        if self.kind == "tabulated" and self.values.shape[1] != n:
-            raise ValueError(f"tabulated shock vectors must have length {n}")
-
-    def drift_at(self, t: float, n: int) -> np.ndarray | None:
-        """Additive drift contribution at time t (impulse handled separately)."""
-        if self.kind == "step" and t >= 0.0:
-            return self.vector
-        if self.kind == "tabulated":
-            if t < self.times[0] or t > self.times[-1]:
-                return None
-            out = np.empty(n)
-            for k in range(n):
-                out[k] = np.interp(t, self.times, self.values[:, k])
-            return out
-        return None
 
 
 @dataclass(frozen=True)
@@ -196,10 +164,6 @@ class Trajectory:
     states: np.ndarray  # (steps + 1, N)
     seed: int
     shock: ShockProfile
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.states.shape[0])
 
 
 def _noise_transform(nu: np.ndarray):
@@ -264,6 +228,7 @@ def simulate_batch(
     blow_cap = BLOWUP_FACTOR * max(float(np.max(np.abs(y0))), 1.0)
 
     impulse_step = burn_steps if shock.kind == "impulse" else None
+    step_vector = shock.vector if shock.kind == "step" else None
 
     y = np.tile(y0, (replicas, 1))
     step = 0
@@ -276,11 +241,9 @@ def simulate_batch(
             for k in range(chunk):
                 if step >= burn_steps:
                     out[:, step - burn_steps] = y
-                t = (step - burn_steps) * dt
                 drift = y @ m.T + d
-                extra = shock.drift_at(t, n)
-                if extra is not None:
-                    drift = drift + extra
+                if step_vector is not None and step >= burn_steps:
+                    drift = drift + step_vector
                 y = y + drift * dt
                 if transform is not None:
                     y = y + noise[k] * sqrt_dt
@@ -320,9 +283,3 @@ def simulate_trajectory(
     )[0]
     return Trajectory(dt=dt, states=states, seed=seed, shock=shock)
 
-
-def write_trajectory(traj: Trajectory, stream: TextIO) -> None:
-    """Tabular export, one row per step: t,Y_1,...,Y_N in shortest exact form."""
-    n = traj.states.shape[1]
-    header = ",".join(["t", *(f"Y_{k + 1}" for k in range(n))])
-    write_table(stream, header, [traj.times, *traj.states.T])

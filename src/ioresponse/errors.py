@@ -79,10 +79,6 @@ class MisalignedPanel(DataError):
     """Predictions and observations do not cover identical cells."""
 
 
-class GridMismatch(DataError):
-    """A response grid point does not lie on the tabulated shock grid."""
-
-
 class InvalidP(DataError):
     """Significance level must satisfy 0 < p < 1."""
 

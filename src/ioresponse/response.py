@@ -22,7 +22,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .dynamics import ShockProfile, step_count
-from .errors import GridMismatch, IllConditioned, MissingPanelCell, NumericalError
+from .errors import IllConditioned, MissingPanelCell, NumericalError
 from .iodata import IOTable, Panel, leontief_solve, write_table
 from .susceptibility import (
     SimulationBudget,
@@ -37,8 +37,6 @@ RECOVERY_EPS = 0.05
 CONDITION_CAP = 1e12
 #: Relative tolerance of the implied-shock round trip rho(1) X = dY.
 ROUND_TRIP_RTOL = 1e-8
-
-_GRID_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,52 +136,6 @@ def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
         shock=ShockProfile.step(x),
         provenance="analytic",
     )
-
-
-def general_response(table: IOTable, shock: ShockProfile, grid) -> ResponseCurve:
-    """Convolution response for a tabulated shock, by the trapezoid rule.
-
-    The shock grid must be at least as fine as the response grid: every
-    response time inside the shock's support has to lie on the shock grid
-    (:class:`GridMismatch` otherwise).  The shock is zero outside its grid.
-    """
-    if shock.kind != "tabulated":
-        raise ValueError("general_response expects a tabulated shock profile")
-    grid = _check_grid(grid)
-    shock.check_dimension(table.n_sectors)
-    times = shock.times
-    xvals = shock.values
-    n = table.n_sectors
-
-    exp_cache: dict[float, np.ndarray] = {}
-
-    def propagate(dt: float) -> np.ndarray:
-        key = round(dt, 15)
-        if key not in exp_cache:
-            exp_cache[key] = propagator(table.coefficients, dt)
-        return exp_cache[key]
-
-    values = np.zeros((len(grid), n))
-    for g, t in enumerate(grid):
-        if t <= times[0]:
-            continue
-        # nodes of the shock grid up to t
-        upto = np.searchsorted(times, t + _GRID_SNAP)
-        if upto < len(times) and abs(times[upto - 1] - t) > _GRID_SNAP and t < times[-1]:
-            raise GridMismatch(
-                f"response time {t!r} does not lie on the shock grid"
-            )
-        nodes = times[:upto]
-        if len(nodes) < 2:
-            continue
-        acc = np.zeros(n)
-        for seg in range(len(nodes) - 1, 0, -1):
-            h = nodes[seg] - nodes[seg - 1]
-            left = propagate(t - nodes[seg - 1]) @ xvals[seg - 1]
-            right = propagate(t - nodes[seg]) @ xvals[seg]
-            acc += 0.5 * h * (left + right)
-        values[g] = acc
-    return ResponseCurve(grid=grid, values=values, shock=shock, provenance="analytic")
 
 
 def impulse_response_monte_carlo(

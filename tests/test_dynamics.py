@@ -1,7 +1,5 @@
 """Equilibrium, covariances, and Euler-Maruyama simulation."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from ioresponse.dynamics import (
     simulate_batch,
     simulate_trajectory,
     stationary_covariance,
-    write_trajectory,
 )
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
@@ -160,6 +157,8 @@ class TestSimulate:
         y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
         target = y0 + np.linalg.solve(np.eye(2) - two_sector_table.coefficients, x)
         np.testing.assert_allclose(traj.states[-1], target, rtol=1e-8)
+        # the step is off during the burn-in, so the run begins at Y0
+        np.testing.assert_allclose(traj.states[0], y0, rtol=1e-12)
 
     def test_identical_seed_bitwise_identical(self, two_sector_table):
         nu = 0.01 * np.eye(2)
@@ -219,31 +218,13 @@ class TestSimulate:
         ratio = endpoint_error(0.02) / endpoint_error(0.01)
         assert 1.5 < ratio < 3.0
 
-    def test_tabulated_shock_drift(self, two_sector_table):
-        times = np.array([0.0, 1.0, 2.0])
-        values = np.zeros((3, 2))
-        shock = ShockProfile.tabulated(times, values)
-        traj = simulate_trajectory(
-            two_sector_table, np.zeros((2, 2)), shock, dt=0.01, horizon=3.0,
-            burn_in=0.0,
+
+@pytest.mark.parametrize("kind", ["step", "impulse"])
+def test_shock_vector_length_checked(two_sector_table, kind):
+    shock = getattr(ShockProfile, kind)(np.ones(3))
+    with pytest.raises(ValueError, match="length 2"):
+        simulate_batch(
+            two_sector_table.coefficients, two_sector_table.demand,
+            np.zeros((2, 2)), shock, dt=0.01, horizon=1.0, burn_in=0.0,
+            seed=0, replicas=1,
         )
-        y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
-        assert np.max(np.abs(traj.states - y0[None, :])) < 1e-8
-
-    def test_tabulated_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            ShockProfile.tabulated([0.0, 0.0], np.zeros((2, 2)))
-
-
-def test_trajectory_export_round_trip(two_sector_table):
-    traj = simulate_trajectory(
-        two_sector_table, 0.01 * np.eye(2), ShockProfile.none(),
-        dt=0.1, horizon=1.0, burn_in=0.5, seed=5,
-    )
-    buf = io.StringIO()
-    write_trajectory(traj, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t,Y_1,Y_2"
-    assert len(lines) == 1 + traj.states.shape[0]
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    np.testing.assert_array_equal(parsed[:, 1:], traj.states)

@@ -9,13 +9,12 @@ from scipy.linalg import expm
 from ioresponse import response as response_module
 from ioresponse import susceptibility as susceptibility_module
 from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_trajectory
-from ioresponse.errors import GridMismatch, IllConditioned
+from ioresponse.errors import IllConditioned
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
 from ioresponse.response import (
     RECOVERY_EPS,
     fluctuation_panel_regression,
     fluctuation_prediction,
-    general_response,
     implied_shock,
     impulse_response,
     impulse_response_monte_carlo,
@@ -177,50 +176,6 @@ class TestUniformGrid:
 def test_response_grid_rejects_bad_settings(horizon, dt):
     with pytest.raises(ValueError):
         response_grid(horizon, dt)
-
-
-class TestGeneralResponse:
-    def test_tabulated_step_matches_closed_form(self, two_sector_table):
-        x = np.array([1.0, -0.5])
-        dt = 1e-3
-        times = dt * np.arange(int(3.0 / dt) + 1)
-        shock = ShockProfile.tabulated(times, np.tile(x, (len(times), 1)))
-        grid = np.array([0.0, 1.0, 2.0, 3.0])
-        curve = general_response(two_sector_table, shock, grid)
-        exact = step_response(two_sector_table, x, grid)
-        np.testing.assert_allclose(curve.values[1:], exact.values[1:], rtol=1e-6)
-
-    def test_zero_profile_is_zero(self, two_sector_table):
-        times = np.linspace(0.0, 2.0, 21)
-        shock = ShockProfile.tabulated(times, np.zeros((21, 2)))
-        curve = general_response(two_sector_table, shock, np.array([0.0, 1.0, 2.0]))
-        assert not curve.values.any()
-
-    def test_superposition_of_profiles(self, two_sector_table):
-        rng = np.random.default_rng(5)
-        times = np.linspace(0.0, 2.0, 41)
-        v1 = rng.normal(size=(41, 2))
-        v2 = rng.normal(size=(41, 2))
-        grid = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
-        c1 = general_response(two_sector_table, ShockProfile.tabulated(times, v1), grid)
-        c2 = general_response(two_sector_table, ShockProfile.tabulated(times, v2), grid)
-        both = general_response(
-            two_sector_table, ShockProfile.tabulated(times, v1 + v2), grid
-        )
-        np.testing.assert_allclose(both.values, c1.values + c2.values, atol=1e-12)
-
-    def test_grid_mismatch(self, two_sector_table):
-        times = np.array([0.0, 1.0, 2.0])
-        shock = ShockProfile.tabulated(times, np.ones((3, 2)))
-        with pytest.raises(GridMismatch):
-            general_response(two_sector_table, shock, np.array([0.0, 0.5]))
-
-    def test_free_decay_after_profile_end(self, two_sector_table):
-        times = np.array([0.0, 0.5, 1.0])
-        shock = ShockProfile.tabulated(times, np.ones((3, 2)))
-        curve = general_response(two_sector_table, shock, np.array([0.0, 1.0, 30.0]))
-        assert np.max(np.abs(curve.values[2])) < 1e-7
-        assert np.max(np.abs(curve.values[1])) > 0.1
 
 
 class TestRecovery:
