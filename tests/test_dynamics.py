@@ -13,6 +13,7 @@ from ioresponse.dynamics import (
 )
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
+from ioresponse.response import impulse_response
 
 from conftest import random_economy
 
@@ -217,6 +218,42 @@ class TestSimulate:
 
         ratio = endpoint_error(0.02) / endpoint_error(0.01)
         assert 1.5 < ratio < 3.0
+
+    def test_zero_step_equals_no_shock(self, two_sector_table):
+        nu = 0.01 * np.eye(2)
+        kwargs = dict(dt=0.01, horizon=5.0, burn_in=1.0, seed=7)
+        stepped = simulate_trajectory(
+            two_sector_table, nu, ShockProfile.step(np.zeros(2)), **kwargs
+        )
+        free = simulate_trajectory(two_sector_table, nu, ShockProfile.none(), **kwargs)
+        np.testing.assert_array_equal(stepped.states, free.states)
+
+    def test_noiseless_impulse_follows_analytic_response(self, two_sector_table):
+        x = np.array([1.0, -0.5])
+        dt = 1e-3
+        traj = simulate_trajectory(
+            two_sector_table, np.zeros((2, 2)), ShockProfile.impulse(x),
+            dt=dt, horizon=3.0, burn_in=0.0,
+        )
+        y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        exact = impulse_response(two_sector_table, x, grid).values
+        index = np.rint(grid[1:] / dt).astype(int)
+        # Euler's first-order error on an O(1) curve
+        np.testing.assert_allclose(traj.states[index] - y0, exact[1:], atol=dt)
+
+    def test_batch_replicas_start_at_y0_and_differ(self, two_sector_table):
+        states = simulate_batch(
+            two_sector_table.coefficients, two_sector_table.demand,
+            0.01 * np.eye(2), ShockProfile.none(), dt=0.01, horizon=2.0,
+            burn_in=0.0, seed=3, replicas=3,
+        )
+        assert states.shape == (3, 201, 2)
+        y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
+        np.testing.assert_array_equal(states[:, 0], np.tile(y0, (3, 1)))
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert not np.array_equal(states[i, 1:], states[j, 1:])
 
 
 @pytest.mark.parametrize("kind", ["step", "impulse"])

@@ -100,6 +100,30 @@ class TestStep:
             expected = truncated_susceptibility(two_sector_table.coefficients, t) @ x
             np.testing.assert_array_equal(curve.values[k], expected)
 
+    def test_zero_shock_is_zero(self, two_sector_table):
+        curve = step_response(two_sector_table, np.zeros(2), response_grid(3.0, 0.5))
+        assert not curve.values.any()
+
+    def test_superposition_and_scaling_exact(self, two_sector_table):
+        grid = response_grid(3.0, 0.5)
+        x1 = np.array([1.0, 0.0])
+        x2 = np.array([0.0, 2.0])
+        c1 = step_response(two_sector_table, x1, grid)
+        c2 = step_response(two_sector_table, x2, grid)
+        both = step_response(two_sector_table, x1 + x2, grid)
+        np.testing.assert_allclose(both.values, c1.values + c2.values, atol=1e-13)
+        scaled = step_response(two_sector_table, 3.0 * x1, grid)
+        np.testing.assert_allclose(scaled.values, 3.0 * c1.values, rtol=1e-13)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_time_derivative_is_impulse_response(self, two_sector_table, t):
+        x = np.array([1.0, -0.5])
+        h = 1e-4
+        curve = step_response(two_sector_table, x, np.array([0.0, t - h, t + h]))
+        slope = (curve.values[2] - curve.values[1]) / (2.0 * h)
+        impulse = impulse_response(two_sector_table, x, np.array([0.0, t]))
+        np.testing.assert_allclose(slope, impulse.values[1], rtol=1e-6)
+
 
 class TestUniformGrid:
     """Curves on a uniform grid are propagated with one expm per curve."""
