@@ -38,7 +38,9 @@ BLOWUP_FACTOR = 1e12
 DEFAULT_DT = 0.01
 DEFAULT_BURN_IN = 50.0
 
-_NOISE_CHUNK = 16384
+#: Euler steps per block of noise draws.  The stream position depends only
+#: on the count drawn, so the block size never changes a variate.
+_NOISE_CHUNK = 1024
 
 
 def step_count(span: float, dt: float) -> int:
@@ -168,7 +170,8 @@ class Trajectory:
 
 def _noise_transform(nu: np.ndarray):
     """Map from standard normal draws (last axis N) to draws of covariance nu,
-    through a factor nu = F F^T; None for zero noise."""
+    through a factor nu = F F^T; None for zero noise.  A diagonal nu scales
+    the draws in place."""
     nu = np.asarray(nu, dtype=float)
     if not nu.any():
         return None
@@ -178,7 +181,7 @@ def _noise_transform(nu: np.ndarray):
         if np.any(diag < 0.0):
             raise ValueError("noise covariance has negative diagonal entries")
         scale = np.sqrt(diag)
-        return lambda draws: draws * scale
+        return lambda draws: np.multiply(draws, scale, out=draws)
     w, v = np.linalg.eigh(0.5 * (nu + nu.T))
     if np.min(w) < -1e-12 * max(np.max(np.abs(w)), 1.0):
         raise ValueError("noise covariance is not positive semidefinite")
@@ -203,6 +206,10 @@ def simulate_batch(
     ``horizon`` starting at t = 0, the end of the burn-in (every path sits at
     the deterministic fixed point Y0 when the run begins).  Shock times refer
     to the recorded clock; the burn-in occupies t < 0.
+
+    Beyond the returned states the run holds the noise of ``_NOISE_CHUNK``
+    steps, two such blocks while the next is drawn.  A path that blows up
+    stops at the end of its block.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -231,6 +238,7 @@ def simulate_batch(
     step_vector = shock.vector if shock.kind == "step" else None
 
     y = np.tile(y0, (replicas, 1))
+    drift = np.empty_like(y)
     step = 0
     # overflow inside a diverging run is caught by the blowup check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,17 +246,20 @@ def simulate_batch(
             chunk = min(_NOISE_CHUNK, total_steps - step)
             if transform is not None:
                 noise = transform(stream.normals((chunk, replicas, n)))
+                noise *= sqrt_dt
             for k in range(chunk):
                 if step >= burn_steps:
                     out[:, step - burn_steps] = y
-                drift = y @ m.T + d
+                np.matmul(y, m.T, out=drift)
+                drift += d
                 if step_vector is not None and step >= burn_steps:
-                    drift = drift + step_vector
-                y = y + drift * dt
+                    drift += step_vector
+                drift *= dt
+                y += drift
                 if transform is not None:
-                    y = y + noise[k] * sqrt_dt
+                    y += noise[k]
                 if impulse_step is not None and step == impulse_step:
-                    y = y + shock.vector
+                    y += shock.vector
                 step += 1
             peak = float(np.max(np.abs(y)))
             if not np.isfinite(peak) or peak > blow_cap:

@@ -32,7 +32,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -320,21 +320,6 @@ def _open_source(source) -> tuple[TextIO, bool]:
     return source, False
 
 
-def _first_undecodable_line(path) -> int:
-    """Line of the first byte of a file that is not UTF-8.
-
-    Lines split at ``\\n``, which no multi-byte UTF-8 sequence contains, so
-    decoding line by line fails on the same byte as decoding the whole file.
-    """
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return lineno
-
-
 class _TableAccumulator:
     """Collects the rows of one (country, year) cell and assembles arrays.
 
@@ -491,6 +476,84 @@ class Panel:
         return first.codes
 
 
+def _scan_rows(lines, want_c, want_y) -> dict[tuple[str, int], _TableAccumulator]:
+    """Check every row of a canonical text, in file order, and collect the
+    selected ones by (country, year)."""
+    accs: dict[tuple[str, int], _TableAccumulator] = {}
+    year_of: dict[str, int] = {}  # each distinct year field, converted once
+    rows = enumerate(csv.reader(lines), start=1)
+    for lineno, row in rows:
+        if row and (len(row) > 1 or row[0].strip()):
+            break
+    else:
+        raise MalformedRow(1, "empty stream (header row required)")
+    if tuple(f.strip() for f in row) != _HEADER_FIELDS:
+        raise MalformedRow(lineno, f"expected header {CANONICAL_HEADER!r}")
+    for lineno, row in rows:
+        if len(row) != 6:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            raise MalformedRow(lineno, f"expected 6 fields, got {len(row)}")
+        rtype, c, year_s, rsec, col, value_s = map(str.strip, row)
+        if rtype not in _RECORD_TYPES:
+            raise MalformedRow(lineno, f"unknown record_type {rtype!r}")
+        if not c:
+            raise MalformedRow(lineno, "empty country field")
+        if not rsec:
+            raise MalformedRow(lineno, "empty row_sector field")
+        y = year_of.get(year_s)
+        if y is None:
+            try:
+                y = year_of[year_s] = int(year_s)
+            except ValueError:
+                raise MalformedRow(lineno, f"year {year_s!r} is not an integer") from None
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise MalformedRow(lineno, f"value {value_s!r} is not a number") from None
+        if not math.isfinite(value):
+            raise MalformedRow(lineno, f"non-finite value {value_s!r}")
+        if rtype == "OUTPUT":
+            if col:
+                raise MalformedRow(lineno, "OUTPUT rows must leave the col field empty")
+        elif not col:
+            raise MalformedRow(lineno, f"{rtype} rows need a col_sector_or_dest field")
+        if want_c is not None and c not in want_c:
+            continue
+        if want_y is not None and y not in want_y:
+            continue
+        acc = accs.get((c, y))
+        if acc is None:
+            acc = accs[(c, y)] = _TableAccumulator(c, y)
+        acc.add(lineno, rtype, rsec, col, value)
+    return accs
+
+
+def _raise_first_bad_line(path, want_c, want_y, reason: str) -> NoReturn:
+    """Raise the error of the first bad line of a file that is not UTF-8.
+
+    The file is decoded one line at a time, which fails on the same byte as
+    decoding it whole, since no multi-byte UTF-8 sequence contains ``\\r``
+    or ``\\n``.  The lines before that byte get every row check, so a bad
+    row among them is reported in its place.
+    """
+    lineno = 0
+
+    def decoded():
+        nonlocal lineno
+        with open(path, "rb") as fh:
+            for block in fh:
+                for line in block.splitlines(keepends=True):
+                    lineno += 1
+                    yield line.decode("utf-8")
+
+    try:
+        _scan_rows(decoded(), want_c, want_y)
+    except UnicodeDecodeError as exc:
+        reason = exc.reason
+    raise MalformedRow(lineno, f"not UTF-8 text ({reason})") from None
+
+
 def load_panel(
     path,
     countries: Sequence[str] | None = None,
@@ -502,67 +565,18 @@ def load_panel(
     Every row is validated, inside the selection or not, and the first bad
     one raises :class:`MalformedRow` with its line number.  A file named by
     path that is not UTF-8 raises :class:`MalformedRow` at the line of its
-    first undecodable byte; the file is decoded in blocks ahead of the rows,
-    so that comes before a bad row earlier in the same block.  An open
-    stream's decoding is its owner's.
+    first undecodable byte, unless a bad row comes before that line.  An
+    open stream's decoding is its owner's.
     """
     want_c = set(countries) if countries is not None else None
     want_y = {int(y) for y in years} if years is not None else None
-    accs: dict[tuple[str, int], _TableAccumulator] = {}
-    year_of: dict[str, int] = {}  # each distinct year field, converted once
     stream, close = _open_source(path)
     try:
-        rows = enumerate(csv.reader(stream), start=1)
-        for lineno, row in rows:
-            if row and (len(row) > 1 or row[0].strip()):
-                break
-        else:
-            raise MalformedRow(1, "empty stream (header row required)")
-        if tuple(f.strip() for f in row) != _HEADER_FIELDS:
-            raise MalformedRow(lineno, f"expected header {CANONICAL_HEADER!r}")
-        for lineno, row in rows:
-            if len(row) != 6:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                raise MalformedRow(lineno, f"expected 6 fields, got {len(row)}")
-            rtype, c, year_s, rsec, col, value_s = map(str.strip, row)
-            if rtype not in _RECORD_TYPES:
-                raise MalformedRow(lineno, f"unknown record_type {rtype!r}")
-            if not c:
-                raise MalformedRow(lineno, "empty country field")
-            if not rsec:
-                raise MalformedRow(lineno, "empty row_sector field")
-            y = year_of.get(year_s)
-            if y is None:
-                try:
-                    y = year_of[year_s] = int(year_s)
-                except ValueError:
-                    raise MalformedRow(lineno, f"year {year_s!r} is not an integer") from None
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise MalformedRow(lineno, f"value {value_s!r} is not a number") from None
-            if not math.isfinite(value):
-                raise MalformedRow(lineno, f"non-finite value {value_s!r}")
-            if rtype == "OUTPUT":
-                if col:
-                    raise MalformedRow(lineno, "OUTPUT rows must leave the col field empty")
-            elif not col:
-                raise MalformedRow(lineno, f"{rtype} rows need a col_sector_or_dest field")
-            if want_c is not None and c not in want_c:
-                continue
-            if want_y is not None and y not in want_y:
-                continue
-            acc = accs.get((c, y))
-            if acc is None:
-                acc = accs[(c, y)] = _TableAccumulator(c, y)
-            acc.add(lineno, rtype, rsec, col, value)
+        accs = _scan_rows(stream, want_c, want_y)
     except UnicodeDecodeError as exc:
         if not close:
             raise
-        raise MalformedRow(
-            _first_undecodable_line(path), f"not UTF-8 text ({exc.reason})"
-        ) from None
+        _raise_first_bad_line(path, want_c, want_y, exc.reason)
     finally:
         if close:
             stream.close()

@@ -33,9 +33,14 @@ class GaussianStream:
         self._gen = np.random.Generator(np.random.Philox(seed=ss))
 
     def normals(self, shape) -> np.ndarray:
-        """Return an array of independent N(0, 1) draws."""
+        """Return an array of independent N(0, 1) draws.
+
+        The uniforms are transformed in place, so the call holds at most
+        the integer draw and one float array of ``shape``.
+        """
         from scipy.special import ndtri
 
-        k = self._gen.integers(0, _TWO_53, size=shape, dtype=np.uint64)
-        u = (k.astype(np.float64) + 0.5) * _INV_TWO_53
-        return ndtri(u)
+        u = self._gen.integers(0, _TWO_53, size=shape, dtype=np.uint64).astype(np.float64)
+        u += 0.5
+        u *= _INV_TWO_53
+        return ndtri(u, out=u)

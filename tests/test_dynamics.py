@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ioresponse import dynamics
 from ioresponse.dynamics import (
     ShockProfile,
     equilibrium_output,
@@ -14,6 +15,7 @@ from ioresponse.dynamics import (
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
 from ioresponse.response import impulse_response
+from ioresponse.rng import GaussianStream
 
 from conftest import random_economy
 
@@ -265,3 +267,34 @@ def test_shock_vector_length_checked(two_sector_table, kind):
             np.zeros((2, 2)), shock, dt=0.01, horizon=1.0, burn_in=0.0,
             seed=0, replicas=1,
         )
+
+
+class TestNoiseBlocks:
+    """The Euler loop draws its noise in blocks; the block size is invisible."""
+
+    @staticmethod
+    def _run(nu, shock):
+        table = random_economy(4, seed=3)
+        return simulate_batch(
+            table.coefficients, table.demand, nu, shock, dt=0.01, horizon=2.0,
+            burn_in=0.5, seed=9, replicas=3,
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16384])
+    def test_block_size_leaves_paths_bit_identical(self, monkeypatch, chunk):
+        factor = np.arange(16.0).reshape(4, 4) / 40.0
+        cases = [
+            (0.01 * np.diag([1.0, 2.0, 3.0, 4.0]), ShockProfile.none()),
+            (factor @ factor.T, ShockProfile.impulse(np.ones(4))),
+            (0.02 * np.eye(4), ShockProfile.step(np.full(4, 0.5))),
+        ]
+        reference = [self._run(nu, shock) for nu, shock in cases]
+        monkeypatch.setattr(dynamics, "_NOISE_CHUNK", chunk)
+        for (nu, shock), expected in zip(cases, reference):
+            assert np.array_equal(self._run(nu, shock), expected)
+
+    def test_split_draws_concatenate_to_one_draw(self):
+        whole = GaussianStream(11).normals((8, 3, 5))
+        stream = GaussianStream(11)
+        parts = np.concatenate([stream.normals((5, 3, 5)), stream.normals((3, 3, 5))])
+        assert np.array_equal(parts, whole)

@@ -243,6 +243,25 @@ class TestScanner:
             load_panel(path)
         assert err.value.line_number == 2007
 
+    def test_bad_row_before_undecodable_byte_is_reported_first(self, tmp_path):
+        # line 3 has 4 fields; the latin-1 byte on line 104 lies in the same
+        # decoding block, after it in file order
+        path = tmp_path / "latin1.csv"
+        rows = [self.ROWS[0], "FLOW,AAA,2000,S1", *["FLOW,AAA,2000,S1,S2,0.0"] * 100,
+                "OUTPUT,AAA,2000,S\xe93,,1.0"]
+        path.write_bytes(("\n".join((CANONICAL_HEADER, *rows)) + "\n").encode("latin-1"))
+        with pytest.raises(MalformedRow, match=r"^line 3: expected 6 fields, got 4$") as err:
+            load_panel(path)
+        assert err.value.line_number == 3
+
+    def test_carriage_return_lines_are_counted(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        rows = [*self.ROWS[:3], "OUTPUT,AAA,2000,S\xe93,,1.0"]
+        path.write_bytes(("\r".join((CANONICAL_HEADER, *rows)) + "\r").encode("latin-1"))
+        with pytest.raises(MalformedRow, match=r"^line 5: not UTF-8 text") as err:
+            load_panel(path)
+        assert err.value.line_number == 5
+
 
 class TestInvariants:
     def test_accounting_identity_on_panel(self, panel):

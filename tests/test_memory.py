@@ -1,0 +1,77 @@
+"""Working memory of the Monte Carlo route, traced with tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a call
+is the bytes its arrays held at once.  The shape is 4 replicas of 100 years
+at dt = 0.01 (10,001 recorded states each) on a 6-sector economy after a
+1-year burn-in.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ioresponse import dynamics
+from ioresponse.dynamics import ShockProfile, simulate_batch
+from ioresponse.iodata import NoiseSpec, noise_covariance
+from ioresponse.susceptibility import SimulationBudget, susceptibility_monte_carlo
+
+from conftest import random_economy
+
+BUDGET = SimulationBudget(dt=0.01, length=100.0, replicas=4, burn_in=1.0, seed=2)
+
+
+def traced_peak(call):
+    """(result, peak traced bytes above the level at the call's start)."""
+    call()  # imports and FFT plans are not the call's working memory
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+@pytest.fixture(scope="module")
+def economy():
+    return random_economy(6, seed=12)
+
+
+@pytest.fixture(scope="module")
+def nu(economy):
+    return noise_covariance(NoiseSpec.output_proportional(0.01), economy)
+
+
+def _simulate(economy, nu):
+    return simulate_batch(
+        economy.coefficients, economy.demand, nu, ShockProfile.none(),
+        dt=BUDGET.dt, horizon=BUDGET.length, burn_in=BUDGET.burn_in,
+        seed=BUDGET.seed, replicas=BUDGET.replicas,
+    )
+
+
+def test_simulation_holds_states_and_one_noise_block(economy, nu):
+    states, peak = traced_peak(lambda: _simulate(economy, nu))
+    assert states.shape == (4, 10001, 6)
+    # beyond the states: the integer draw and the float block of the next
+    # noise block while the last one is still bound, a tenth of the states
+    # here; half the states bounds it with room
+    assert peak <= 1.5 * states.nbytes
+    block = dynamics._NOISE_CHUNK * BUDGET.replicas * economy.n_sectors * 8
+    assert 3 * block < 0.5 * states.nbytes
+
+
+def test_green_kubo_holds_states_and_filtered_path(economy, nu):
+    states = _simulate(economy, nu)
+    path = states[0].nbytes
+    estimate, peak = traced_peak(
+        lambda: susceptibility_monte_carlo(economy, nu, 1.0, BUDGET)
+    )
+    assert np.all(np.isfinite(estimate.values))
+    # the states, the filtered path z and the FFT columns of a quarter of
+    # the sectors (under one path) at a time
+    assert peak <= states.nbytes + 2 * path
