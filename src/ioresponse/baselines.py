@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, TextIO
 
 import numpy as np
 
@@ -98,23 +98,6 @@ def _difference(series: np.ndarray, d: int) -> np.ndarray:
     for _ in range(d):
         w = np.diff(w)
     return w
-
-
-def _css(w: Sequence[float], p: int, q: int, const: float, phi: float, theta: float) -> float:
-    """Conditional sum of squared innovations with zero pre-sample residuals."""
-    total = 0.0
-    e_prev = 0.0
-    for t in range(p, len(w)):
-        pred = const
-        if p:
-            pred += phi * w[t - 1]
-        if q:
-            pred += theta * e_prev
-        e = w[t] - pred
-        total += e * e
-        if q:
-            e_prev = e
-    return total
 
 
 def _css_profile(w: np.ndarray, p: int, has_const: bool, thetas: np.ndarray):

@@ -7,15 +7,18 @@ drift matrix ``M = A - I`` while being driven by white noise with covariance
     dY = [(A - I) Y + D + X(t)] dt + dW,   cov(dW) = nu dt.
 
 This module provides the fixed point, the stationary and lagged covariances
-of the unshocked process, and Euler-Maruyama sampling of trajectories.  All
-randomness flows through :mod:`ioresponse.rng`, so a seed pins a trajectory
-bit-for-bit.
+of the unshocked process, and Euler-Maruyama sampling of trajectories,
+either as one stored array (``simulate_batch``) or in blocks of recorded
+states as the loop produces them (``_euler_blocks``, which ``simulate_batch``
+fills its array from).  All randomness flows through :mod:`ioresponse.rng`,
+so a seed pins a trajectory bit-for-bit.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -189,6 +192,93 @@ def _noise_transform(nu: np.ndarray):
     return lambda draws: draws @ factor.T
 
 
+def _euler_blocks(
+    coefficients: np.ndarray,
+    demand: np.ndarray,
+    nu: np.ndarray,
+    shock: ShockProfile,
+    dt: float,
+    horizon: float,
+    burn_in: float,
+    seed: int,
+    replicas: int,
+) -> tuple[np.ndarray, int, Iterator[np.ndarray]]:
+    """Check the arguments, then return ``(Y0, records, blocks)``.
+
+    ``blocks`` runs the Euler-Maruyama loop and yields the recorded states
+    in time order as (replicas, b, N) arrays, ``records`` states in all: one
+    block per ``_NOISE_CHUNK`` steps (fewer in the block that ends the
+    burn-in), then the final state.  A block is yielded only after its
+    blow-up check, and the next block overwrites it, so a consumer copies
+    what it keeps.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be > 0")
+    if horizon <= 0.0:
+        raise ValueError("horizon must be > 0")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    a = np.asarray(coefficients, dtype=float)
+    d = np.asarray(demand, dtype=float)
+    n = a.shape[0]
+    shock.check_dimension(n)
+    m = drift_matrix(a)
+    y0 = equilibrium_output(a, d)
+
+    burn_steps = step_count(burn_in, dt)
+    rec_steps = step_count(horizon, dt)
+    total_steps = burn_steps + rec_steps
+
+    transform = _noise_transform(nu)
+    stream = GaussianStream(seed) if transform is not None else None
+    sqrt_dt = np.sqrt(dt)
+    blow_cap = BLOWUP_FACTOR * max(float(np.max(np.abs(y0))), 1.0)
+
+    impulse_step = burn_steps if shock.kind == "impulse" else None
+    step_vector = shock.vector if shock.kind == "step" else None
+
+    def blocks() -> Iterator[np.ndarray]:
+        y = np.tile(y0, (replicas, 1))
+        drift = np.empty_like(y)
+        record = np.empty((replicas, min(_NOISE_CHUNK, rec_steps), n))
+        step = 0
+        while step < total_steps:
+            chunk = min(_NOISE_CHUNK, total_steps - step)
+            if transform is not None:
+                noise = None  # free the last block before the next is drawn
+                noise = transform(stream.normals((chunk, replicas, n)))
+                noise *= sqrt_dt
+            first = max(step, burn_steps)
+            # overflow inside a diverging run is caught by the blowup check
+            # below; the error state is not held across a yield
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(chunk):
+                    if step >= burn_steps:
+                        record[:, step - first] = y
+                    np.matmul(y, m.T, out=drift)
+                    drift += d
+                    if step_vector is not None and step >= burn_steps:
+                        drift += step_vector
+                    drift *= dt
+                    y += drift
+                    if transform is not None:
+                        y += noise[k]
+                    if impulse_step is not None and step == impulse_step:
+                        y += shock.vector
+                    step += 1
+                peak = float(np.max(np.abs(y)))
+            if not np.isfinite(peak) or peak > blow_cap:
+                raise NumericalBlowup(
+                    f"state magnitude exceeded {BLOWUP_FACTOR:.0e} x ||Y0||_inf "
+                    f"at t = {(step - burn_steps) * dt:.4g}"
+                )
+            if step > first:
+                yield record[:, :step - first]
+        yield y[:, None]
+
+    return y0, rec_steps + 1, blocks()
+
+
 def simulate_batch(
     coefficients: np.ndarray,
     demand: np.ndarray,
@@ -207,67 +297,20 @@ def simulate_batch(
     the deterministic fixed point Y0 when the run begins).  Shock times refer
     to the recorded clock; the burn-in occupies t < 0.
 
-    Beyond the returned states the run holds the noise of ``_NOISE_CHUNK``
-    steps, two such blocks while the next is drawn.  A path that blows up
-    stops at the end of its block.
+    Beyond the returned states the run holds the noise and the recorded
+    states of ``_NOISE_CHUNK`` steps, and the next noise block while it is
+    drawn.  A path that blows up stops at the end of its block.  A caller
+    that needs only sums over the states can take the blocks as they are
+    recorded instead (see :mod:`ioresponse.susceptibility`).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    a = np.asarray(coefficients, dtype=float)
-    d = np.asarray(demand, dtype=float)
-    n = a.shape[0]
-    shock.check_dimension(n)
-    m = drift_matrix(a)
-    y0 = equilibrium_output(a, d)
-
-    burn_steps = step_count(burn_in, dt)
-    rec_steps = step_count(horizon, dt)
-    total_steps = burn_steps + rec_steps
-    out = np.empty((replicas, rec_steps + 1, n))
-
-    transform = _noise_transform(nu)
-    stream = GaussianStream(seed) if transform is not None else None
-    sqrt_dt = np.sqrt(dt)
-    blow_cap = BLOWUP_FACTOR * max(float(np.max(np.abs(y0))), 1.0)
-
-    impulse_step = burn_steps if shock.kind == "impulse" else None
-    step_vector = shock.vector if shock.kind == "step" else None
-
-    y = np.tile(y0, (replicas, 1))
-    drift = np.empty_like(y)
-    step = 0
-    # overflow inside a diverging run is caught by the blowup check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < total_steps:
-            chunk = min(_NOISE_CHUNK, total_steps - step)
-            if transform is not None:
-                noise = transform(stream.normals((chunk, replicas, n)))
-                noise *= sqrt_dt
-            for k in range(chunk):
-                if step >= burn_steps:
-                    out[:, step - burn_steps] = y
-                np.matmul(y, m.T, out=drift)
-                drift += d
-                if step_vector is not None and step >= burn_steps:
-                    drift += step_vector
-                drift *= dt
-                y += drift
-                if transform is not None:
-                    y += noise[k]
-                if impulse_step is not None and step == impulse_step:
-                    y += shock.vector
-                step += 1
-            peak = float(np.max(np.abs(y)))
-            if not np.isfinite(peak) or peak > blow_cap:
-                raise NumericalBlowup(
-                    f"state magnitude exceeded {BLOWUP_FACTOR:.0e} x ||Y0||_inf "
-                    f"at t = {(step - burn_steps) * dt:.4g}"
-                )
-        out[:, -1] = y
+    y0, records, blocks = _euler_blocks(
+        coefficients, demand, nu, shock, dt, horizon, burn_in, seed, replicas
+    )
+    out = np.empty((replicas, records, y0.shape[0]))
+    filled = 0
+    for block in blocks:
+        out[:, filled:filled + block.shape[1]] = block
+        filled += block.shape[1]
     return out
 
 

@@ -14,7 +14,11 @@ to the stationary output change of sector k.  Two routes are provided:
   unshocked trajectories: lagged covariances of centered states are
   accumulated on the dt lag grid, integrated by the trapezoid rule up to the
   horizon T, and multiplied by the inverse sample covariance.  Replicas give
-  standard errors.
+  standard errors.  The integral is accumulated block by block while the
+  replicas are simulated (``_GreenKuboSums``), so no path is stored and the
+  working memory does not grow with the simulated length.
+  ``monte_carlo_propagator`` feeds the same sums and also stores the paths,
+  which its per-lag propagators need.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .dynamics import (
     DEFAULT_BURN_IN,
     DEFAULT_DT,
     ShockProfile,
+    _euler_blocks,
     drift_matrix,
-    simulate_batch,
     step_count,
 )
 from .errors import InsufficientSamples, MissingPanelCell
@@ -49,11 +53,15 @@ class SimulationBudget:
     Frobenius error of the Green-Kubo ``rho(1)`` at 4.8% for a 56-sector
     economy under the default noise.
 
-    Memory: a run stores the states of every replica,
-    ``replicas * (length / dt + 1) * N * 8`` bytes, and the Green-Kubo
-    filter adds one path (one replica's states).  At N = 56 that is
-    717 + 90 MB for the default and 143 + 18 MB for the command line's
-    8 replicas of 400 years (72 + 9 MB at N = 28).
+    Memory: ``susceptibility_monte_carlo`` stores no states.  It holds the
+    replicas' current states, the noise and the recorded states of one
+    block of 1,024 Euler steps, and the Green-Kubo filter's FFT buffers,
+    whatever the length: a traced peak of 10 MB at N = 28 and 20 MB at
+    N = 56 for 8 replicas.  A process running it peaked at 75 MB at N = 28
+    and 87 MB at N = 56, for the default as for the command line's 8
+    replicas of 400 years (when the states were stored: 475 and 146 MB at
+    N = 28, 878 and 227 MB at N = 56).  ``monte_carlo_propagator`` still
+    stores ``replicas * (length / dt + 1) * N * 8`` bytes of states.
     """
 
     dt: float = DEFAULT_DT
@@ -196,11 +204,18 @@ def lag_count(horizon: float, budget: SimulationBudget) -> int:
     return n_lags
 
 
-def _centered_replicas(
+#: States per FFT segment of the Green-Kubo filter.  A segment is never
+#: shorter than the lag count, so no FFT spans more than twice the states it
+#: filters.
+_SEGMENT = 1024
+
+
+def _unshocked_blocks(
     table: IOTable, nu: np.ndarray, budget: SimulationBudget
-) -> Iterator[np.ndarray]:
-    """Unshocked replica paths, each centered in place on its own time mean."""
-    states = simulate_batch(
+) -> tuple[np.ndarray, int, Iterator[np.ndarray]]:
+    """``(Y0, records, blocks)`` of the budget's unshocked replicas, with the
+    recorded states in blocks as :func:`dynamics._euler_blocks` yields them."""
+    return _euler_blocks(
         table.coefficients,
         table.demand,
         nu,
@@ -211,9 +226,6 @@ def _centered_replicas(
         seed=budget.seed,
         replicas=budget.replicas,
     )
-    for path in states:
-        path -= path.mean(axis=0, keepdims=True)
-        yield path
 
 
 def _lag_covariances(y: np.ndarray, n_lags: int) -> list[np.ndarray]:
@@ -225,33 +237,109 @@ def _lag_covariances(y: np.ndarray, n_lags: int) -> list[np.ndarray]:
     return out
 
 
-def _green_kubo_integral(y: np.ndarray, n_lags: int, dt: float) -> np.ndarray:
-    """Trapezoid integral of C_hat(k dt) sigma_hat^{-1} over k = 0..n_lags.
+class _GreenKuboSums:
+    """Green-Kubo integrals of replica paths fed in blocks of states.
 
-    The lag sum ``sum_k w_k C_hat(k dt)`` (trapezoid weight times dt) equals
-    ``z.T @ y`` for the filtered path ``z[t] = sum_k w_k y[t + k] / (n - k)``,
-    which one zero-padded FFT correlation computes for all lags at once.
-    The correlation runs on an eighth of the sectors (at least one) at a
-    time, so beyond ``z`` its FFT buffers hold under one path's bytes from 5
-    sectors up, and half a path from 8 up.
+    Per replica the result is ``sum_k w_k C_hat(k dt) sigma_hat^{-1}``, with
+    ``w_k`` the trapezoid weights times dt, over the lags k = 0..n_lags of
+    the path centered on its own mean.  No path is stored:
+
+    * Each state enters as its deviation ``x = y - Y0`` from the known fixed
+      point, so the sums below do not cancel.
+    * With the taps ``h_k = w_k / (n - k)``, the uncentered lag sum
+      ``sum_k h_k sum_t x[t + k] x[t]^T`` is ``sum_s x[s] u[s]^T`` for the
+      causal filter ``u[s] = sum_k h_k x[s - k]``.  An overlap-save FFT
+      computes ``u`` over segments of ``_SEGMENT`` states (``n_lags`` if
+      more), carrying the last ``n_lags`` states from one to the next.
+    * Running sums of ``x`` and ``x x^T`` and the filter's end terms (the
+      first ``n_lags`` states, weighted as they are fed, and the last
+      ``n_lags``, which are the final carry) make centering on the sample
+      mean an exact correction at the end.
+
+    The segments do not depend on how the states are split into blocks, so
+    equal states give equal bits however they are fed.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
 
-    n = y.shape[0]
-    weights = np.full(n_lags + 1, dt)
-    weights[[0, -1]] = 0.5 * dt
-    taps = weights / (n - np.arange(n_lags + 1))
-    size = next_fast_len(n + n_lags, real=True)
-    taps_spectrum = np.conj(rfft(taps, size))[:, None]
-    z = np.empty_like(y)
-    width = max(1, y.shape[1] // 8)
-    for j in range(0, y.shape[1], width):
-        spectrum = rfft(y[:, j:j + width], size, axis=0)
-        spectrum *= taps_spectrum
-        z[:, j:j + width] = irfft(spectrum, size, axis=0)[:n]
-    sigma_hat = y.T @ y / n
-    # (sum_k w_k C_k) sigma^{-1}; sigma_hat is symmetric
-    return np.linalg.solve(sigma_hat, (z.T @ y).T).T
+    def __init__(self, origin: np.ndarray, records: int, n_lags: int, dt: float, replicas: int):
+        from scipy.fft import next_fast_len, rfft
+
+        weights = np.full(n_lags + 1, dt)
+        weights[[0, -1]] = 0.5 * dt
+        taps = weights / (records - np.arange(n_lags + 1))
+        # from_lag[j] = sum_{k >= j} h_k: the weight of a state j steps from
+        # either end of the path in the terms the mean correction needs
+        from_lag = np.cumsum(taps[::-1])[::-1]
+        self._head_weights = from_lag[1:]  # first states, in time order
+        self._tail_weights = from_lag[:0:-1]  # last states, in time order
+        self._tap_sum = from_lag[0]
+        self._weight_sum = weights.sum()  # sum_k h_k (n - k)
+        self._origin = origin
+        self._records = records
+        self._lags = n_lags
+        self._segment = max(_SEGMENT, n_lags)
+        self._size = next_fast_len(n_lags + self._segment, real=True)
+        self._taps_spectrum = rfft(taps, self._size)[:, None]
+        n = origin.shape[0]
+        # the carried n_lags states, then the segment being filled
+        self._buffer = np.zeros((replicas, n_lags + self._segment, n))
+        self._fill = 0
+        self._seen = 0
+        self._cross = np.zeros((replicas, n, n))  # sum_s x[s] u[s]^T
+        self._gram = np.zeros((replicas, n, n))  # sum_s x[s] x[s]^T
+        self._total = np.zeros((replicas, n))  # sum_s x[s]
+        self._head = np.zeros((replicas, n))  # sum_{k, s < k} h_k x[s]
+
+    def add(self, block: np.ndarray) -> None:
+        """Feed the next (replicas, b, N) states of every path."""
+        done = 0
+        while done < block.shape[1]:
+            take = min(block.shape[1] - done, self._segment - self._fill)
+            start = self._lags + self._fill
+            np.subtract(block[:, done:done + take], self._origin,
+                        out=self._buffer[:, start:start + take])
+            self._fill += take
+            done += take
+            if self._fill == self._segment:
+                self._flush()
+
+    def _flush(self) -> None:
+        from scipy.fft import irfft, rfft
+
+        lags, fill = self._lags, self._fill
+        x = self._buffer[:, lags:lags + fill]
+        spectrum = rfft(self._buffer, self._size, axis=1)
+        spectrum *= self._taps_spectrum
+        # outputs at the carry's positions would need older states
+        u = irfft(spectrum, self._size, axis=1)[:, lags:lags + fill]
+        xt = x.transpose(0, 2, 1)
+        self._cross += xt @ u
+        self._gram += xt @ x
+        self._total += x.sum(axis=1)
+        if self._seen < lags:
+            head = min(lags - self._seen, fill)
+            self._head += self._head_weights[self._seen:self._seen + head] @ x[:, :head]
+        self._seen += fill
+        self._buffer[:, :lags] = self._buffer[:, fill:fill + lags]
+        self._fill = 0
+
+    def integrals(self) -> np.ndarray:
+        """(replicas, N, N) integrals once all ``records`` states are fed."""
+        if self._fill:
+            self._flush()
+        mean = self._total / self._records
+        tail = self._tail_weights @ self._buffer[:, :self._lags]
+        # sum_k h_k sum_t x[t + k] and sum_k h_k sum_t x[t], t < n - k
+        later = self._tap_sum * self._total - self._head
+        earlier = self._tap_sum * self._total - tail
+        lagged = (
+            self._cross
+            - mean[:, :, None] * earlier[:, None, :]
+            - later[:, :, None] * mean[:, None, :]
+            + self._weight_sum * mean[:, :, None] * mean[:, None, :]
+        )
+        sigma = (self._gram - self._total[:, :, None] * mean[:, None, :]) / self._records
+        # (sum_k w_k C_k) sigma^{-1}; sigma is symmetric
+        return np.linalg.solve(sigma, lagged.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 def monte_carlo_propagator(
@@ -268,15 +356,22 @@ def monte_carlo_propagator(
     """
     n_lags = lag_count(horizon, budget)
     lags = budget.dt * np.arange(n_lags + 1)
+    origin, records, blocks = _unshocked_blocks(table, nu, budget)
+    sums = _GreenKuboSums(origin, records, n_lags, budget.dt, budget.replicas)
+    states = np.empty((budget.replicas, records, origin.shape[0]))
+    filled = 0
+    for block in blocks:
+        sums.add(block)
+        states[:, filled:filled + block.shape[1]] = block
+        filled += block.shape[1]
+    integrals = list(sums.integrals())
     propagators = []
-    integrals = []
-    for y in _centered_replicas(table, nu, budget):
+    for y in states:
+        y -= y.mean(axis=0, keepdims=True)
         cov = _lag_covariances(y, n_lags)
         sigma_hat = cov[0]
         # C(k dt) sigma^{-1}; sigma_hat is symmetric
-        prop = np.stack([np.linalg.solve(sigma_hat, c.T).T for c in cov])
-        propagators.append(prop)
-        integrals.append(_green_kubo_integral(y, n_lags, budget.dt))
+        propagators.append(np.stack([np.linalg.solve(sigma_hat, c.T).T for c in cov]))
     return lags, propagators, integrals
 
 
@@ -295,10 +390,11 @@ def susceptibility_monte_carlo(
             "standard errors need at least 2 replicas"
         )
     n_lags = lag_count(horizon, budget)
-    stack = np.stack([
-        _green_kubo_integral(y, n_lags, budget.dt)
-        for y in _centered_replicas(table, nu, budget)
-    ])
+    origin, records, blocks = _unshocked_blocks(table, nu, budget)
+    sums = _GreenKuboSums(origin, records, n_lags, budget.dt, budget.replicas)
+    for block in blocks:
+        sums.add(block)
+    stack = sums.integrals()
     return SusceptibilityMatrix(
         values=stack.mean(axis=0),
         sectors=table.codes,

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ioresponse.baselines import (
-    _css,
     _difference,
     arima_forecast,
     benchmark_lrt_vs_baseline,
@@ -107,6 +106,24 @@ class TestFitArima:
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             fit_arima(np.arange(20.0), 2, 0, 0)
+
+
+def _css(w, p: int, q: int, const: float, phi: float, theta: float) -> float:
+    """Conditional sum of squared innovations with zero pre-sample residuals:
+    the objective that ``fit_arima`` minimizes, one parameter set at a time."""
+    total = 0.0
+    e_prev = 0.0
+    for t in range(p, len(w)):
+        pred = const
+        if p:
+            pred += phi * w[t - 1]
+        if q:
+            pred += theta * e_prev
+        e = w[t] - pred
+        total += e * e
+        if q:
+            e_prev = e
+    return total
 
 
 def _lbfgsb_reference(series, p, d, q):

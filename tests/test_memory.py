@@ -6,6 +6,7 @@ at dt = 0.01 (10,001 recorded states each) on a 6-sector economy after a
 1-year burn-in.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -75,3 +76,14 @@ def test_green_kubo_holds_states_and_filtered_path(economy, nu):
     # the states, the filtered path z and the FFT columns of a quarter of
     # the sectors (under one path) at a time
     assert peak <= states.nbytes + 2 * path
+
+
+def test_green_kubo_memory_does_not_grow_with_length(economy, nu):
+    peaks = []
+    for length in (100.0, 400.0):
+        budget = dataclasses.replace(BUDGET, length=length)
+        _, peak = traced_peak(lambda: susceptibility_monte_carlo(economy, nu, 1.0, budget))
+        peaks.append(peak)
+    # four times the states (5.8 MB more here) may add at most one noise block
+    block = dynamics._NOISE_CHUNK * BUDGET.replicas * economy.n_sectors * 8
+    assert peaks[1] - peaks[0] <= block

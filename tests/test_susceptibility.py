@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_batch
 from ioresponse.errors import InsufficientSamples, MissingPanelCell
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
 from ioresponse.response import impulse_response_monte_carlo
 from ioresponse.susceptibility import expm as package_expm
 from ioresponse.susceptibility import (
     SimulationBudget,
+    _GreenKuboSums,
     aggregate_susceptibilities,
     monte_carlo_propagator,
     sector_susceptibility,
@@ -237,6 +239,32 @@ class TestGreenKuboIntegral:
         est = susceptibility_monte_carlo(economy, nu, 1.0, budget)
         _, _, integrals = monte_carlo_propagator(economy, nu, 1.0, budget)
         assert np.array_equal(est.values, np.stack(integrals).mean(axis=0))
+
+    # a path inside one FFT segment; more lags than a segment holds states
+    @pytest.mark.parametrize("length, horizon", [(5.0, 1.0), (30.0, 12.0)])
+    def test_segment_edges_match_trapezoid_of_propagators(self, economy, nu, length, horizon):
+        budget = SimulationBudget(dt=0.01, length=length, replicas=2, burn_in=5.0, seed=8)
+        _, propagators, integrals = monte_carlo_propagator(economy, nu, horizon, budget)
+        for prop, integral in zip(propagators, integrals):
+            reference = budget.dt * (
+                0.5 * (prop[0] + prop[-1]) + prop[1:-1].sum(axis=0)
+            )
+            err = np.linalg.norm(integral - reference) / np.linalg.norm(reference)
+            assert err < 1e-12
+
+    def test_sums_do_not_depend_on_how_states_are_fed(self, economy, nu):
+        states = simulate_batch(
+            economy.coefficients, economy.demand, nu, ShockProfile.none(),
+            dt=0.01, horizon=30.0, burn_in=5.0, seed=9, replicas=2,
+        )
+        origin = equilibrium_output(economy.coefficients, economy.demand)
+        results = []
+        for width in (1, 7, 1024, states.shape[1]):
+            sums = _GreenKuboSums(origin, states.shape[1], 150, 0.01, 2)
+            for start in range(0, states.shape[1], width):
+                sums.add(states[:, start:start + width])
+            results.append(sums.integrals())
+        assert all(np.array_equal(results[0], r) for r in results[1:])
 
 
 class TestSectorSusceptibility:
