@@ -51,6 +51,12 @@ from .errors import (
 CANONICAL_HEADER = "record_type,country,year,row_sector,col_sector_or_dest,value"
 _HEADER_FIELDS = tuple(CANONICAL_HEADER.split(","))
 _RECORD_TYPES = frozenset({"FLOW", "FINAL", "OUTPUT"})
+#: A nonnegative A whose column sums are all below this is productive.  The
+#: margin is far above rounding: the eigenvalues ``spectral_radius`` computes
+#: are exact for some ``A + E`` with ``|E|_1`` a small multiple of machine
+#: epsilon times ``|A|_1``, so they too lie below 1 and the bound decides as
+#: they would.
+_PRODUCTIVE_NORM = 1.0 - 1e-12
 
 
 class NegativeResidualDemand(UserWarning):
@@ -162,6 +168,14 @@ class IOTable:
         include the home country; that column only pins down which
         destinations exist -- the domestic component is always recomputed as
         the residual).
+
+        The table must be productive, ``rho(A) < 1``; otherwise
+        :class:`NonProductiveEconomy` carries the eigenvalue radius.  Flows
+        and outputs are nonnegative, so ``A >= 0`` and ``rho(A)`` is at most
+        the largest column sum of ``A`` (its induced 1-norm).  A table whose
+        largest column sum is below ``1 - 1e-12`` is accepted without an
+        eigenvalue solve; any other table is decided by
+        :func:`spectral_radius`.
         """
         codes = [str(c) for c in codes]
         n = len(codes)
@@ -202,9 +216,10 @@ class IOTable:
         with np.errstate(divide="ignore", invalid="ignore"):
             coeff = np.where(output[None, :] > 0.0, flows / output[None, :], 0.0)
 
-        radius = spectral_radius(coeff)
-        if radius >= 1.0:
-            raise NonProductiveEconomy(radius, detail=f"{country}/{year}")
+        if coeff.sum(axis=0).max() >= _PRODUCTIVE_NORM:
+            radius = spectral_radius(coeff)
+            if radius >= 1.0:
+                raise NonProductiveEconomy(radius, detail=f"{country}/{year}")
 
         demand = output - coeff @ output
         if np.any(demand < 0.0):
@@ -466,7 +481,9 @@ class Panel:
     def codes(self) -> tuple[str, ...]:
         """Common sector code tuple, validated across all tables."""
         tables = iter(self)
-        first = next(tables)
+        first = next(tables, None)
+        if first is None:
+            raise MissingCountryYear("panel has no tables")
         for t in tables:
             if t.codes != first.codes:
                 raise InconsistentTable(

@@ -2,12 +2,15 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ioresponse import iodata
+from ioresponse.cli import run
 from ioresponse.errors import (
     InconsistentTable,
     MalformedRow,
@@ -295,6 +298,88 @@ class TestInvariants:
             two_sector_table.flows[0, 0] = 1.0
 
 
+def _productivity_case(kind: str, n: int, scale: float, seed: int):
+    """Nonnegative (flows, output) of one kind; see the test below."""
+    rng = np.random.default_rng(seed)
+    output = rng.uniform(0.5, 2.0, size=n)
+    if kind == "unit_norm":
+        # Entries k/8 and power-of-two outputs make A exact: one column sums
+        # to exactly 1, the others to at most 1.
+        totals = rng.integers(0, 9, size=n)
+        totals[rng.integers(n)] = 8
+        a = np.stack([rng.multinomial(t, np.full(n, 1.0 / n)) for t in totals], axis=1) / 8.0
+        output = 2.0 ** rng.integers(-3, 4, size=n).astype(float)
+    elif kind == "triangular":
+        # Large entries above the diagonal, so columns sum to 1 or more
+        # while the radius is the largest diagonal entry.
+        a = np.triu(rng.uniform(1.0, 10.0, size=(n, n)), k=1)
+        diagonal = rng.uniform(0.0, scale, size=n)
+        diagonal[rng.integers(n)] = scale
+        a += np.diag(diagonal)
+    else:
+        a = rng.uniform(0.0, 1.0, size=(n, n))
+        if kind == "zero_output":
+            idle = rng.random(n) < 0.4
+            idle[rng.integers(n)] = True
+            a[:, idle] = 0.0
+            output[idle] = 0.0
+        radius = spectral_radius(a)
+        if radius > 0.0:
+            a *= scale / radius
+    return a * output[None, :], output
+
+
+class TestProductivityCheck:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        kind=st.sampled_from(["dense", "triangular", "zero_output", "unit_norm"]),
+        n=st.integers(1, 7),
+        scale=st.floats(0.5, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="triangular", n=4, scale=0.9, seed=0)
+    @example(kind="triangular", n=4, scale=1.0, seed=1)
+    @example(kind="zero_output", n=5, scale=0.99, seed=2)
+    @example(kind="unit_norm", n=3, scale=1.0, seed=3)
+    @example(kind="dense", n=6, scale=1.0 - 1e-12, seed=4)
+    def test_decision_matches_eigenvalue_rule(self, kind, n, scale, seed):
+        flows, output = _productivity_case(kind, n, scale, seed)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coeff = np.where(output[None, :] > 0.0, flows / output[None, :], 0.0)
+        if kind == "triangular" and n > 1:
+            assert coeff.sum(axis=0).max() >= 1.0
+        if kind == "unit_norm":
+            assert coeff.sum(axis=0).max() == 1.0
+        radius = spectral_radius(coeff)
+        codes = [f"S{k}" for k in range(n)]
+        if radius >= 1.0:
+            with pytest.raises(NonProductiveEconomy) as err:
+                IOTable.from_flows("AAA", 2000, codes, flows, output)
+            assert err.value.spectral_radius == radius
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NegativeResidualDemand)
+                table = IOTable.from_flows("AAA", 2000, codes, flows, output)
+            np.testing.assert_array_equal(table.coefficients, coeff)
+
+    def test_only_the_ingest_report_solves_for_eigenvalues(self, monkeypatch, tmp_path):
+        calls = []
+        solve = iodata.spectral_radius
+
+        def counted(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(iodata, "spectral_radius", counted)
+        panel = build_panel(2, (2000, 2001), n_sectors=56, seed=3)
+        assert calls == []
+        path = tmp_path / "panel.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_panel(panel, fh)
+        assert run(["ingest", "--data", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(56, 56)] * len(panel)
+
+
 class TestRoundTrip:
     def test_parse_write_parse_identity(self, panel):
         buf = io.StringIO()
@@ -440,6 +525,11 @@ class TestNoise:
         with pytest.warns(UserWarning, match="singular"):
             nu = noise_covariance(NoiseSpec.output_proportional(0.01), table)
         assert nu[1, 1] == 0.0
+
+
+def test_empty_panel_has_no_codes():
+    with pytest.raises(MissingCountryYear, match="panel has no tables"):
+        Panel([]).codes()
 
 
 def test_build_panel_is_deterministic():
