@@ -5,7 +5,9 @@ sector scores, panel ranking), ``response`` (shock curves and recovery
 times), ``forecast`` (implied shocks and two-year predictions),
 ``benchmark`` (forecast comparison against a baseline plus the fluctuation
 regression), ``scenario`` (demand-shock impact reports), and ``backbone``
-(disparity-filtered network export).
+(disparity-filtered network export).  ``--method`` selects the route of
+``susceptibility`` only; every other subcommand is analytic, and records
+``--method`` in its manifest without using it.
 
 Configuration precedence is flags > environment (``IORESPONSE_<KEY>``) >
 config file (flat ``key = value`` lines) > defaults.  Every run writes a

@@ -142,8 +142,5 @@ class RankDeficientRegressors(NumericalError):
 
 
 class NonConvergent(NumericalError):
-    """An iterative fit failed to converge; diagnostics attached."""
-
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """The ARIMA grid search found no MA coefficient with a finite sum of
+    squares."""

@@ -21,12 +21,12 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dynamics import ShockProfile, step_count
+from .dynamics import ShockProfile, simulate_batch, step_count
 from .errors import IllConditioned, MissingPanelCell, NumericalError
 from .iodata import IOTable, Panel, leontief_solve, write_table
 from .susceptibility import (
     SimulationBudget,
-    monte_carlo_propagator,
+    lag_count,
     propagator,
     truncated_susceptibility,
 )
@@ -147,12 +147,37 @@ def impulse_response_monte_carlo(
 ) -> ResponseCurve:
     """Impulse response estimated from equilibrium correlations.
 
+    Per replica of n unshocked states ``y``, centered on their mean, the
+    curve at lag k is ``C_hat(k dt) sigma_hat^{-1} x`` with
+    ``C_hat(k dt) = y[k:]^T y[:n-k] / (n - k)``.  One solve
+    ``v = sigma_hat^{-1} x`` per replica projects the states to ``s = y v``,
+    so a lag costs one product ``y[k:]^T s[:n-k]`` and no N x N matrix.
     The curve lives on the simulation lag grid (spacing ``budget.dt``);
-    standard errors come from the replica spread.
+    standard errors come from the replica spread.  The states are stored
+    (see :class:`SimulationBudget`).
     """
     x = np.asarray(shock_vector, dtype=float)
-    lags, propagators, _ = monte_carlo_propagator(table, nu, horizon, budget)
-    curves = np.stack([prop @ x for prop in propagators])  # (R, K+1, N)
+    n_lags = lag_count(horizon, budget)
+    lags = budget.dt * np.arange(n_lags + 1)
+    states = simulate_batch(
+        table.coefficients,
+        table.demand,
+        nu,
+        ShockProfile.none(),
+        dt=budget.dt,
+        horizon=budget.length,
+        burn_in=budget.burn_in,
+        seed=budget.seed,
+        replicas=budget.replicas,
+    )
+    n = states.shape[1]
+    curves = np.empty((budget.replicas, n_lags + 1, len(x)))  # (R, K+1, N)
+    for curve, y in zip(curves, states):
+        y -= y.mean(axis=0)
+        # sigma_hat is C_hat(0)
+        s = y @ np.linalg.solve(y.T @ y / n, x)
+        for k in range(n_lags + 1):
+            curve[k] = y[k:].T @ s[:n - k] / (n - k)
     values = curves.mean(axis=0)
     stderr = curves.std(axis=0, ddof=1) / math.sqrt(len(curves))
     return ResponseCurve(

@@ -17,15 +17,18 @@ to the stationary output change of sector k.  Two routes are provided:
   standard errors.  The integral is accumulated block by block while the
   replicas are simulated (``_GreenKuboSums``), so no path is stored and the
   working memory does not grow with the simulated length.
-  ``monte_carlo_propagator`` feeds the same sums and also stores the paths,
-  which its per-lag propagators need.
+
+The Monte Carlo impulse response
+(:func:`ioresponse.response.impulse_response_monte_carlo`) applies the
+per-lag estimates ``C_hat(k dt) sigma_hat^{-1}`` to one shock vector instead
+of integrating them; it stores the simulated states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -60,8 +63,9 @@ class SimulationBudget:
     N = 56 for 8 replicas.  A process running it peaked at 75 MB at N = 28
     and 87 MB at N = 56, for the default as for the command line's 8
     replicas of 400 years (when the states were stored: 475 and 146 MB at
-    N = 28, 878 and 227 MB at N = 56).  ``monte_carlo_propagator`` still
-    stores ``replicas * (length / dt + 1) * N * 8`` bytes of states.
+    N = 28, 878 and 227 MB at N = 56).  The impulse-curve route,
+    :func:`ioresponse.response.impulse_response_monte_carlo`, stores
+    ``replicas * (length / dt + 1) * N * 8`` bytes of states.
     """
 
     dt: float = DEFAULT_DT
@@ -186,12 +190,18 @@ def susceptibility_analytic(table: IOTable, horizon: float = math.inf) -> Suscep
 
 
 def lag_count(horizon: float, budget: SimulationBudget) -> int:
-    """Number of dt lag steps up to the horizon; each lag needs a sample pair.
+    """Check a Monte Carlo estimate's horizon and budget, and return the
+    number of dt lag steps up to the horizon; each lag needs a sample pair.
 
-    :class:`ValueError` when the horizon is under one step or a step count
-    cannot be formed, :class:`InsufficientSamples` when the lags outrun the
-    recorded states.
+    :class:`ValueError` when the horizon is not finite, is under one step or
+    a step count cannot be formed; :class:`InsufficientSamples` when the
+    budget has fewer than 2 replicas (the standard errors need a spread) or
+    the lags outrun the recorded states.
     """
+    if not math.isfinite(horizon):
+        raise ValueError("Monte Carlo estimates need a finite horizon")
+    if budget.replicas < 2:
+        raise InsufficientSamples("standard errors need at least 2 replicas")
     n_lags = step_count(horizon, budget.dt)
     if n_lags < 1:
         raise ValueError(f"horizon {horizon!r} must cover at least one lag step of {budget.dt!r}")
@@ -208,33 +218,6 @@ def lag_count(horizon: float, budget: SimulationBudget) -> int:
 #: shorter than the lag count, so no FFT spans more than twice the states it
 #: filters.
 _SEGMENT = 1024
-
-
-def _unshocked_blocks(
-    table: IOTable, nu: np.ndarray, budget: SimulationBudget
-) -> tuple[np.ndarray, int, Iterator[np.ndarray]]:
-    """``(Y0, records, blocks)`` of the budget's unshocked replicas, with the
-    recorded states in blocks as :func:`dynamics._euler_blocks` yields them."""
-    return _euler_blocks(
-        table.coefficients,
-        table.demand,
-        nu,
-        ShockProfile.none(),
-        dt=budget.dt,
-        horizon=budget.length,
-        burn_in=budget.burn_in,
-        seed=budget.seed,
-        replicas=budget.replicas,
-    )
-
-
-def _lag_covariances(y: np.ndarray, n_lags: int) -> list[np.ndarray]:
-    """C_hat(k dt)[a, b] = mean_t y[t + k, a] y[t, b] for k = 0..n_lags."""
-    n = y.shape[0]
-    out = []
-    for k in range(n_lags + 1):
-        out.append(y[k:].T @ y[: n - k] / (n - k))
-    return out
 
 
 class _GreenKuboSums:
@@ -342,39 +325,6 @@ class _GreenKuboSums:
         return np.linalg.solve(sigma, lagged.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def monte_carlo_propagator(
-    table: IOTable,
-    nu: np.ndarray,
-    horizon: float,
-    budget: SimulationBudget = SimulationBudget(),
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Per-replica response-propagator estimates on the dt lag grid.
-
-    Returns ``(lags, propagators, integrals)`` where ``propagators[r][k]`` is
-    the replica-r estimate of ``C(k dt) sigma^{-1}`` (a (n_lags+1, N, N)
-    array) and ``integrals[r]`` its trapezoid integral up to the horizon.
-    """
-    n_lags = lag_count(horizon, budget)
-    lags = budget.dt * np.arange(n_lags + 1)
-    origin, records, blocks = _unshocked_blocks(table, nu, budget)
-    sums = _GreenKuboSums(origin, records, n_lags, budget.dt, budget.replicas)
-    states = np.empty((budget.replicas, records, origin.shape[0]))
-    filled = 0
-    for block in blocks:
-        sums.add(block)
-        states[:, filled:filled + block.shape[1]] = block
-        filled += block.shape[1]
-    integrals = list(sums.integrals())
-    propagators = []
-    for y in states:
-        y -= y.mean(axis=0, keepdims=True)
-        cov = _lag_covariances(y, n_lags)
-        sigma_hat = cov[0]
-        # C(k dt) sigma^{-1}; sigma_hat is symmetric
-        propagators.append(np.stack([np.linalg.solve(sigma_hat, c.T).T for c in cov]))
-    return lags, propagators, integrals
-
-
 def susceptibility_monte_carlo(
     table: IOTable,
     nu: np.ndarray,
@@ -382,15 +332,19 @@ def susceptibility_monte_carlo(
     budget: SimulationBudget = SimulationBudget(),
 ) -> SusceptibilityMatrix:
     """Green-Kubo estimate of rho(T) from unshocked trajectories, with
-    standard errors from the replica spread (at least 2 replicas)."""
-    if not math.isfinite(horizon):
-        raise ValueError("Monte Carlo susceptibility needs a finite horizon")
-    if budget.replicas < 2:
-        raise InsufficientSamples(
-            "standard errors need at least 2 replicas"
-        )
+    standard errors from the replica spread (see :func:`lag_count`)."""
     n_lags = lag_count(horizon, budget)
-    origin, records, blocks = _unshocked_blocks(table, nu, budget)
+    origin, records, blocks = _euler_blocks(
+        table.coefficients,
+        table.demand,
+        nu,
+        ShockProfile.none(),
+        dt=budget.dt,
+        horizon=budget.length,
+        burn_in=budget.burn_in,
+        seed=budget.seed,
+        replicas=budget.replicas,
+    )
     sums = _GreenKuboSums(origin, records, n_lags, budget.dt, budget.replicas)
     for block in blocks:
         sums.add(block)

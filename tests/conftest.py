@@ -1,5 +1,6 @@
-"""Shared fixtures: toy economies, random productive economies, and a
-deterministic synthetic panel with export detail."""
+"""Shared fixtures: toy economies, random productive economies, a
+deterministic synthetic panel with export detail, and the per-lag reference
+for the Monte Carlo routes."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_batch
 from ioresponse.iodata import IOTable, Panel, write_panel
 from ioresponse.sectors import WIOD_SECTORS
+from ioresponse.susceptibility import _GreenKuboSums
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -74,6 +77,42 @@ def build_panel(
             )
             demand = demand * np.exp(rng.normal(0.01, 0.05, size=n_sectors))
     return Panel(tables)
+
+
+def unshocked_states(table: IOTable, nu: np.ndarray, budget) -> np.ndarray:
+    """(replicas, records, N) states of a Monte Carlo budget's unshocked run."""
+    return simulate_batch(
+        table.coefficients, table.demand, nu, ShockProfile.none(),
+        dt=budget.dt, horizon=budget.length, burn_in=budget.burn_in,
+        seed=budget.seed, replicas=budget.replicas,
+    )
+
+
+def lag_propagators(states: np.ndarray, n_lags: int) -> np.ndarray:
+    """Per replica and lag, ``C_hat(k dt) sigma_hat^{-1}`` for k = 0..n_lags,
+    one N x N covariance and solve per lag: (replicas, n_lags + 1, N, N)."""
+    out = []
+    for y in states:
+        y = y - y.mean(axis=0)
+        n = len(y)
+        sigma = y.T @ y / n
+        # C_hat(k dt) = y[k:]^T y[:n-k] / (n - k); sigma_hat is symmetric
+        out.append(np.stack([
+            np.linalg.solve(sigma, (y[k:].T @ y[:n - k] / (n - k)).T).T
+            for k in range(n_lags + 1)
+        ]))
+    return np.stack(out)
+
+
+def green_kubo_integrals(
+    table: IOTable, states: np.ndarray, n_lags: int, dt: float
+) -> np.ndarray:
+    """(replicas, N, N) Green-Kubo integrals of the states, by the FFT filter
+    that ``susceptibility_monte_carlo`` feeds while it simulates."""
+    origin = equilibrium_output(table.coefficients, table.demand)
+    sums = _GreenKuboSums(origin, states.shape[1], n_lags, dt, len(states))
+    sums.add(states)
+    return sums.integrals()
 
 
 @pytest.fixture(scope="session")

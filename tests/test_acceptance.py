@@ -35,14 +35,13 @@ from ioresponse.scenario import ScenarioSpec, ShockTerm, run_scenario
 from ioresponse.susceptibility import (
     SimulationBudget,
     aggregate_susceptibilities,
-    monte_carlo_propagator,
     sector_susceptibility,
     susceptibility_analytic,
     susceptibility_monte_carlo,
     truncated_susceptibility,
 )
 
-from conftest import build_panel, random_economy
+from conftest import build_panel, green_kubo_integrals, random_economy, unshocked_states
 
 EU_COUNTRIES = (
     "AUT BEL BGR CYP CZE DEU DNK ESP EST FIN FRA GBR GRC HRV HUN IRL ITA "
@@ -108,10 +107,9 @@ def test_criterion_2_monte_carlo_convergence():
     assert err_default < 0.05, f"default-budget error {err_default:.3f}"
 
     def replica_error(length, seed):
-        _, _, integrals = monte_carlo_propagator(
-            table, nu, 2.0,
-            SimulationBudget(dt=0.01, length=length, replicas=8, seed=seed),
-        )
+        budget = SimulationBudget(dt=0.01, length=length, replicas=8, seed=seed)
+        states = unshocked_states(table, nu, budget)
+        integrals = green_kubo_integrals(table, states, 200, budget.dt)
         return np.mean([np.linalg.norm(i - exact) / exact_norm for i in integrals])
 
     ratio = replica_error(250.0, seed=2) / replica_error(1000.0, seed=3)

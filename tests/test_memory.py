@@ -73,8 +73,9 @@ def test_green_kubo_holds_states_and_filtered_path(economy, nu):
         lambda: susceptibility_monte_carlo(economy, nu, 1.0, BUDGET)
     )
     assert np.all(np.isfinite(estimate.values))
-    # the states, the filtered path z and the FFT columns of a quarter of
-    # the sectors (under one path) at a time
+    # no states are held: one noise block, one block of recorded states and
+    # the FFT buffers of one filter segment, 1.1 MB here.  The bound is the
+    # one set when the states were stored, kept as a ceiling.
     assert peak <= states.nbytes + 2 * path
 
 

@@ -17,7 +17,7 @@ from ioresponse.susceptibility import (
     SimulationBudget,
     _GreenKuboSums,
     aggregate_susceptibilities,
-    monte_carlo_propagator,
+    lag_count,
     sector_susceptibility,
     susceptibility_analytic,
     susceptibility_monte_carlo,
@@ -26,7 +26,7 @@ from ioresponse.susceptibility import (
     write_matrix,
 )
 
-from conftest import random_economy
+from conftest import green_kubo_integrals, lag_propagators, random_economy, unshocked_states
 
 
 class TestAnalytic:
@@ -187,22 +187,23 @@ class TestMonteCarlo:
         scaled = est.values / budget.dt
         assert np.linalg.norm(scaled - np.eye(5)) < 0.5
 
-    def test_standard_errors_need_replicas(self, economy, nu):
+    @pytest.fixture(params=["susceptibility", "impulse_curve"])
+    def route(self, request):
+        if request.param == "susceptibility":
+            return susceptibility_monte_carlo
+        return lambda table, nu, horizon, budget=SimulationBudget(): (
+            impulse_response_monte_carlo(table, np.ones(table.n_sectors), nu, horizon, budget)
+        )
+
+    def test_standard_errors_need_replicas(self, economy, nu, route):
         budget = SimulationBudget(dt=0.01, length=50.0, replicas=1, seed=4)
         with pytest.raises(InsufficientSamples):
-            susceptibility_monte_carlo(economy, nu, 1.0, budget)
+            route(economy, nu, 1.0, budget)
 
-    def test_infinite_horizon_rejected(self, economy, nu):
+    def test_infinite_horizon_rejected(self, economy, nu, route):
         with pytest.raises(ValueError):
-            susceptibility_monte_carlo(economy, nu, math.inf)
+            route(economy, nu, math.inf)
 
-    @pytest.mark.parametrize("route", [
-        susceptibility_monte_carlo,
-        monte_carlo_propagator,
-        lambda table, nu, horizon, budget: impulse_response_monte_carlo(
-            table, np.ones(table.n_sectors), nu, horizon, budget
-        ),
-    ], ids=["susceptibility", "propagator", "impulse_curve"])
     def test_horizon_beyond_recorded_path_is_insufficient(self, economy, nu, route):
         # 2 years at dt = 0.01 record 201 states; 500 lags cannot be formed
         budget = SimulationBudget(dt=0.01, length=2.0, replicas=2, burn_in=1.0, seed=5)
@@ -211,22 +212,27 @@ class TestMonteCarlo:
 
     def test_horizon_equal_to_path_length_is_the_last_usable_lag(self, economy, nu):
         budget = SimulationBudget(dt=0.01, length=2.0, replicas=2, burn_in=1.0, seed=5)
-        lags, propagators, integrals = monte_carlo_propagator(economy, nu, 2.0, budget)
-        assert len(lags) == 201
-        assert propagators[0].shape == (201, 5, 5)
-        assert all(np.all(np.isfinite(i)) for i in integrals)
+        n_lags = lag_count(2.0, budget)
+        assert n_lags == 200
+        states = unshocked_states(economy, nu, budget)
+        assert lag_propagators(states, n_lags).shape == (2, 201, 5, 5)
+        assert np.all(np.isfinite(green_kubo_integrals(economy, states, n_lags, budget.dt)))
+        curve = impulse_response_monte_carlo(economy, np.ones(5), nu, 2.0, budget)
+        assert len(curve.grid) == 201
         with pytest.raises(InsufficientSamples):
-            monte_carlo_propagator(economy, nu, 2.01, budget)
+            lag_count(2.01, budget)
 
 
 class TestGreenKuboIntegral:
     """The FFT lag filter against the per-lag trapezoid it replaces."""
 
-    @pytest.mark.parametrize("horizon", [0.01, 1.5])  # n_lags = 1 and 150
-    def test_filtered_integral_equals_trapezoid_of_propagators(self, economy, nu, horizon):
-        budget = SimulationBudget(dt=0.01, length=60.0, replicas=3, burn_in=5.0, seed=6)
-        lags, propagators, integrals = monte_carlo_propagator(economy, nu, horizon, budget)
-        assert len(lags) == int(round(horizon / budget.dt)) + 1
+    @staticmethod
+    def assert_trapezoid_of_propagators(economy, nu, horizon, budget):
+        n_lags = lag_count(horizon, budget)
+        states = unshocked_states(economy, nu, budget)
+        propagators = lag_propagators(states, n_lags)
+        assert propagators.shape[1] == int(round(horizon / budget.dt)) + 1
+        integrals = green_kubo_integrals(economy, states, n_lags, budget.dt)
         for prop, integral in zip(propagators, integrals):
             reference = budget.dt * (
                 0.5 * (prop[0] + prop[-1]) + prop[1:-1].sum(axis=0)
@@ -234,23 +240,24 @@ class TestGreenKuboIntegral:
             err = np.linalg.norm(integral - reference) / np.linalg.norm(reference)
             assert err < 1e-12
 
+    @pytest.mark.parametrize("horizon", [0.01, 1.5])  # n_lags = 1 and 150
+    def test_filtered_integral_equals_trapezoid_of_propagators(self, economy, nu, horizon):
+        budget = SimulationBudget(dt=0.01, length=60.0, replicas=3, burn_in=5.0, seed=6)
+        self.assert_trapezoid_of_propagators(economy, nu, horizon, budget)
+
     def test_estimate_is_replica_mean_of_propagator_integrals(self, economy, nu):
         budget = SimulationBudget(dt=0.01, length=60.0, replicas=3, burn_in=5.0, seed=7)
         est = susceptibility_monte_carlo(economy, nu, 1.0, budget)
-        _, _, integrals = monte_carlo_propagator(economy, nu, 1.0, budget)
-        assert np.array_equal(est.values, np.stack(integrals).mean(axis=0))
+        integrals = green_kubo_integrals(
+            economy, unshocked_states(economy, nu, budget), 100, budget.dt
+        )
+        assert np.array_equal(est.values, integrals.mean(axis=0))
 
     # a path inside one FFT segment; more lags than a segment holds states
     @pytest.mark.parametrize("length, horizon", [(5.0, 1.0), (30.0, 12.0)])
     def test_segment_edges_match_trapezoid_of_propagators(self, economy, nu, length, horizon):
         budget = SimulationBudget(dt=0.01, length=length, replicas=2, burn_in=5.0, seed=8)
-        _, propagators, integrals = monte_carlo_propagator(economy, nu, horizon, budget)
-        for prop, integral in zip(propagators, integrals):
-            reference = budget.dt * (
-                0.5 * (prop[0] + prop[-1]) + prop[1:-1].sum(axis=0)
-            )
-            err = np.linalg.norm(integral - reference) / np.linalg.norm(reference)
-            assert err < 1e-12
+        self.assert_trapezoid_of_propagators(economy, nu, horizon, budget)
 
     def test_sums_do_not_depend_on_how_states_are_fed(self, economy, nu):
         states = simulate_batch(
@@ -265,6 +272,27 @@ class TestGreenKuboIntegral:
                 sums.add(states[:, start:start + width])
             results.append(sums.integrals())
         assert all(np.array_equal(results[0], r) for r in results[1:])
+
+
+class TestImpulseCurveProjection:
+    """The projected Monte Carlo impulse curve against the per-lag route."""
+
+    # one lag; more lags than a 1,024-state FFT segment
+    @pytest.mark.parametrize("length, horizon", [(5.0, 0.01), (30.0, 12.0)])
+    def test_curve_is_replica_mean_of_propagators_applied_to_shock(
+        self, economy, nu, length, horizon
+    ):
+        budget = SimulationBudget(dt=0.01, length=length, replicas=3, burn_in=5.0, seed=10)
+        x = np.array([1.0, -0.5, 0.0, 2.0, 0.25])
+        curve = impulse_response_monte_carlo(economy, x, nu, horizon, budget)
+        n_lags = lag_count(horizon, budget)
+        assert np.array_equal(curve.grid, budget.dt * np.arange(n_lags + 1))
+        per_replica = lag_propagators(unshocked_states(economy, nu, budget), n_lags) @ x
+        reference = per_replica.mean(axis=0)
+        stderr = per_replica.std(axis=0, ddof=1) / math.sqrt(budget.replicas)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(curve.values - reference)) < 1e-12 * scale
+        assert np.max(np.abs(curve.standard_errors - stderr)) < 1e-12 * scale
 
 
 class TestSectorSusceptibility:
