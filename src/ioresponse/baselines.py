@@ -35,7 +35,7 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
-from .dynamics import _noise_transform, equilibrium_output, stationary_covariance
+from .dynamics import _check_size, _noise_transform, equilibrium_output, stationary_covariance
 from .errors import (
     DegenerateInput,
     InsufficientSamples,
@@ -253,6 +253,7 @@ def fit_var1(
     n = table.n_sectors
     if samples < n + 2:
         raise InsufficientSamples(f"VAR samples must be >= N + 2 = {n + 2}, got {samples}")
+    _check_size((samples + 1) * n, "VAR states")
     phi = propagator(table.coefficients, 1.0)
     sigma = stationary_covariance(table.coefficients, nu)
     start = _noise_transform(sigma)
@@ -481,7 +482,6 @@ def benchmark_lrt_vs_baseline(
     var_calibration_year: int | None = None,
     noise: NoiseSpec = DEFAULT_NOISE,
     seed: int = 0,
-    lrt_oracle: bool = False,
 ) -> BenchmarkResult:
     """Two-year-ahead forecast comparison over a complete panel.
 
@@ -543,10 +543,6 @@ def benchmark_lrt_vs_baseline(
             y_t2 = panel.get(c, t + 2).output
             p_year = propagator(table.coefficients, 1.0)
             delta = y_t1 - y_t
-            # the oracle hook replaces predictions by the observations
-            # themselves (r_lrt becomes exactly 1), used to validate the
-            # evaluation harness
-            pred_lrt = y_t2.copy() if lrt_oracle else y_t1 + p_year @ delta
             if baseline == "arima":
                 if calibration == "full" and full_models is None:
                     full_models = [fit_arima(s, p, d, q) for s in series.T]
@@ -563,7 +559,7 @@ def benchmark_lrt_vs_baseline(
                 )
             observed[(c, t)] = y_t2
             anchor[(c, t)] = y_t1
-            lrt_pred[(c, t)] = pred_lrt
+            lrt_pred[(c, t)] = y_t1 + p_year @ delta
             base_pred[(c, t)] = pred_base
 
     evaluation = evaluate_forecasts(observed, anchor, lrt_pred, base_pred, target=target)

@@ -6,8 +6,8 @@ times), ``forecast`` (implied shocks and two-year predictions),
 ``benchmark`` (forecast comparison against a baseline plus the fluctuation
 regression), ``scenario`` (demand-shock impact reports), and ``backbone``
 (disparity-filtered network export).  ``--method`` selects the route of
-``susceptibility`` only; every other subcommand is analytic, and records
-``--method`` in its manifest without using it.
+``susceptibility``; every other subcommand is analytic only and refuses
+``--method monte_carlo``.
 
 Configuration precedence is flags > environment (``IORESPONSE_<KEY>``) >
 config file (flat ``key = value`` lines) > defaults.  Every run writes a
@@ -17,8 +17,8 @@ at a manifest reproduces the run.  All numeric output is a pure function of
 thread; ``--workers`` is accepted, so older manifests and scripts keep
 working, but has no effect.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 data error,
-4 numerical error.
+Exit codes: 0 success, 2 usage/configuration error (a setting that sizes an
+array the process cannot allocate included), 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import ConfigError, DataError, NumericalError
 
 ENV_PREFIX = "IORESPONSE_"
 #: Exit code of each error family; the first match wins (a ConfigError is a DataError).
-_EXIT_CODES = ((ConfigError, 2), (DataError, 3), (OSError, 3), (NumericalError, 4))
+_EXIT_CODES = (((ConfigError, MemoryError), 2), ((DataError, OSError), 3), (NumericalError, 4))
 
 # Value parsers: a ValueError from any of them ends the run in ConfigError.
 
@@ -138,7 +138,6 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "curves": (str, ""),
     "convention": (_choice("response", "source"), "response"),
     "clip_negative_flows": (iodata.parse_bool, False),
-    "lrt_oracle": (iodata.parse_bool, False),
 }
 _FLAGS = {key: "--" + key.replace("_", "-") for key in _SCHEMA}
 
@@ -159,6 +158,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = key.strip().lower().replace("-", "_")
         if key in ("timestamp", "subcommand"):
             continue  # manifests carry these; they are informational
+        if key == "lrt_oracle" and iodata._BOOLEANS.get(value.strip().lower()) is False:
+            continue  # a retired test hook that older manifests record off; on is unknown
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
@@ -293,8 +294,6 @@ def _curve_horizon(cfg: RunConfig) -> float:
 def _monte_carlo_budget(cfg: RunConfig) -> susceptibility.SimulationBudget:
     """The run's simulation budget, checked against its horizon before any
     data is read."""
-    if not math.isfinite(cfg["horizon"]):
-        raise ConfigError("monte_carlo needs a finite --horizon")
     budget = cfg.budget()
     try:
         susceptibility.lag_count(cfg["horizon"], budget)
@@ -459,7 +458,6 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
         var_calibration_year=var_year,
         noise=cfg.noise_spec(),
         seed=cfg["seed"],
-        lrt_oracle=cfg["lrt_oracle"],
     )
     with out.open("evaluation.csv") as fh:
         baselines.write_evaluation(result.evaluation, fh)
@@ -567,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", help="flat key = value config file (or a manifest)")
         for key, flag in _FLAGS.items():
-            p.add_argument(flag, dest=key, help=argparse.SUPPRESS if key == "lrt_oracle" else None)
+            p.add_argument(flag, dest=key)
     return parser
 
 
@@ -588,6 +586,9 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = build_parser().parse_args(_attach_values(argv))
         cfg = resolve_config(args)
+        if cfg["method"] != "analytic" and args.subcommand != "susceptibility":
+            raise ConfigError(f"{args.subcommand} is analytic only; "
+                              f"method = {cfg['method']} applies to susceptibility")
         out = OutputDir(cfg["out"])
         try:
             _HANDLERS[args.subcommand](cfg, out)
@@ -595,9 +596,9 @@ def run(argv: Sequence[str]) -> int:
         except BaseException:
             out.discard()
             raise
-    except (DataError, NumericalError, OSError) as exc:
-        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
-        print(f"{name}: {exc}", file=sys.stderr)
+    except (DataError, NumericalError, OSError, MemoryError) as exc:
+        kind = next((k for k in (OSError, MemoryError) if isinstance(exc, k)), type(exc))
+        print(f"{kind.__name__}: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     return 0
 

@@ -16,7 +16,6 @@ so a seed pins a trajectory bit-for-bit.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -44,16 +43,24 @@ DEFAULT_BURN_IN = 50.0
 #: Euler steps per block of noise draws.  The stream position depends only
 #: on the count drawn, so the block size never changes a variate.
 _NOISE_CHUNK = 1024
+#: Float64 values in 2**57 bytes, the largest address space of a 64-bit Linux process.
+_MAX_VALUES = 1 << 54
+
+
+def _check_size(values: int, what: str) -> None:
+    """MemoryError for more float64 ``values`` than fit (numpy: ValueError past 2**63 bytes)."""
+    if values > _MAX_VALUES:
+        raise MemoryError(f"{what} would take more than 2**57 bytes, beyond any address space")
 
 
 def step_count(span: float, dt: float) -> int:
     """``span / dt`` rounded to whole steps.
 
     :class:`ValueError` when the quotient is not finite or too large to be an
-    array length, as a horizon of 1e308 years in steps of 0.01 is.
+    array length, as a horizon of 1e16 years in steps of 0.01 is.
     """
     steps = span / dt
-    if not steps < sys.maxsize:
+    if not steps < _MAX_VALUES:
         raise ValueError(f"{span!r} in steps of {dt!r} is more steps than an array holds")
     return int(round(steps))
 

@@ -43,6 +43,7 @@ from .errors import (
     MissingExportDetail,
     NonPositiveScale,
     NonProductiveEconomy,
+    NumericalError,
     SingularSystem,
     UnknownSector,
     ZeroOutputSector,
@@ -278,13 +279,13 @@ class IOTable:
 
 
 def guarded_solve(system: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    """Solve system X = rhs; :class:`SingularSystem`, naming the system, when
-    it is singular."""
+    """Solve system X = rhs, or a stack of them; :class:`SingularSystem`,
+    naming the system, when one is singular."""
     try:
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         raise SingularSystem(
-            f"{name} is singular", condition=float(np.linalg.cond(system))
+            f"{name} is singular", condition=float(np.max(np.linalg.cond(system)))
         ) from None
 
 
@@ -306,16 +307,18 @@ def noise_covariance(spec: NoiseSpec, table: IOTable) -> np.ndarray:
     """Covariance matrix nu induced by a noise specification.
 
     ``isotropic(eps)`` gives ``eps^2 I``; ``output_proportional(eta)`` gives
-    ``diag((eta Y0_i)^2)``.  Sectors with zero equilibrium output get a zero
-    diagonal entry under the proportional rule, which makes nu only positive
-    semidefinite; a warning flags that case because Monte Carlo estimators
-    need a nonsingular stationary covariance.
+    ``diag((eta Y0_i)^2)``.  A zero-output sector's zero variance under the
+    latter warns, as Monte Carlo estimators need a nonsingular stationary
+    covariance.  :class:`NumericalError` when a variance overflows or all are
+    0, as a scale that underflows makes them.
     """
-    n = table.n_sectors
-    if spec.kind == "isotropic":
-        return spec.scale**2 * np.eye(n)
-    diag = (spec.scale * table.output) ** 2
-    if np.any(diag == 0.0):
+    with np.errstate(over="ignore"):
+        diag = (np.full(table.n_sectors, np.float64(spec.scale) ** 2) if spec.kind == "isotropic"
+                else (spec.scale * table.output) ** 2)
+    if not (np.isfinite(diag).all() and diag.any()):
+        raise NumericalError(f"{table.country}/{table.year}: noise variances at scale "
+                             f"{spec.scale!r} overflow to inf or underflow to 0")
+    if not diag.all():
         warnings.warn(
             f"{table.country}/{table.year}: zero-output sector makes the "
             "proportional noise covariance singular",

@@ -21,6 +21,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from .baselines import pearson_r
 from .dynamics import ShockProfile, simulate_batch, step_count
 from .errors import IllConditioned, MissingPanelCell, NumericalError
 from .iodata import IOTable, Panel, leontief_solve, write_table
@@ -56,7 +57,6 @@ class ImpliedShock:
 
     year: int
     values: np.ndarray
-    truncation: float
     condition: float
 
 
@@ -219,9 +219,7 @@ def recovery_time(curve: ResponseCurve, eps: float = RECOVERY_EPS) -> np.ndarray
 # implied shocks and the forecaster
 # ---------------------------------------------------------------------------
 
-def implied_shock(
-    table: IOTable, output_t, output_t1, truncation: float = 1.0
-) -> ImpliedShock:
+def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
     """Solve rho(T=1) X = Y(t+1) - Y(t) for the step shock X implied by data.
 
     A direct LU solve is used; the 2-norm condition estimate of the truncated
@@ -231,7 +229,7 @@ def implied_shock(
     y_t = np.asarray(output_t, dtype=float)
     y_t1 = np.asarray(output_t1, dtype=float)
     delta = y_t1 - y_t
-    rho = truncated_susceptibility(table.coefficients, truncation)
+    rho = truncated_susceptibility(table.coefficients, 1.0)
     condition = float(np.linalg.cond(rho))
     if condition > CONDITION_CAP:
         raise IllConditioned(condition, CONDITION_CAP)
@@ -244,12 +242,7 @@ def implied_shock(
                 f"implied-shock round trip residual {residual:.3e} exceeds "
                 f"{ROUND_TRIP_RTOL:.0e} relative"
             )
-    return ImpliedShock(
-        year=table.year,
-        values=x,
-        truncation=float(truncation),
-        condition=condition,
-    )
+    return ImpliedShock(year=table.year, values=x, condition=condition)
 
 
 def lrt_forecast(table: IOTable, output_t, output_t1) -> np.ndarray:
@@ -303,8 +296,6 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
     Pearson correlations and the control regression that adds the base-year
     output as an extra regressor.
     """
-    from .baselines import pearson_r  # local import avoids a module cycle
-
     countries = panel.countries()
     years = panel.years()
     base_year = years[0]

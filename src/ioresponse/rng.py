@@ -2,11 +2,11 @@
 
 Every stochastic routine in the package draws its noise through
 :class:`GaussianStream`.  The stream combines the Philox 4x64-10 counter-based
-bit generator (keyed through ``numpy.random.SeedSequence``) with an
-inverse-CDF transform, ``scipy.special.ndtri``.  Both pieces are fully
-specified algorithms with no rejection step, so a given ``(seed, stream)``
-pair yields the same variates in the same order on every platform, and the
-stream position is a pure function of how many variates were drawn.
+bit generator (keyed through ``numpy.random.SeedSequence`` with spawn key 0)
+with an inverse-CDF transform, ``scipy.special.ndtri``.  Both pieces are fully
+specified algorithms with no rejection step, so a given seed yields the
+same variates in the same order on every platform, and the stream position
+is a pure function of how many variates were drawn.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ class GaussianStream:
     variate.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+    def __init__(self, seed: int):
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(0,))
         self._gen = np.random.Generator(np.random.Philox(seed=ss))
 
     def normals(self, shape) -> np.ndarray:

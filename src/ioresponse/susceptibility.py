@@ -36,12 +36,13 @@ from .dynamics import (
     DEFAULT_BURN_IN,
     DEFAULT_DT,
     ShockProfile,
+    _check_size,
     _euler_blocks,
     drift_matrix,
     step_count,
 )
 from .errors import InsufficientSamples, MissingPanelCell
-from .iodata import IOTable, leontief_solve, write_table
+from .iodata import IOTable, guarded_solve, leontief_solve, write_table
 
 #: Normal critical value for the 95% confidence intervals of the
 #: output-weighted sector scores.
@@ -263,6 +264,7 @@ class _GreenKuboSums:
         self._size = next_fast_len(n_lags + self._segment, real=True)
         self._taps_spectrum = rfft(taps, self._size)[:, None]
         n = origin.shape[0]
+        _check_size(replicas * (n_lags + self._segment) * n, "Green-Kubo buffer")
         # the carried n_lags states, then the segment being filled
         self._buffer = np.zeros((replicas, n_lags + self._segment, n))
         self._fill = 0
@@ -322,7 +324,8 @@ class _GreenKuboSums:
         )
         sigma = (self._gram - self._total[:, :, None] * mean[:, None, :]) / self._records
         # (sum_k w_k C_k) sigma^{-1}; sigma is symmetric
-        return np.linalg.solve(sigma, lagged.transpose(0, 2, 1)).transpose(0, 2, 1)
+        solved = guarded_solve(sigma, lagged.transpose(0, 2, 1), "sample covariance")
+        return solved.transpose(0, 2, 1)
 
 
 def susceptibility_monte_carlo(

@@ -448,10 +448,6 @@ class TestBenchmarkPipeline:
         # expanding-window cells only start once the ARIMA history is long enough
         assert min(c.year for c in result.evaluation.cells) >= 2004
 
-    def test_lrt_oracle_hook(self, small_panel):
-        result = benchmark_lrt_vs_baseline(small_panel, baseline="arima", lrt_oracle=True)
-        assert all(c.r_lrt == pytest.approx(1.0) for c in result.evaluation.cells)
-
     def test_var_baseline_iterates_fitted_map_from_shock_year(self, small_panel):
         result = benchmark_lrt_vs_baseline(
             small_panel, baseline="var", var_samples=300, seed=3

@@ -2,13 +2,13 @@
 
 import contextlib
 import io
-import json
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,19 +130,37 @@ class TestDeterminism:
         assert a == b
 
 
-class TestBenchmark:
-    def test_oracle_hook_gives_perfect_lrt_correlation(self, panel_file, tmp_path):
-        out = tmp_path / "out"
-        code = run([
-            "benchmark", "--data", str(panel_file), "--out", str(out),
-            "--lrt-oracle", "on",
-        ])
-        assert code == 0
-        payload = json.loads(_read(out / "evaluation.json"))
-        assert payload["cells"]
-        for cell in payload["cells"]:
-            assert cell["r_lrt"] == pytest.approx(1.0)
+_SPEC = "evaluation_year = 2004\nshock = * A01 export_to AAA -1.0\n"
+#: Non-default settings per subcommand, so a rerun that lost one would differ.
+_RERUN_ARGS = {
+    "ingest": ("--country", "BBB"),
+    "susceptibility": ("--method", "monte_carlo", "--country", "AAA", "--year", "2004",
+                       "--horizon", "1", "--mc-length", "20", "--mc-replicas", "2",
+                       "--seed", "4", "--noise", "isotropic", "--convention", "source"),
+    "response": ("--country", "AAA", "--year", "2004", "--shock-kind", "step",
+                 "--shock-sector", "A01", "--horizon", "5", "--grid-dt", "0.5"),
+    "forecast": ("--year", "all", "--country", "CCC"),
+    "benchmark": ("--baseline", "var", "--var-samples", "200", "--var-year", "2001",
+                  "--seed", "5", "--target", "levels"),
+    "scenario": ("--curves", "AAA", "--horizon", "2", "--grid-dt", "0.5"),
+    "backbone": ("--country", "AAA", "--year", "2004", "--node-time", "1",
+                 "--graph-format", "graphml", "--significance", "0.3", "--horizon", "2"),
+}
 
+
+@pytest.mark.parametrize("subcommand", list(_HANDLERS))
+def test_every_subcommand_reruns_from_its_manifest(panel_file, tmp_path, subcommand):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(_SPEC, encoding="utf-8")
+    first = tmp_path / "first"
+    assert run([subcommand, "--data", str(panel_file), "--scenario-spec", str(spec),
+                *_RERUN_ARGS[subcommand], "--out", str(first)]) == 0
+    second = tmp_path / "second"
+    assert run([subcommand, "--config", str(first / "manifest.txt"), "--out", str(second)]) == 0
+    assert _numeric_outputs(second) == _numeric_outputs(first)
+
+
+class TestBenchmark:
     def test_evaluation_report_layout(self, panel_file, tmp_path):
         out = tmp_path / "out"
         run(["benchmark", "--data", str(panel_file), "--out", str(out)])
@@ -386,6 +404,47 @@ def _no_outputs(out):
     return not out.exists()
 
 
+#: A manifest as written before the ``lrt_oracle`` test hook was retired.
+_OLDER_MANIFEST = """\
+# run manifest; pass to --config to reproduce
+timestamp = 2026-10-19T11:32:48Z
+subcommand = ingest
+arima_order = 1,1,1
+baseline = arima
+burn_in = 50.0
+calibration = expanding
+clip_negative_flows = False
+convention = response
+country = all
+curves = 
+data = {data}
+dt = 0.01
+eta = 0.01
+graph_format = edgelist
+grid_dt = 0.01
+horizon = inf
+lrt_oracle = False
+mc_length = 400.0
+mc_replicas = 8
+method = analytic
+node_time = 
+noise = output_proportional
+out = out
+recovery_eps = 0.05
+scenario_spec = 
+seed = 0
+shock_kind = impulse
+shock_sector = all
+shock_size = 1.0
+significance = 0.05
+target = changes
+var_samples = 10000
+var_year = first
+workers = 1
+year = all
+"""
+
+
 class TestUsageErrors:
     """Command-line syntax errors end in one ConfigError line, exit 2."""
 
@@ -470,7 +529,6 @@ class TestSettingChecks:
             ("backbone", "--node-time", "inf"),
             ("susceptibility", "--method", "monte_carlo", "--dt", "0"),
             ("ingest", "--clip-negative-flows", "maybe"),
-            ("benchmark", "--lrt-oracle", "onn"),
             ("benchmark", "--arima-order", "2,1,1"),
             ("benchmark", "--arima-order", "1,1"),
             ("benchmark", "--baseline", "nope"),
@@ -630,6 +688,56 @@ class TestSettingChecks:
         assert capsys.readouterr().err.startswith("ConfigError: bad value for grid_dt: ")
         assert _no_outputs(out)
 
+    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    @pytest.mark.parametrize("subcommand", sorted(set(_HANDLERS) - {"susceptibility"}))
+    def test_monte_carlo_refused_outside_susceptibility(
+        self, tmp_path, capsys, monkeypatch, subcommand, source
+    ):
+        # a missing data file would exit 3: the refusal comes before any read
+        out = tmp_path / "out"
+        argv = [subcommand, "--data", str(tmp_path / "missing.csv"), "--out", str(out)]
+        if source == "flag":
+            argv += ["--method", "monte_carlo"]
+        elif source == "environment":
+            monkeypatch.setenv("IORESPONSE_METHOD", "monte_carlo")
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text("method = monte_carlo\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ConfigError: {subcommand} is analytic only")
+        assert _no_outputs(out)
+
+    def test_manifest_from_before_the_oracle_was_retired_still_runs(
+        self, two_sector_file, tmp_path
+    ):
+        old = tmp_path / "manifest.txt"
+        old.write_text(_OLDER_MANIFEST.format(data=two_sector_file), encoding="utf-8")
+        rerun = tmp_path / "rerun"
+        assert run(["ingest", "--config", str(old), "--out", str(rerun)]) == 0
+        direct = tmp_path / "direct"
+        assert run(["ingest", "--data", str(two_sector_file), "--out", str(direct)]) == 0
+        assert _numeric_outputs(rerun) == _numeric_outputs(direct)
+        assert "lrt_oracle" not in _read(rerun / "manifest.txt")
+
+    @pytest.mark.parametrize("setting", ["config on", "config True", "config onn", "flag on"])
+    def test_retired_oracle_switched_on_exit_2(self, two_sector_file, tmp_path, capsys, setting):
+        source, value = setting.split()
+        out = tmp_path / "out"
+        argv = ["benchmark", "--data", str(two_sector_file), "--baseline", "perturbed_io",
+                "--out", str(out)]
+        if source == "flag":
+            argv += ["--lrt-oracle", value]
+        else:
+            config = tmp_path / "run.conf"
+            config.write_text(f"seed = 1\nlrt_oracle = {value}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ConfigError: ")
+        assert _no_outputs(out)
+
     def test_switch_values_in_any_case_still_run(self, two_sector_file, tmp_path):
         out = tmp_path / "out"
         code = run([
@@ -662,6 +770,70 @@ class TestSettingChecks:
             "scenario", "--data", str(two_sector_file), "--scenario-spec", str(spec),
             "--out", str(tmp_path / "out"),
         ]) == 0
+
+
+@pytest.fixture(scope="module")
+def four_sector_file(tmp_path_factory):
+    """A real 2-country, 4-sector, 4-year panel and a scenario spec next to it."""
+    path = tmp_path_factory.mktemp("four") / "panel.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_panel(build_panel(2, (2000, 2003), 4, seed=1), fh)
+    (path.parent / "spec.txt").write_text(
+        "evaluation_year = 2001\nshock = * A01 export_to AAA -1.0\n", encoding="utf-8"
+    )
+    return path
+
+
+_MC_CELL = ("susceptibility", "--country", "AAA", "--year", "2001", "--method", "monte_carlo",
+            "--horizon", "1")
+
+
+class TestExtremeSettings:
+    """Settings that reach the arrays they size end in one line, not a
+    traceback.  Every size asks for more than 2**57 bytes, the largest user
+    address space on 64-bit Linux, so nothing is allocated whatever the
+    overcommit policy."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("response", "--country", "AAA", "--year", "2001", "--horizon", "1e16"), 2),
+            (("scenario", "--curves", "AAA", "--horizon", "1e16"), 2),
+            (("benchmark", "--baseline", "var", "--var-samples", str(10**16)), 2),
+            (("benchmark", "--baseline", "var", "--var-samples", str(10**18)), 2),
+            ((*_MC_CELL, "--mc-replicas", str(10**13)), 2),
+            ((*_MC_CELL, "--mc-replicas", str(10**16)), 2),
+            (("benchmark", "--baseline", "var", "--eta", "1e200"), 4),
+            (("benchmark", "--baseline", "var", "--noise", "isotropic", "--eta", "1e200"), 4),
+            ((*_MC_CELL, "--mc-length", "5", "--eta", "1e200"), 4),
+            ((*_MC_CELL, "--mc-length", "5", "--noise", "isotropic", "--eta", "1e-200"), 4),
+            ((*_MC_CELL, "--mc-length", "5", "--eta", "1e-150"), 4),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
+    )
+    def test_fails_in_one_line(self, four_sector_file, tmp_path, capsys, args, code):
+        out = tmp_path / "out"
+        argv = [*args, "--data", str(four_sector_file),
+                "--scenario-spec", str(four_sector_file.parent / "spec.txt"), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the command line would print a warning
+            assert run(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(r"\w+: ", err[0])
+        assert _no_outputs(out)
+
+    def test_allocation_failure_exit_2(self, four_sector_file, tmp_path, capsys, monkeypatch):
+        from ioresponse import response
+
+        # a grid numpy cannot allocate, as a horizon of 1e12 years asks for
+        monkeypatch.setattr(response, "response_grid", lambda *args: np.empty(1 << 57))
+        out = tmp_path / "out"
+        code = run(["response", "--data", str(four_sector_file), "--country", "AAA",
+                    "--year", "2001", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("MemoryError: Unable to allocate")
+        assert _no_outputs(out)
 
 
 class TestEnvironmentOverride:
