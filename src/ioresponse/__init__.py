@@ -25,10 +25,8 @@ from .baselines import (
 )
 from .dynamics import (
     ShockProfile,
-    Trajectory,
     equilibrium_output,
     lagged_covariance,
-    simulate_trajectory,
     stationary_covariance,
 )
 from .iodata import (
@@ -38,8 +36,6 @@ from .iodata import (
     leontief_solve,
     load_panel,
     noise_covariance,
-    parse_io_table,
-    write_io_table,
     write_panel,
 )
 from .response import (

@@ -271,7 +271,8 @@ def fit_var1(
     design = np.column_stack([lagged, np.ones(len(lagged))])
     if np.linalg.matrix_rank(design) < n + 1:
         raise RankDeficientRegressors(
-            "yearly states do not span the regressor space (zero noise?)"
+            "yearly states do not span the regressor space: the noise is too small to "
+            "move them, or too large beside the intercept to resolve it"
         )
     coef, _, _, _ = np.linalg.lstsq(design, leading, rcond=None)
     residuals = leading - design @ coef

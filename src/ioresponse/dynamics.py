@@ -7,11 +7,13 @@ drift matrix ``M = A - I`` while being driven by white noise with covariance
     dY = [(A - I) Y + D + X(t)] dt + dW,   cov(dW) = nu dt.
 
 This module provides the fixed point, the stationary and lagged covariances
-of the unshocked process, and Euler-Maruyama sampling of trajectories,
-either as one stored array (``simulate_batch``) or in blocks of recorded
-states as the loop produces them (``_euler_blocks``, which ``simulate_batch``
-fills its array from).  All randomness flows through :mod:`ioresponse.rng`,
-so a seed pins a trajectory bit-for-bit.
+of the unshocked process, and Euler-Maruyama sampling of trajectories.
+``simulate_batch`` is the one public entry: it stores the states of every
+replica, one path being ``replicas=1``.  The Monte Carlo Green-Kubo sums take
+the recorded states in blocks as the loop produces them instead
+(``_euler_blocks``, which ``simulate_batch`` fills its array from).  All
+randomness flows through :mod:`ioresponse.rng`, so a seed pins a trajectory
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     SingularSystem,
     UnstableDrift,
 )
-from .iodata import IOTable, leontief_solve
+from .iodata import leontief_solve
 from .rng import GaussianStream
 
 #: Relative residual allowed for the equilibrium solve.
@@ -111,12 +113,15 @@ def stationary_covariance(coefficients: np.ndarray, nu: np.ndarray) -> np.ndarra
         raise UnstableDrift("A - I has an eigenvalue with nonnegative real part")
     sigma = solve_continuous_lyapunov(m, -nu)
     sigma = 0.5 * (sigma + sigma.T)
-    scale = max(float(np.linalg.norm(nu)), np.finfo(float).tiny)
-    residual = float(np.linalg.norm(m @ sigma + sigma @ m.T + nu))
-    if residual > LYAPUNOV_RTOL * scale:
+    # a norm squares its entries: divide by the largest |nu| first, so that
+    # variances near 1e200 do not overflow it
+    scale = max(float(np.max(np.abs(nu))), np.finfo(float).tiny)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm((m @ sigma + sigma @ m.T + nu) / scale))
+    if not residual <= LYAPUNOV_RTOL * float(np.linalg.norm(nu / scale)):
         raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_RTOL:.0e} "
-            "relative tolerance"
+            f"Lyapunov residual {residual:.3e} (in units of the largest |nu|) exceeds "
+            f"{LYAPUNOV_RTOL:.0e} relative tolerance"
         )
     return sigma
 
@@ -166,16 +171,6 @@ class ShockProfile:
     def check_dimension(self, n: int) -> None:
         if self.kind in ("impulse", "step") and self.vector.shape != (n,):
             raise ValueError(f"shock vector must have length {n}")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled path of sectoral outputs."""
-
-    dt: float
-    states: np.ndarray  # (steps + 1, N)
-    seed: int
-    shock: ShockProfile
 
 
 def _noise_transform(nu: np.ndarray):
@@ -301,8 +296,9 @@ def simulate_batch(
 
     Returns states of shape (replicas, steps + 1, N), one per step of the
     ``horizon`` starting at t = 0, the end of the burn-in (every path sits at
-    the deterministic fixed point Y0 when the run begins).  Shock times refer
-    to the recorded clock; the burn-in occupies t < 0.
+    the deterministic fixed point Y0 when the run begins); one path is
+    ``replicas=1`` and row 0 of the result.  Shock times refer to the
+    recorded clock; the burn-in occupies t < 0.
 
     Beyond the returned states the run holds the noise and the recorded
     states of ``_NOISE_CHUNK`` steps, and the next noise block while it is
@@ -319,28 +315,3 @@ def simulate_batch(
         out[:, filled:filled + block.shape[1]] = block
         filled += block.shape[1]
     return out
-
-
-def simulate_trajectory(
-    table: IOTable,
-    nu: np.ndarray,
-    shock: ShockProfile,
-    dt: float = DEFAULT_DT,
-    horizon: float = 10.0,
-    burn_in: float = DEFAULT_BURN_IN,
-    seed: int = 0,
-) -> Trajectory:
-    """Simulate one path of the driven economy; see :func:`simulate_batch`."""
-    states = simulate_batch(
-        table.coefficients,
-        table.demand,
-        nu,
-        shock,
-        dt=dt,
-        horizon=horizon,
-        burn_in=burn_in,
-        seed=seed,
-        replicas=1,
-    )[0]
-    return Trajectory(dt=dt, states=states, seed=seed, shock=shock)
-

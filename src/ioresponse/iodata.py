@@ -307,10 +307,10 @@ def noise_covariance(spec: NoiseSpec, table: IOTable) -> np.ndarray:
     """Covariance matrix nu induced by a noise specification.
 
     ``isotropic(eps)`` gives ``eps^2 I``; ``output_proportional(eta)`` gives
-    ``diag((eta Y0_i)^2)``.  A zero-output sector's zero variance under the
-    latter warns, as Monte Carlo estimators need a nonsingular stationary
-    covariance.  :class:`NumericalError` when a variance overflows or all are
-    0, as a scale that underflows makes them.
+    ``diag((eta Y0_i)^2)``.  :class:`NumericalError` when a variance
+    overflows or all are 0, as a scale that underflows makes them, and when
+    a sector has no variance and a zero row of ``A``: nothing moves it, so
+    every Monte Carlo and VAR estimate on the table is singular.
     """
     with np.errstate(over="ignore"):
         diag = (np.full(table.n_sectors, np.float64(spec.scale) ** 2) if spec.kind == "isotropic"
@@ -318,13 +318,10 @@ def noise_covariance(spec: NoiseSpec, table: IOTable) -> np.ndarray:
     if not (np.isfinite(diag).all() and diag.any()):
         raise NumericalError(f"{table.country}/{table.year}: noise variances at scale "
                              f"{spec.scale!r} overflow to inf or underflow to 0")
-    if not diag.all():
-        warnings.warn(
-            f"{table.country}/{table.year}: zero-output sector makes the "
-            "proportional noise covariance singular",
-            UserWarning,
-            stacklevel=2,
-        )
+    unmoved = np.flatnonzero((diag == 0.0) & ~table.coefficients.any(axis=1))
+    if unmoved.size:
+        raise NumericalError(f"{table.country}/{table.year}: sector {table.codes[unmoved[0]]} has "
+                             "no noise and supplies no input to any sector, so nothing moves it")
     return np.diag(diag)
 
 
@@ -424,22 +421,6 @@ class _TableAccumulator:
             final_demand=final,
             final_destinations=dests,
         )
-
-
-def parse_io_table(
-    source,
-    country: str,
-    year: int,
-    clip_negative_flows: bool = False,
-) -> IOTable:
-    """Parse one (country, year) economy from a canonical long-format stream.
-
-    ``source`` may be a path or an open text stream.  Raises
-    :class:`MissingCountryYear` when the requested cell has no rows, and the
-    usual diagnostics (:class:`MalformedRow`, :class:`NonProductiveEconomy`,
-    :class:`ZeroOutputSector`, ...) when validation fails.
-    """
-    return load_panel(source, [country], [year], clip_negative_flows).get(country, year)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +657,7 @@ def _write_rows(stream: TextIO, columns: Sequence) -> None:
 
 
 def _io_table_columns(table: IOTable) -> tuple:
-    """The six canonical columns of one table, in :func:`write_io_table` order."""
+    """The six canonical columns of one table, in :func:`write_panel` order."""
     codes = list(table.codes)
     n = len(codes)
     dests = [table.country, *table.destinations]
@@ -693,20 +674,15 @@ def _io_table_columns(table: IOTable) -> tuple:
     )
 
 
-def write_io_table(table: IOTable, stream: TextIO) -> None:
-    """Serialize a table to canonical long format.
-
-    OUTPUT rows come first (they define the sector order), then nonzero FLOW
-    cells in row-major order, then for each sector its FINAL cells: the
-    domestic residual under the home country code, then the export detail
-    by destination in sorted order.  Values use shortest exact ``repr`` so
-    parse -> write -> parse is the identity.
-    """
-    write_table(stream, CANONICAL_HEADER, _io_table_columns(table))
-
-
 def write_panel(panel: Panel, stream: TextIO) -> None:
-    """Serialize every table of a panel under one canonical header."""
+    """Serialize every table of a panel under one canonical header.
+
+    Per table, OUTPUT rows come first (they define the sector order), then
+    nonzero FLOW cells in row-major order, then for each sector its FINAL
+    cells: the domestic residual under the home country code, then the
+    export detail by destination in sorted order.  Values use shortest exact
+    ``repr`` so load -> write -> load is the identity.
+    """
     stream.write(CANONICAL_HEADER + "\n")
     for table in panel:
         _write_rows(stream, _io_table_columns(table))

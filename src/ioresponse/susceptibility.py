@@ -16,7 +16,9 @@ to the stationary output change of sector k.  Two routes are provided:
   horizon T, and multiplied by the inverse sample covariance.  Replicas give
   standard errors.  The integral is accumulated block by block while the
   replicas are simulated (``_GreenKuboSums``), so no path is stored and the
-  working memory does not grow with the simulated length.
+  working memory does not grow with the simulated length.  A constant
+  channel filtered with the states gives every sum that centering on the
+  sample mean needs, so the centering is one projection at the end.
 
 The Monte Carlo impulse response
 (:func:`ioresponse.response.impulse_response_monte_carlo`) applies the
@@ -59,12 +61,13 @@ class SimulationBudget:
 
     Memory: ``susceptibility_monte_carlo`` stores no states.  It holds the
     replicas' current states, the noise and the recorded states of one
-    block of 1,024 Euler steps, and the Green-Kubo filter's FFT buffers,
-    whatever the length: a traced peak of 10 MB at N = 28 and 20 MB at
-    N = 56 for 8 replicas.  A process running it peaked at 75 MB at N = 28
-    and 87 MB at N = 56, for the default as for the command line's 8
-    replicas of 400 years (when the states were stored: 475 and 146 MB at
-    N = 28, 878 and 227 MB at N = 56).  The impulse-curve route,
+    block of 1,024 Euler steps, and the Green-Kubo filter's FFT buffers of
+    N + 1 columns (the states and a constant), whatever the length: a traced
+    peak of 10.3 MB at N = 28 and 20.5 MB at N = 56 for 8 replicas.  A
+    process running it peaked at 75 MB at N = 28 and 87 MB at N = 56, for
+    the default as for the command line's 8 replicas of 400 years (when the
+    states were stored: 475 and 146 MB at N = 28, 878 and 227 MB at
+    N = 56).  The impulse-curve route,
     :func:`ioresponse.response.impulse_response_monte_carlo`, stores
     ``replicas * (length / dt + 1) * N * 8`` bytes of states.
     """
@@ -229,16 +232,18 @@ class _GreenKuboSums:
     the path centered on its own mean.  No path is stored:
 
     * Each state enters as its deviation ``x = y - Y0`` from the known fixed
-      point, so the sums below do not cancel.
-    * With the taps ``h_k = w_k / (n - k)``, the uncentered lag sum
-      ``sum_k h_k sum_t x[t + k] x[t]^T`` is ``sum_s x[s] u[s]^T`` for the
-      causal filter ``u[s] = sum_k h_k x[s - k]``.  An overlap-save FFT
+      point, so the sums below do not cancel, followed by a constant 1:
+      ``z = [x, 1]``.
+    * With the taps ``h_k = w_k / (n - k)``, the lag sum
+      ``sum_k h_k sum_t z[t + k] z[t]^T`` is ``sum_s z[s] u[s]^T`` for the
+      causal filter ``u[s] = sum_k h_k z[s - k]``.  An overlap-save FFT
       computes ``u`` over segments of ``_SEGMENT`` states (``n_lags`` if
       more), carrying the last ``n_lags`` states from one to the next.
-    * Running sums of ``x`` and ``x x^T`` and the filter's end terms (the
-      first ``n_lags`` states, weighted as they are fed, and the last
-      ``n_lags``, which are the final carry) make centering on the sample
-      mean an exact correction at the end.
+    * The constant channel carries every sum of ``x`` that centering needs:
+      with the mean ``m`` (the Gram sum's last column over ``n``) and
+      ``P = [I, -m]``, ``P z = x - m``, so the centered lag sum is
+      ``P (sum_s z u^T) P^T`` and the sample covariance is
+      ``P (sum_s z z^T) P^T / n``.
 
     The segments do not depend on how the states are split into blocks, so
     equal states give equal bits however they are fed.
@@ -250,29 +255,22 @@ class _GreenKuboSums:
         weights = np.full(n_lags + 1, dt)
         weights[[0, -1]] = 0.5 * dt
         taps = weights / (records - np.arange(n_lags + 1))
-        # from_lag[j] = sum_{k >= j} h_k: the weight of a state j steps from
-        # either end of the path in the terms the mean correction needs
-        from_lag = np.cumsum(taps[::-1])[::-1]
-        self._head_weights = from_lag[1:]  # first states, in time order
-        self._tail_weights = from_lag[:0:-1]  # last states, in time order
-        self._tap_sum = from_lag[0]
-        self._weight_sum = weights.sum()  # sum_k h_k (n - k)
         self._origin = origin
         self._records = records
         self._lags = n_lags
         self._segment = max(_SEGMENT, n_lags)
         self._size = next_fast_len(n_lags + self._segment, real=True)
         self._taps_spectrum = rfft(taps, self._size)[:, None]
-        n = origin.shape[0]
+        n = origin.shape[0] + 1
         _check_size(replicas * (n_lags + self._segment) * n, "Green-Kubo buffer")
-        # the carried n_lags states, then the segment being filled
+        # the carried n_lags states, then the segment being filled; the
+        # constant channel starts at 0 in the carry, and the carry shift
+        # moves its ones forward, so no block writes it
         self._buffer = np.zeros((replicas, n_lags + self._segment, n))
+        self._buffer[:, n_lags:, -1] = 1.0
         self._fill = 0
-        self._seen = 0
-        self._cross = np.zeros((replicas, n, n))  # sum_s x[s] u[s]^T
-        self._gram = np.zeros((replicas, n, n))  # sum_s x[s] x[s]^T
-        self._total = np.zeros((replicas, n))  # sum_s x[s]
-        self._head = np.zeros((replicas, n))  # sum_{k, s < k} h_k x[s]
+        self._cross = np.zeros((replicas, n, n))  # sum_s z[s] u[s]^T
+        self._gram = np.zeros((replicas, n, n))  # sum_s z[s] z[s]^T
 
     def add(self, block: np.ndarray) -> None:
         """Feed the next (replicas, b, N) states of every path."""
@@ -281,7 +279,7 @@ class _GreenKuboSums:
             take = min(block.shape[1] - done, self._segment - self._fill)
             start = self._lags + self._fill
             np.subtract(block[:, done:done + take], self._origin,
-                        out=self._buffer[:, start:start + take])
+                        out=self._buffer[:, start:start + take, :-1])
             self._fill += take
             done += take
             if self._fill == self._segment:
@@ -291,19 +289,14 @@ class _GreenKuboSums:
         from scipy.fft import irfft, rfft
 
         lags, fill = self._lags, self._fill
-        x = self._buffer[:, lags:lags + fill]
+        z = self._buffer[:, lags:lags + fill]
         spectrum = rfft(self._buffer, self._size, axis=1)
         spectrum *= self._taps_spectrum
         # outputs at the carry's positions would need older states
         u = irfft(spectrum, self._size, axis=1)[:, lags:lags + fill]
-        xt = x.transpose(0, 2, 1)
-        self._cross += xt @ u
-        self._gram += xt @ x
-        self._total += x.sum(axis=1)
-        if self._seen < lags:
-            head = min(lags - self._seen, fill)
-            self._head += self._head_weights[self._seen:self._seen + head] @ x[:, :head]
-        self._seen += fill
+        zt = z.transpose(0, 2, 1)
+        self._cross += zt @ u
+        self._gram += zt @ z
         self._buffer[:, :lags] = self._buffer[:, fill:fill + lags]
         self._fill = 0
 
@@ -311,18 +304,14 @@ class _GreenKuboSums:
         """(replicas, N, N) integrals once all ``records`` states are fed."""
         if self._fill:
             self._flush()
-        mean = self._total / self._records
-        tail = self._tail_weights @ self._buffer[:, :self._lags]
-        # sum_k h_k sum_t x[t + k] and sum_k h_k sum_t x[t], t < n - k
-        later = self._tap_sum * self._total - self._head
-        earlier = self._tap_sum * self._total - tail
-        lagged = (
-            self._cross
-            - mean[:, :, None] * earlier[:, None, :]
-            - later[:, :, None] * mean[:, None, :]
-            + self._weight_sum * mean[:, :, None] * mean[:, None, :]
-        )
-        sigma = (self._gram - self._total[:, :, None] * mean[:, None, :]) / self._records
+        n = self._origin.shape[0]
+        # P = [I, -m], with m the sample mean, maps each z = [x, 1] to x - m
+        p = np.zeros((len(self._gram), n, n + 1))
+        p[:, :, :n] = np.eye(n)
+        p[:, :, n] = -self._gram[:, :n, n] / self._records
+        pt = p.transpose(0, 2, 1)
+        lagged = p @ self._cross @ pt
+        sigma = p @ self._gram @ pt / self._records
         # (sum_k w_k C_k) sigma^{-1}; sigma is symmetric
         solved = guarded_solve(sigma, lagged.transpose(0, 2, 1), "sample covariance")
         return solved.transpose(0, 2, 1)

@@ -803,6 +803,7 @@ class TestExtremeSettings:
             (("benchmark", "--baseline", "var", "--var-samples", str(10**18)), 2),
             ((*_MC_CELL, "--mc-replicas", str(10**13)), 2),
             ((*_MC_CELL, "--mc-replicas", str(10**16)), 2),
+            (("benchmark", "--baseline", "var", "--eta", "1e100"), 4),
             (("benchmark", "--baseline", "var", "--eta", "1e200"), 4),
             (("benchmark", "--baseline", "var", "--noise", "isotropic", "--eta", "1e200"), 4),
             ((*_MC_CELL, "--mc-length", "5", "--eta", "1e200"), 4),
@@ -820,6 +821,29 @@ class TestExtremeSettings:
             assert run(argv) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and re.match(r"\w+: ", err[0])
+        assert _no_outputs(out)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--mc-length", "20",
+             "--mc-replicas", "2", "--country", "AAA", "--year", "2014"),
+            ("benchmark", "--baseline", "var"),
+        ],
+        ids=" ".join,
+    )
+    def test_sector_that_nothing_moves_exit_4(self, two_sector_file, tmp_path, capsys, args):
+        # a zero-output sector that supplies no input has no noise and no drive
+        data = tmp_path / "panel.csv"
+        data.write_text(two_sector_file.read_text(encoding="utf-8")
+                        + "OUTPUT,AAA,2014,S3,,0.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the command line would print a warning
+            assert run([*args, "--data", str(data), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["NumericalError: AAA/2014: sector S3 has no noise and supplies "
+                       "no input to any sector, so nothing moves it"]
         assert _no_outputs(out)
 
     def test_allocation_failure_exit_2(self, four_sector_file, tmp_path, capsys, monkeypatch):

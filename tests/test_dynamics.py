@@ -9,7 +9,6 @@ from ioresponse.dynamics import (
     equilibrium_output,
     lagged_covariance,
     simulate_batch,
-    simulate_trajectory,
     stationary_covariance,
 )
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
@@ -141,50 +140,58 @@ class TestLaggedCovariance:
             assert np.all(np.abs(mean - expected) < 3.0 * se + 1e-12)
 
 
+def _path(table, nu, shock, dt, horizon, burn_in, seed=0):
+    """(steps + 1, N) states of one replica."""
+    return simulate_batch(
+        table.coefficients, table.demand, nu, shock, dt=dt, horizon=horizon,
+        burn_in=burn_in, seed=seed, replicas=1,
+    )[0]
+
+
 class TestSimulate:
     def test_deterministic_fixed_point(self, two_sector_table):
-        traj = simulate_trajectory(
+        states = _path(
             two_sector_table, np.zeros((2, 2)), ShockProfile.none(),
             dt=0.01, horizon=20.0, burn_in=5.0,
         )
         y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
-        drift = np.max(np.abs(traj.states - y0[None, :]))
+        drift = np.max(np.abs(states - y0[None, :]))
         assert drift < 1e-8 * np.max(np.abs(y0))
 
     def test_step_shock_converges_to_perturbed_equilibrium(self, two_sector_table):
         x = np.array([1.0, 0.0])
-        traj = simulate_trajectory(
+        states = _path(
             two_sector_table, np.zeros((2, 2)), ShockProfile.step(x),
             dt=0.01, horizon=80.0, burn_in=1.0,
         )
         y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
         target = y0 + np.linalg.solve(np.eye(2) - two_sector_table.coefficients, x)
-        np.testing.assert_allclose(traj.states[-1], target, rtol=1e-8)
+        np.testing.assert_allclose(states[-1], target, rtol=1e-8)
         # the step is off during the burn-in, so the run begins at Y0
-        np.testing.assert_allclose(traj.states[0], y0, rtol=1e-12)
+        np.testing.assert_allclose(states[0], y0, rtol=1e-12)
 
     def test_identical_seed_bitwise_identical(self, two_sector_table):
         nu = 0.01 * np.eye(2)
         kwargs = dict(dt=0.01, horizon=5.0, burn_in=1.0, seed=123)
-        a = simulate_trajectory(two_sector_table, nu, ShockProfile.none(), **kwargs)
-        b = simulate_trajectory(two_sector_table, nu, ShockProfile.none(), **kwargs)
-        assert np.array_equal(a.states, b.states)
+        a = _path(two_sector_table, nu, ShockProfile.none(), **kwargs)
+        b = _path(two_sector_table, nu, ShockProfile.none(), **kwargs)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self, two_sector_table):
         nu = 0.01 * np.eye(2)
-        a = simulate_trajectory(
+        a = _path(
             two_sector_table, nu, ShockProfile.none(), dt=0.01, horizon=5.0,
             burn_in=1.0, seed=1,
         )
-        b = simulate_trajectory(
+        b = _path(
             two_sector_table, nu, ShockProfile.none(), dt=0.01, horizon=5.0,
             burn_in=1.0, seed=2,
         )
-        assert not np.array_equal(a.states, b.states)
+        assert not np.array_equal(a, b)
 
     def test_blowup_detected(self, two_sector_table):
         with pytest.raises(NumericalBlowup):
-            simulate_trajectory(
+            _path(
                 two_sector_table, np.zeros((2, 2)),
                 ShockProfile.step(np.array([1.0, 1.0])),
                 dt=3.0, horizon=600.0, burn_in=0.0,
@@ -192,15 +199,15 @@ class TestSimulate:
 
     def test_impulse_injected_once(self, two_sector_table):
         x = np.array([1.0, 0.0])
-        traj = simulate_trajectory(
+        states = _path(
             two_sector_table, np.zeros((2, 2)), ShockProfile.impulse(x),
             dt=0.01, horizon=1.0, burn_in=0.5,
         )
         y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
-        jump = traj.states[1] - traj.states[0]
+        jump = states[1] - states[0]
         # one-step increment is X plus an O(dt) drift correction
         np.testing.assert_allclose(jump, x, atol=0.05)
-        np.testing.assert_allclose(traj.states[0], y0, rtol=1e-12)
+        np.testing.assert_allclose(states[0], y0, rtol=1e-12)
 
     def test_first_order_convergence_of_deterministic_part(self, two_sector_table):
         from scipy.linalg import expm
@@ -212,11 +219,11 @@ class TestSimulate:
         exact = y0 + (np.eye(2) - expm(m * 4.0)) @ target
 
         def endpoint_error(dt):
-            traj = simulate_trajectory(
+            states = _path(
                 two_sector_table, np.zeros((2, 2)), ShockProfile.step(x),
                 dt=dt, horizon=4.0, burn_in=0.0,
             )
-            return np.max(np.abs(traj.states[-1] - exact))
+            return np.max(np.abs(states[-1] - exact))
 
         ratio = endpoint_error(0.02) / endpoint_error(0.01)
         assert 1.5 < ratio < 3.0
@@ -224,16 +231,16 @@ class TestSimulate:
     def test_zero_step_equals_no_shock(self, two_sector_table):
         nu = 0.01 * np.eye(2)
         kwargs = dict(dt=0.01, horizon=5.0, burn_in=1.0, seed=7)
-        stepped = simulate_trajectory(
+        stepped = _path(
             two_sector_table, nu, ShockProfile.step(np.zeros(2)), **kwargs
         )
-        free = simulate_trajectory(two_sector_table, nu, ShockProfile.none(), **kwargs)
-        np.testing.assert_array_equal(stepped.states, free.states)
+        free = _path(two_sector_table, nu, ShockProfile.none(), **kwargs)
+        np.testing.assert_array_equal(stepped, free)
 
     def test_noiseless_impulse_follows_analytic_response(self, two_sector_table):
         x = np.array([1.0, -0.5])
         dt = 1e-3
-        traj = simulate_trajectory(
+        states = _path(
             two_sector_table, np.zeros((2, 2)), ShockProfile.impulse(x),
             dt=dt, horizon=3.0, burn_in=0.0,
         )
@@ -242,7 +249,7 @@ class TestSimulate:
         exact = impulse_response(two_sector_table, x, grid).values
         index = np.rint(grid[1:] / dt).astype(int)
         # Euler's first-order error on an O(1) curve
-        np.testing.assert_allclose(traj.states[index] - y0, exact[1:], atol=dt)
+        np.testing.assert_allclose(states[index] - y0, exact[1:], atol=dt)
 
     def test_batch_replicas_start_at_y0_and_differ(self, two_sector_table):
         states = simulate_batch(

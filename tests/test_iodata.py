@@ -17,6 +17,7 @@ from ioresponse.errors import (
     MissingCountryYear,
     NonPositiveScale,
     NonProductiveEconomy,
+    NumericalError,
     ZeroOutputSector,
 )
 from ioresponse.iodata import (
@@ -27,9 +28,7 @@ from ioresponse.iodata import (
     Panel,
     load_panel,
     noise_covariance,
-    parse_io_table,
     spectral_radius,
-    write_io_table,
     write_panel,
     write_table,
 )
@@ -44,59 +43,49 @@ def _stream(*rows: str) -> io.StringIO:
 
 class TestParse:
     def test_two_sector_coefficients_and_residual_demand(self):
-        table = parse_io_table(
+        table = load_panel(
             _stream(
                 "OUTPUT,AAA,2014,S1,,2.0",
                 "OUTPUT,AAA,2014,S2,,2.0",
                 "FLOW,AAA,2014,S1,S2,1.0",
                 "FLOW,AAA,2014,S2,S1,0.4",
             ),
-            "AAA",
-            2014,
-        )
+        ).get("AAA", 2014)
         np.testing.assert_allclose(table.coefficients, [[0.0, 0.5], [0.2, 0.0]])
         np.testing.assert_allclose(table.demand, [1.0, 1.6])
 
     def test_zero_flows_demand_equals_output(self):
-        table = parse_io_table(
+        table = load_panel(
             _stream("OUTPUT,AAA,2000,S1,,5.0", "OUTPUT,AAA,2000,S2,,5.0"),
-            "AAA",
-            2000,
-        )
+        ).get("AAA", 2000)
         assert not table.coefficients.any()
         np.testing.assert_array_equal(table.demand, table.output)
 
     def test_nonproductive_economy_reports_radius(self):
         with pytest.raises(NonProductiveEconomy) as err:
-            parse_io_table(
+            load_panel(
                 _stream("OUTPUT,AAA,2000,S1,,1.0", "FLOW,AAA,2000,S1,S1,1.2"),
-                "AAA",
-                2000,
-            )
+            ).get("AAA", 2000)
         assert err.value.spectral_radius == pytest.approx(1.2)
 
     def test_missing_country_year(self):
         with pytest.raises(MissingCountryYear):
-            parse_io_table(_stream("OUTPUT,AAA,2000,S1,,5.0"), "BBB", 2000)
+            load_panel(_stream("OUTPUT,AAA,2000,S1,,5.0"), ["BBB"], [2000])
 
     def test_zero_output_with_flows(self):
         with pytest.raises(ZeroOutputSector):
-            parse_io_table(
+            load_panel(
                 _stream(
                     "OUTPUT,AAA,2000,S1,,5.0",
                     "OUTPUT,AAA,2000,S2,,0.0",
                     "FLOW,AAA,2000,S1,S2,1.0",
                 ),
-                "AAA",
-                2000,
-            )
+            ).get("AAA", 2000)
 
     def test_zero_output_without_flows_is_fine(self):
-        table = parse_io_table(
+        table = load_panel(
             _stream("OUTPUT,AAA,2000,S1,,5.0", "OUTPUT,AAA,2000,S2,,0.0"),
-            "AAA",
-            2000,
-        )
+        ).get("AAA", 2000)
         assert table.coefficients[0, 1] == 0.0
 
     @pytest.mark.parametrize(
@@ -113,22 +102,20 @@ class TestParse:
     )
     def test_malformed_rows_report_line_numbers(self, row, reason):
         with pytest.raises(MalformedRow) as err:
-            parse_io_table(_stream(row), "AAA", 2000)
+            load_panel(_stream(row)).get("AAA", 2000)
         assert err.value.line_number == 2
         assert reason in str(err.value)
 
     def test_header_required(self):
         with pytest.raises(MalformedRow) as err:
-            parse_io_table(io.StringIO("OUTPUT,AAA,2000,S1,,5.0\n"), "AAA", 2000)
+            load_panel(io.StringIO("OUTPUT,AAA,2000,S1,,5.0\n")).get("AAA", 2000)
         assert err.value.line_number == 1
 
     def test_duplicate_output_rejected(self):
         with pytest.raises(InconsistentTable):
-            parse_io_table(
+            load_panel(
                 _stream("OUTPUT,AAA,2000,S1,,5.0", "OUTPUT,AAA,2000,S1,,5.0"),
-                "AAA",
-                2000,
-            )
+            ).get("AAA", 2000)
 
     @pytest.mark.parametrize(
         "rows,line",
@@ -149,13 +136,13 @@ class TestParse:
     )
     def test_flow_to_unknown_sector_rejected(self, rows, line):
         with pytest.raises(InconsistentTable, match=rf"^line {line}: sector 'S9' has no OUTPUT row"):
-            parse_io_table(_stream(*rows), "AAA", 2000)
+            load_panel(_stream(*rows)).get("AAA", 2000)
 
     def test_negative_flow_rejected_unless_clipped(self):
         rows = ("OUTPUT,AAA,2000,S1,,5.0", "FLOW,AAA,2000,S1,S1,-1.0")
         with pytest.raises(InconsistentTable):
-            parse_io_table(_stream(*rows), "AAA", 2000)
-        table = parse_io_table(_stream(*rows), "AAA", 2000, clip_negative_flows=True)
+            load_panel(_stream(*rows)).get("AAA", 2000)
+        table = load_panel(_stream(*rows), clip_negative_flows=True).get("AAA", 2000)
         assert table.flows[0, 0] == 0.0
 
     def test_negative_residual_demand_warns_and_keeps(self):
@@ -179,23 +166,22 @@ class TestScanner:
     )
 
     def _plain(self) -> IOTable:
-        return parse_io_table(_stream(*self.ROWS), "AAA", 2000)
+        return load_panel(_stream(*self.ROWS)).get("AAA", 2000)
 
     def test_fields_padded_with_spaces(self):
         header = " , ".join(CANONICAL_HEADER.split(","))
         rows = [" " + "  ,  ".join(r.split(",")) + " " for r in self.ROWS]
         text = "\n".join([header, *rows]) + "\n"
-        assert parse_io_table(io.StringIO(text), "AAA", 2000).equals(self._plain())
+        assert load_panel(io.StringIO(text)).get("AAA", 2000).equals(self._plain())
 
     def test_quoted_fields(self):
         rows = [",".join(f'"{f}"' for f in r.split(",")) for r in self.ROWS]
-        assert parse_io_table(_stream(*rows), "AAA", 2000).equals(self._plain())
+        assert load_panel(_stream(*rows)).get("AAA", 2000).equals(self._plain())
 
     def test_quoted_field_keeps_its_comma(self):
-        table = parse_io_table(
+        table = load_panel(
             _stream('OUTPUT,AAA,2000,"S,1",,2.0', 'FLOW,AAA,2000,"S,1","S,1",1.0'),
-            "AAA", 2000,
-        )
+        ).get("AAA", 2000)
         assert table.codes == ("S,1",)
         assert table.coefficients[0, 0] == 0.5
 
@@ -203,18 +189,18 @@ class TestScanner:
         path = tmp_path / "crlf.csv"
         lines = (CANONICAL_HEADER, *self.ROWS)
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-        assert parse_io_table(path, "AAA", 2000).equals(self._plain())
+        assert load_panel(path).get("AAA", 2000).equals(self._plain())
         path.write_bytes(("\r\n".join((*lines, "FLOW,AAA,2000,S1")) + "\r\n").encode())
         with pytest.raises(MalformedRow, match="^line 7: expected 6 fields, got 4$"):
-            parse_io_table(path, "AAA", 2000)
+            load_panel(path).get("AAA", 2000)
 
     def test_blank_lines_are_skipped_and_counted(self):
         lines = ["", "   ", CANONICAL_HEADER, self.ROWS[0], "", "  ", *self.ROWS[1:], ""]
         text = "\n".join(lines) + "\n"
-        assert parse_io_table(io.StringIO(text), "AAA", 2000).equals(self._plain())
+        assert load_panel(io.StringIO(text)).get("AAA", 2000).equals(self._plain())
         text += "FLOW,AAA,2000,S1,S2,x\n"
         with pytest.raises(MalformedRow, match=r"^line 12: value 'x' is not a number$"):
-            parse_io_table(io.StringIO(text), "AAA", 2000)
+            load_panel(io.StringIO(text)).get("AAA", 2000)
 
     @pytest.mark.parametrize("year", [" 2000 ", "+2000", "02000"])
     def test_year_forms(self, year):
@@ -398,9 +384,9 @@ class TestRoundTrip:
     def test_random_economy_round_trip(self, seed, n):
         table = random_economy(n, seed)
         buf = io.StringIO()
-        write_io_table(table, buf)
+        write_panel(Panel([table]), buf)
         buf.seek(0)
-        again = parse_io_table(buf, table.country, table.year)
+        again = load_panel(buf).get(table.country, table.year)
         assert table.equals(again)
 
     def test_rows_before_their_output_rows_parse_the_same(self, panel):
@@ -493,9 +479,6 @@ class TestWriteIOTable:
             "FINAL,AAA,2000,S2,CCC,0.25\n"
         )
         buf = io.StringIO()
-        write_io_table(table, buf)
-        assert buf.getvalue() == expected
-        buf = io.StringIO()
         write_panel(Panel([table]), buf)
         assert buf.getvalue() == expected
 
@@ -518,13 +501,12 @@ class TestNoise:
         with pytest.raises(NonPositiveScale):
             NoiseSpec.isotropic(-0.5)
 
-    def test_zero_output_sector_warns(self):
+    def test_sector_that_nothing_moves_raises(self):
         table = IOTable.from_flows(
             "AAA", 2000, ["S1", "S2"], np.zeros((2, 2)), np.array([100.0, 0.0])
         )
-        with pytest.warns(UserWarning, match="singular"):
-            nu = noise_covariance(NoiseSpec.output_proportional(0.01), table)
-        assert nu[1, 1] == 0.0
+        with pytest.raises(NumericalError, match="^AAA/2000: sector S2 has no noise"):
+            noise_covariance(NoiseSpec.output_proportional(0.01), table)
 
 
 def test_empty_panel_has_no_codes():

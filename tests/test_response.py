@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from ioresponse import response as response_module
 from ioresponse import susceptibility as susceptibility_module
-from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_trajectory
+from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_batch
 from ioresponse.errors import IllConditioned
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
 from ioresponse.response import (
@@ -322,12 +322,12 @@ class TestForecast:
         rho = truncated_susceptibility
         y_t1 = y0 + rho(table.coefficients, 1.0) @ x
         forecast = lrt_forecast(table, y0, y_t1)
-        traj = simulate_trajectory(
-            table, np.zeros((4, 4)), ShockProfile.step(x),
-            dt=4e-5, horizon=2.0, burn_in=0.0,
-        )
-        scale = np.max(np.abs(traj.states[-1]))
-        assert np.max(np.abs(forecast - traj.states[-1])) < 1e-6 * scale
+        end = simulate_batch(
+            table.coefficients, table.demand, np.zeros((4, 4)), ShockProfile.step(x),
+            dt=4e-5, horizon=2.0, burn_in=0.0, seed=0, replicas=1,
+        )[0, -1]
+        scale = np.max(np.abs(end))
+        assert np.max(np.abs(forecast - end)) < 1e-6 * scale
         exact = y0 + rho(table.coefficients, 2.0) @ x
         np.testing.assert_allclose(forecast, exact, rtol=1e-10)
 
@@ -351,9 +351,9 @@ class TestWiodExamples:
     def test_usa_2014_slowest_large_sector_recovers_in_six_to_ten_years(
         self, wiod_file
     ):
-        from ioresponse.iodata import parse_io_table
+        from ioresponse.iodata import load_panel
 
-        table = parse_io_table(wiod_file, "USA", 2014, clip_negative_flows=True)
+        table = load_panel(wiod_file, ["USA"], [2014], clip_negative_flows=True).get("USA", 2014)
         grid = response_grid(15.0, 0.01)
         curve = impulse_response(table, np.ones(table.n_sectors), grid)
         times = recovery_time(curve, eps=RECOVERY_EPS)

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_batch
+from ioresponse.dynamics import (
+    ShockProfile,
+    equilibrium_output,
+    simulate_batch,
+    stationary_covariance,
+)
 from ioresponse.errors import InsufficientSamples, MissingPanelCell
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
 from ioresponse.response import impulse_response_monte_carlo
@@ -272,6 +277,23 @@ class TestGreenKuboIntegral:
                 sums.add(states[:, start:start + width])
             results.append(sums.integrals())
         assert all(np.array_equal(results[0], r) for r in results[1:])
+
+    def test_centering_holds_when_the_mean_is_far_from_the_origin(self, economy, nu):
+        # measured from Y0 + sd the deviations have a mean of about -sd, so
+        # the centering removes as much as the fluctuations it keeps
+        states = simulate_batch(
+            economy.coefficients, economy.demand, nu, ShockProfile.none(),
+            dt=0.01, horizon=30.0, burn_in=5.0, seed=11, replicas=2,
+        )
+        origin = equilibrium_output(economy.coefficients, economy.demand)
+        sd = np.sqrt(np.diag(stationary_covariance(economy.coefficients, nu)))
+        results = []
+        for shifted in (origin, origin + sd):
+            sums = _GreenKuboSums(shifted, states.shape[1], 150, 0.01, 2)
+            sums.add(states)
+            results.append(sums.integrals())
+        gap = np.max(np.abs(results[1] - results[0])) / np.max(np.abs(results[0]))
+        assert gap < 1e-12
 
 
 class TestImpulseCurveProjection:
