@@ -247,7 +247,10 @@ def fit_var1(
     so no burn-in is needed.  ``GaussianStream(seed)`` gives the first N
     variates to that start, then ``samples x N`` to the innovations, year by
     year.  The ``samples`` transition pairs are fitted by ordinary least
-    squares with intercepts.
+    squares with intercepts: the AR matrix regresses the leading states on
+    the lagged ones, both centered on their means, and the intercept is
+    ``mean(leading) - AR mean(lagged)``.  That is the fit on a column of
+    ones, with a rank check that does not depend on the noise scale.
     Raises :class:`InsufficientSamples` when ``samples < N + 2``.
     """
     n = table.n_sectors
@@ -268,23 +271,27 @@ def fit_var1(
     states += equilibrium_output(table.coefficients, table.demand)
     lagged = states[:-1]
     leading = states[1:]
-    design = np.column_stack([lagged, np.ones(len(lagged))])
-    if np.linalg.matrix_rank(design) < n + 1:
+    # centered regressors carry no intercept column, so the rank check and
+    # the fit do not depend on how large the states are beside a constant
+    lag_mean = lagged.mean(axis=0)
+    lead_mean = leading.mean(axis=0)
+    design = lagged - lag_mean
+    if np.linalg.matrix_rank(design) < n:
         raise RankDeficientRegressors(
-            "yearly states do not span the regressor space: the noise is too small to "
-            "move them, or too large beside the intercept to resolve it"
+            "yearly states do not span the regressor space: the noise is too small to move them"
         )
-    coef, _, _, _ = np.linalg.lstsq(design, leading, rcond=None)
-    residuals = leading - design @ coef
+    coef, _, _, _ = np.linalg.lstsq(design, leading - lead_mean, rcond=None)
+    ar = coef.T
+    residuals = leading - lead_mean - design @ coef
     dof = max(len(lagged) - (n + 1), 1)
     sigma2 = (residuals**2).sum(axis=0) / dof
     gram_inv = np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.outer(np.diag(gram_inv), sigma2))  # (n+1, n)
+    intercept_var = 1.0 / len(lagged) + lag_mean @ gram_inv @ lag_mean
     return VarModel(
-        ar=coef[:n].T,
-        intercept=coef[n],
-        ar_stderr=se[:n].T,
-        intercept_stderr=se[n],
+        ar=ar,
+        intercept=lead_mean - ar @ lag_mean,
+        ar_stderr=np.sqrt(np.outer(np.diag(gram_inv), sigma2)).T,
+        intercept_stderr=np.sqrt(sigma2 * intercept_var),
         calibration_year=table.year,
         samples=samples,
     )

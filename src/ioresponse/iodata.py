@@ -26,13 +26,17 @@ emitted when a residual demand component is negative; the value is kept.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
+import os
+import stat
 import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -329,10 +333,36 @@ def noise_covariance(spec: NoiseSpec, table: IOTable) -> np.ndarray:
 # canonical long-format scanning
 # ---------------------------------------------------------------------------
 
-def _open_source(source) -> tuple[TextIO, bool]:
-    if isinstance(source, (str, Path)):
+def _open_source(source, digest=None) -> tuple[TextIO, bool]:
+    """A text stream over ``source`` and whether to close it.  A file named
+    by path feeds every byte read from it to ``digest`` when one is given."""
+    if not isinstance(source, (str, Path)):
+        return source, False
+    if digest is None:
         return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+    raw = _HashingReader(open(source, "rb", buffering=0), digest)
+    return io.TextIOWrapper(io.BufferedReader(raw, _HASH_BLOCK), encoding="utf-8", newline=""), True
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary file that feeds every byte read through it to a digest."""
+
+    def __init__(self, raw, digest):
+        self._raw = raw
+        self.digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        if n:
+            self.digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
 
 
 class _TableAccumulator:
@@ -386,7 +416,9 @@ class _TableAccumulator:
         cells[1].append(j)
         cells[2].append(value)
 
-    def build(self, clip_negative_flows: bool = False) -> IOTable:
+    def arrays(self) -> _TableArrays:
+        """The table's arrays as :func:`_build_table` takes them, flows
+        not yet clipped."""
         n = len(self.rank)
         if n == 0:
             raise MissingCountryYear(
@@ -405,22 +437,38 @@ class _TableAccumulator:
         flows = np.zeros((n, n))
         fi, fj = (position[np.frombuffer(c, dtype=np.int32)] for c in self.flow_cells[:2])
         np.add.at(flows, (fi, fj), np.frombuffer(self.flow_cells[2]))
-        if clip_negative_flows:
-            np.clip(flows, 0.0, None, out=flows)
 
-        dests = list(self.dest_index)
-        final = np.zeros((n, len(dests)))
+        final = np.zeros((n, len(self.dest_index)))
         gi, gj = (np.frombuffer(c, dtype=np.int32) for c in self.final_cells[:2])
         np.add.at(final, (position[gi], gj), np.frombuffer(self.final_cells[2]))
-        return IOTable.from_flows(
-            self.country,
-            self.year,
-            list(self.rank),
-            flows,
-            np.asarray(self.outputs),
-            final_demand=final,
-            final_destinations=dests,
-        )
+        return _TableArrays(self.country, self.year, list(self.rank), flows,
+                            np.asarray(self.outputs), final, list(self.dest_index))
+
+
+class _TableArrays(NamedTuple):
+    """What one table is built from: read by the row scan or from a cache
+    entry."""
+
+    country: str
+    year: int
+    codes: list[str]
+    flows: np.ndarray   # before clipping
+    output: np.ndarray
+    final: np.ndarray   # N x len(destinations)
+    destinations: list[str]
+
+
+def _build_table(arrays: _TableArrays, clip_negative_flows: bool) -> IOTable:
+    flows = np.clip(arrays.flows, 0.0, None) if clip_negative_flows else arrays.flows
+    return IOTable.from_flows(
+        arrays.country,
+        arrays.year,
+        arrays.codes,
+        flows,
+        arrays.output,
+        final_demand=arrays.final,
+        final_destinations=arrays.destinations,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +603,122 @@ def _raise_first_bad_line(path, want_c, want_y, reason: str) -> NoReturn:
     raise MalformedRow(lineno, f"not UTF-8 text ({reason})") from None
 
 
+# ---------------------------------------------------------------------------
+# the table cache
+# ---------------------------------------------------------------------------
+
+#: Layout of a cache entry.  It is part of the entry's name, so a reader
+#: never opens an entry written in another layout.
+_CACHE_FORMAT = "v1"
+#: Entries kept after a write: the newest.
+_CACHE_ENTRIES = 4
+_HASH_BLOCK = 1 << 20
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/ioresponse``, or ``~/.cache/ioresponse`` when that
+    variable is unset or not absolute; None without a home directory."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser("~/.cache")  # returned as given without a home
+        if not os.path.isabs(base):
+            return None
+    return Path(base) / "ioresponse"
+
+
+def _file_digest(path) -> str | None:
+    """SHA-256 of a regular file named by path; None for an open stream, a
+    pipe, a directory, or a file that cannot be read (the scan reports it).
+    Nothing else is read, so a pipe keeps its bytes for the scan."""
+    import hashlib
+
+    if not isinstance(path, (str, Path)):
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(_HASH_BLOCK):
+                digest.update(block)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _entry_name(digest: str) -> str:
+    return f"panel-{_CACHE_FORMAT}-{digest}.npz"
+
+
+def _read_entry(path: Path) -> list[_TableArrays] | None:
+    """The tables stored in a cache entry, or None when it cannot be read
+    as one: missing, truncated, corrupt or of another layout."""
+    try:
+        with np.load(path, allow_pickle=False) as entry:
+            sizes, bounds, flows, output, final = (
+                entry[key] for key in ("sizes", "bounds", "flows", "output", "final"))
+            text = entry["text"].tobytes()
+        strings = [text[a:b].decode("utf-8")
+                   for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+        tables = []
+        s = f = o = g = 0
+        for n, d in sizes.tolist():
+            tables.append(_TableArrays(
+                strings[s], int(strings[s + 1]), strings[s + 2:s + 2 + n],
+                flows[f:f + n * n].reshape(n, n), output[o:o + n],
+                final[g:g + n * d].reshape(n, d), strings[s + 2 + n:s + 2 + n + d],
+            ))
+            s, f, o, g = s + 2 + n + d, f + n * n, o + n, g + n * d
+        if (s, f, o, g) != (len(strings), flows.size, output.size, final.size):
+            raise ValueError("entry arrays disagree with their sizes")
+    except Exception:
+        # a damaged zip raises many unrelated types (BadZipFile, EOFError,
+        # KeyError, NotImplementedError for a compression method, ...): each
+        # is a miss, and the text is read instead
+        return None
+    return tables
+
+
+def _write_entry(directory: Path, name: str, tables: Sequence[_TableArrays]) -> None:
+    """Store the tables as entry ``name``, then remove all but the
+    ``_CACHE_ENTRIES`` newest entries.  An OSError, as a read-only or
+    full disk raises, leaves the entry unwritten and the load unharmed.
+
+    Text goes in as UTF-8 bytes with offsets: each table's country, year,
+    sector codes and destinations, in that order.  Every string survives
+    exactly, NUL characters and all.
+    """
+    import tempfile
+
+    encoded = [str(v).encode("utf-8") for t in tables
+               for v in (t.country, t.year, *t.codes, *t.destinations)]
+    arrays = {
+        "sizes": np.array([(len(t.codes), len(t.destinations)) for t in tables], dtype=np.int64),
+        "text": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        "bounds": np.cumsum([0, *map(len, encoded)], dtype=np.int64),
+        "flows": np.concatenate([t.flows.ravel() for t in tables]),
+        "output": np.concatenate([t.output for t in tables]),
+        "final": np.concatenate([t.final.ravel() for t in tables]),
+    }
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, temporary = tempfile.mkstemp(prefix=".panel-", suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(temporary, directory / name)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temporary)
+        # file times can tie, so the entry just written is kept by name
+        others = sorted((entry for entry in directory.glob("panel-*.npz") if entry.name != name),
+                        key=lambda entry: entry.stat().st_mtime_ns, reverse=True)
+        for entry in others[_CACHE_ENTRIES - 1:]:
+            entry.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
 def load_panel(
     path,
     countries: Sequence[str] | None = None,
@@ -568,25 +732,53 @@ def load_panel(
     path that is not UTF-8 raises :class:`MalformedRow` at the line of its
     first undecodable byte, unless a bad row comes before that line.  An
     open stream's decoding is its owner's.
+
+    A regular file is read once per content.  After a load without
+    ``countries`` or ``years`` has scanned every row and built every table,
+    the arrays each table is built from (flows before clipping) are stored
+    under ``$XDG_CACHE_HOME/ioresponse/`` (default ``~/.cache/ioresponse/``),
+    named by the SHA-256 of the bytes the scan read.  A later load of the
+    same bytes, selected or not, builds its tables from that entry and
+    scans nothing.  Either way every table comes from
+    :meth:`IOTable.from_flows`, so the tables, warnings and errors are the
+    same.  A stream, a pipe or a selected load that finds no entry writes
+    none, and a bad entry is read as no entry.
     """
+    import hashlib
+
     want_c = set(countries) if countries is not None else None
     want_y = {int(y) for y in years} if years is not None else None
-    stream, close = _open_source(path)
-    try:
-        accs = _scan_rows(stream, want_c, want_y)
-    except UnicodeDecodeError as exc:
-        if not close:
-            raise
-        _raise_first_bad_line(path, want_c, want_y, exc.reason)
-    finally:
-        if close:
-            stream.close()
-    if not accs:
+    directory = _cache_dir()
+    digest = _file_digest(path) if directory is not None else None
+    cached = _read_entry(directory / _entry_name(digest)) if digest is not None else None
+    scanned = None
+    if cached is not None:
+        cells = (t for t in cached if (want_c is None or t.country in want_c)
+                 and (want_y is None or t.year in want_y))
+    else:
+        if digest is not None and want_c is None and want_y is None:
+            scanned = hashlib.sha256()
+        stream, close = _open_source(path, scanned)
+        try:
+            accs = _scan_rows(stream, want_c, want_y)
+        except UnicodeDecodeError as exc:
+            if not close:
+                raise
+            _raise_first_bad_line(path, want_c, want_y, exc.reason)
+        finally:
+            if close:
+                stream.close()
+        cells = (accs[key].arrays() for key in sorted(accs))
+    kept, tables = [], []
+    for arrays in cells:
+        kept.append(arrays)
+        tables.append(_build_table(arrays, clip_negative_flows))
+    if not tables:
         raise MissingCountryYear("no matching rows in stream")
-    return Panel(
-        accs[key].build(clip_negative_flows=clip_negative_flows)
-        for key in sorted(accs)
-    )
+    panel = Panel(tables)
+    if scanned is not None:
+        _write_entry(directory, _entry_name(scanned.hexdigest()), kept)
+    return panel
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures: toy economies, random productive economies, a
 deterministic synthetic panel with export detail, and the per-lag reference
-for the Monte Carlo routes."""
+for the Monte Carlo routes.  Every test session keeps its table cache in a
+directory of its own."""
 
 from __future__ import annotations
 
@@ -90,17 +91,28 @@ def unshocked_states(table: IOTable, nu: np.ndarray, budget) -> np.ndarray:
 
 def lag_propagators(states: np.ndarray, n_lags: int) -> np.ndarray:
     """Per replica and lag, ``C_hat(k dt) sigma_hat^{-1}`` for k = 0..n_lags,
-    one N x N covariance and solve per lag: (replicas, n_lags + 1, N, N)."""
+    one N x N covariance and solve per lag: (replicas, n_lags + 1, N, N).
+
+    The mean and the covariances are summed in ``np.longdouble``, and each
+    float64 solve is refined twice against them, so the result carries the
+    rounding of its last step, not of thousands of float64 sums.  (Where
+    ``longdouble`` is float64, as on some platforms, it is a plain float64
+    computation.)
+    """
     out = []
     for y in states:
-        y = y - y.mean(axis=0)
+        y = y.astype(np.longdouble)
+        y -= y.mean(axis=0)
         n = len(y)
-        sigma = y.T @ y / n
-        # C_hat(k dt) = y[k:]^T y[:n-k] / (n - k); sigma_hat is symmetric
-        out.append(np.stack([
-            np.linalg.solve(sigma, (y[k:].T @ y[:n - k] / (n - k)).T).T
-            for k in range(n_lags + 1)
-        ]))
+        # C_hat(k dt)^T = y[:n-k]^T y[k:] / (n - k); sigma_hat = C_hat(0)
+        cov_t = np.stack([y[:n - k].T @ y[k:] / (n - k) for k in range(n_lags + 1)])
+        sigma = cov_t[0]
+        # sigma P_k^T = C_hat(k dt)^T: a plain solve, then two refinement steps
+        solution = np.zeros_like(cov_t)
+        for _ in range(3):
+            residual = (cov_t - sigma @ solution).astype(float)
+            solution += np.linalg.solve(sigma.astype(float), residual)
+        out.append(solution.transpose(0, 2, 1).astype(float))
     return np.stack(out)
 
 
@@ -113,6 +125,20 @@ def green_kubo_integrals(
     sums = _GreenKuboSums(origin, states.shape[1], n_lags, dt, len(states))
     sums.add(states)
     return sums.integrals()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_table_cache(tmp_path_factory):
+    """Point the table cache at a directory of this session, for loads in
+    process and in command-line subprocesses alike (they inherit
+    ``os.environ``), so no test reads or writes the user's cache."""
+    previous = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache"))
+    yield
+    if previous is None:
+        del os.environ["XDG_CACHE_HOME"]
+    else:
+        os.environ["XDG_CACHE_HOME"] = previous
 
 
 @pytest.fixture(scope="session")

@@ -283,6 +283,16 @@ class TestVar:
         with pytest.raises(RankDeficientRegressors):
             fit_var1(two_sector_table, np.zeros((2, 2)), samples=50, seed=0)
 
+    def test_ar_matrix_does_not_depend_on_noise_scale(self):
+        # the same draws at any eta: states of size eta x Y, centered before the fit
+        table = build_panel(2, (2000, 2003), 4, seed=1).get("AAA", 2000)
+        small, large = (
+            fit_var1(table, noise_covariance(NoiseSpec.output_proportional(eta), table),
+                     samples=1000, seed=1)
+            for eta in (1e-2, 1e12)
+        )
+        assert np.max(np.abs(large.ar - small.ar)) <= 1e-12 * np.max(np.abs(small.ar))
+
     def test_fewer_samples_than_regressors(self, two_sector_table):
         with pytest.raises(InsufficientSamples):
             fit_var1(two_sector_table, np.eye(2), samples=3, seed=0)

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests."""
 
 import contextlib
+import errno
 import io
 import os
 import re
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ioresponse import iodata
 from ioresponse.cli import _FLAGS, _HANDLERS, run
 from ioresponse.iodata import write_panel
 
@@ -803,7 +806,7 @@ class TestExtremeSettings:
             (("benchmark", "--baseline", "var", "--var-samples", str(10**18)), 2),
             ((*_MC_CELL, "--mc-replicas", str(10**13)), 2),
             ((*_MC_CELL, "--mc-replicas", str(10**16)), 2),
-            (("benchmark", "--baseline", "var", "--eta", "1e100"), 4),
+            (("benchmark", "--baseline", "var", "--eta", "1e150"), 4),
             (("benchmark", "--baseline", "var", "--eta", "1e200"), 4),
             (("benchmark", "--baseline", "var", "--noise", "isotropic", "--eta", "1e200"), 4),
             ((*_MC_CELL, "--mc-length", "5", "--eta", "1e200"), 4),
@@ -822,6 +825,16 @@ class TestExtremeSettings:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and re.match(r"\w+: ", err[0])
         assert _no_outputs(out)
+
+    @pytest.mark.parametrize("eta", ["1e10", "1e100"])
+    def test_var_runs_at_large_noise_scales(self, four_sector_file, tmp_path, capsys, eta):
+        # the VAR fit regresses centered states, so no intercept column is
+        # lost beside states of size eta x Y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["benchmark", "--baseline", "var", "--eta", eta, "--data",
+                        str(four_sector_file), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "args",
@@ -965,6 +978,110 @@ class TestNotUtf8:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("DataError: cannot read scenario spec: ")
         assert _no_outputs(out)
+
+
+class TestTableCache:
+    """Whether a run finds its tables in the cache changes no output, no
+    message and no exit code."""
+
+    FORMS = [
+        ("ingest",),
+        ("forecast", "--country", "AAA"),
+        ("susceptibility", "--country", "BBB", "--year", "2003"),
+        ("benchmark", "--baseline", "perturbed_io"),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def cache(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+        return root / "ioresponse"
+
+    @staticmethod
+    def run_quietly(capsys, args, data, out) -> tuple[int, list[str]]:
+        code = run([*args, "--data", str(data), "--out", str(out)])
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("args", FORMS, ids=" ".join)
+    def test_outputs_identical_cold_and_warm(self, panel_file, tmp_path, capsys, cache,
+                                             monkeypatch, args):
+        cold = self.run_quietly(capsys, args, panel_file, tmp_path / "cold")
+        assert cold == (0, [])
+        self.run_quietly(capsys, ("ingest",), panel_file, tmp_path / "ingest")
+        assert len(list(cache.glob("panel-*.npz"))) == 1
+        monkeypatch.setattr(iodata, "_scan_rows", None)  # a warm run scans no row
+        assert self.run_quietly(capsys, args, panel_file, tmp_path / "warm") == (0, [])
+        assert _numeric_outputs(tmp_path / "warm") == _numeric_outputs(tmp_path / "cold")
+
+    @pytest.mark.parametrize("form", ["bad row", "not UTF-8", "missing", "directory"])
+    def test_bad_input_fails_alike_twice_and_is_not_cached(self, two_sector_file, tmp_path,
+                                                           capsys, cache, form):
+        data = tmp_path / "data.csv"
+        if form == "bad row":
+            data.write_text(_read(two_sector_file) + "FLOW,AAA,2014,S1\n", encoding="utf-8")
+        elif form == "not UTF-8":
+            data.write_bytes(two_sector_file.read_bytes().replace(b"S2", b"S\xe92", 1))
+        elif form == "directory":
+            data.mkdir()
+        results = [self.run_quietly(capsys, ("ingest",), data, tmp_path / f"out{k}")
+                   for k in range(2)]
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code in (2, 3) and len(err) == 1 and re.match(r"\w+: ", err[0])
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("damage", ["truncate", "other layout"])
+    def test_bad_entry_is_read_again_quietly(self, panel_file, tmp_path, capsys, cache, damage):
+        assert self.run_quietly(capsys, ("ingest",), panel_file, tmp_path / "cold") == (0, [])
+        [entry] = cache.glob("panel-*.npz")
+        if damage == "truncate":
+            entry.write_bytes(entry.read_bytes()[:100])
+        else:
+            np.savez(entry, codes=np.array(["S1"]))
+        assert self.run_quietly(capsys, ("ingest",), panel_file, tmp_path / "again") == (0, [])
+        assert iodata._read_entry(entry) is not None  # rewritten
+        assert _numeric_outputs(tmp_path / "again") == _numeric_outputs(tmp_path / "cold")
+
+    @pytest.mark.parametrize("obstacle", ["read-only directory", "file in the way", "full disk"])
+    def test_unwritable_cache_is_ignored(self, panel_file, tmp_path, capsys, cache, monkeypatch,
+                                         obstacle):
+        if obstacle == "read-only directory":
+            cache.mkdir(parents=True)
+            cache.chmod(0o500)
+        elif obstacle == "file in the way":
+            cache.parent.mkdir()
+            cache.write_text("")
+        else:
+            def full(*args, **kwargs):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(np, "savez", full)
+        try:
+            assert self.run_quietly(capsys, ("ingest",), panel_file, tmp_path / "out") == (0, [])
+        finally:
+            if obstacle == "read-only directory":
+                cache.chmod(0o700)
+        if cache.is_dir():
+            assert not list(cache.glob(".panel-*"))  # no temporary file left behind
+
+    def test_fifo_data_is_read_and_not_cached(self, panel_file, tmp_path, capsys, cache):
+        args = ("susceptibility", "--country", "AAA", "--year", "2004")
+        fifo = tmp_path / "panel.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(panel_file.read_bytes())
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            assert self.run_quietly(capsys, args, fifo, tmp_path / "fifo") == (0, [])
+        finally:
+            writer.join()
+        assert not cache.exists()
+        assert self.run_quietly(capsys, args, panel_file, tmp_path / "file") == (0, [])
+        assert _numeric_outputs(tmp_path / "fifo") == _numeric_outputs(tmp_path / "file")
 
 
 def test_console_script_entry_point(two_sector_file, tmp_path):

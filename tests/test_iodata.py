@@ -1,7 +1,9 @@
 """Parsing, validation, and round-trip behavior of IO tables."""
 
+import hashlib
 import io
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -408,6 +410,218 @@ class TestRoundTrip:
         sub = load_panel(panel_file, countries=["AAA"], years=[2000, 2001])
         assert sub.countries() == ["AAA"]
         assert sub.years() == [2000, 2001]
+
+
+class TestPanelCache:
+    """A regular file's tables are scanned once per content and rebuilt by
+    ``IOTable.from_flows`` from a cache entry afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def cache(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(root))
+        return root / "ioresponse"
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The selections of every row scan, in call order."""
+        calls = []
+        scan = iodata._scan_rows
+
+        def counted(lines, want_c, want_y):
+            calls.append((want_c, want_y))
+            return scan(lines, want_c, want_y)
+
+        monkeypatch.setattr(iodata, "_scan_rows", counted)
+        return calls
+
+    @staticmethod
+    def entries(cache) -> list:
+        return sorted(cache.glob("panel-*.npz"))
+
+    @staticmethod
+    def write(path, text: str):
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @staticmethod
+    def assert_same_tables(got: Panel, expected: Panel):
+        assert [(t.country, t.year) for t in got] == [(t.country, t.year) for t in expected]
+        for a, b in zip(got, expected):
+            assert a.equals(b)
+
+    @pytest.fixture(scope="class")
+    def text(self, panel) -> str:
+        buf = io.StringIO()
+        write_panel(panel, buf)
+        return buf.getvalue()
+
+    def test_second_load_scans_nothing(self, text, tmp_path, cache, scans):
+        path = self.write(tmp_path / "panel.csv", text)
+        cold = load_panel(path)
+        assert len(scans) == 1 and len(self.entries(cache)) == 1
+        warm = load_panel(path)
+        assert len(scans) == 1
+        self.assert_same_tables(warm, cold)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest in self.entries(cache)[0].name
+
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize("selection", [(None, None), (["BBB"], None), (None, [2003]),
+                                           (["AAA", "CCC"], [2001, 2008])])
+    def test_warm_tables_equal_scanned_ones(self, text, tmp_path, scans, clip, selection):
+        path = self.write(tmp_path / "panel.csv", text)
+        load_panel(path, clip_negative_flows=clip)
+        warm = load_panel(path, *selection, clip_negative_flows=clip)
+        assert len(scans) == 1
+        self.assert_same_tables(warm, load_panel(io.StringIO(text), *selection,
+                                                 clip_negative_flows=clip))
+
+    def test_entry_keeps_flows_before_clipping(self, text, tmp_path, scans):
+        # one negative flow: only a clipped load builds every table
+        header, first, *rest = text.splitlines(keepends=True)
+        flow = next(k for k, line in enumerate(rest) if line.startswith("FLOW,"))
+        rest[flow] = ",".join(rest[flow].split(",")[:5]) + ",-0.5\n"
+        damaged = "".join([header, first, *rest])
+        path = self.write(tmp_path / "panel.csv", damaged)
+        clipped = load_panel(path, clip_negative_flows=True)
+        with pytest.raises(InconsistentTable) as scanned:
+            load_panel(io.StringIO(damaged))
+        with pytest.raises(InconsistentTable) as warm:
+            load_panel(path)
+        assert str(warm.value) == str(scanned.value)
+        self.assert_same_tables(load_panel(path, clip_negative_flows=True), clipped)
+        assert len(scans) == 2  # the clipped load and the stream
+
+    def test_selected_load_that_misses_writes_nothing(self, text, tmp_path, cache, scans):
+        path = self.write(tmp_path / "panel.csv", text)
+        load_panel(path, countries=["AAA"])
+        load_panel(path, years=[2000])
+        assert self.entries(cache) == []
+        load_panel(path)
+        assert len(self.entries(cache)) == 1
+        with pytest.raises(MissingCountryYear, match="^no matching rows in stream$"):
+            load_panel(path, countries=["ZZZ"])
+        assert len(scans) == 3
+
+    def test_streams_neither_read_nor_write(self, text, tmp_path, cache, scans):
+        path = self.write(tmp_path / "panel.csv", text)
+        load_panel(path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            load_panel(fh)
+        assert len(scans) == 2 and len(self.entries(cache)) == 1
+
+    @pytest.mark.parametrize("body", [
+        b"OUTPUT,AAA,2000,S1,,1.0\nFLOW,AAA,2000,S1\n",
+        b"OUTPUT,AAA,2000,S1,,1.0\nOUTPUT,AAA,2000,S\xe92,,1.0\n",
+    ], ids=["bad row", "not UTF-8"])
+    def test_bad_input_is_never_cached(self, tmp_path, cache, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(CANONICAL_HEADER.encode() + b"\n" + body)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(MalformedRow) as err:
+                load_panel(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and messages[0].startswith("line 3: ")
+        assert not cache.exists()
+
+    def test_edited_file_misses_and_reads_the_new_value(self, text, tmp_path, cache, scans):
+        path = self.write(tmp_path / "panel.csv", text)
+        before = load_panel(path)
+        lines = text.splitlines(keepends=True)
+        last = lines[-1].split(",")
+        lines[-1] = ",".join([*last[:5], "1234.5\n"])
+        self.write(path, "".join(lines))
+        after = load_panel(path)
+        assert len(scans) == 2 and len(self.entries(cache)) == 2
+        table = after.get(last[1], int(last[2]))
+        k = table.sector_index(last[3])
+        assert table.export_demand[k, table.destination_index(last[4])] == 1234.5
+        assert not before.get(last[1], int(last[2])).equals(table)
+
+    def test_entry_is_named_by_the_bytes_the_scan_read(self, text, tmp_path, cache, monkeypatch):
+        # the file changes after it is hashed, before the scan reads it
+        path = self.write(tmp_path / "panel.csv", text)
+        edited = text + "\n"
+        scan = iodata._scan_rows
+
+        def edit_then_scan(lines, want_c, want_y):
+            self.write(path, edited)
+            return scan(lines, want_c, want_y)
+
+        monkeypatch.setattr(iodata, "_scan_rows", edit_then_scan)
+        load_panel(path)
+        [entry] = self.entries(cache)
+        assert hashlib.sha256(edited.encode("utf-8")).hexdigest() in entry.name
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() not in entry.name
+
+    @pytest.mark.parametrize("code", [
+        pytest.param("S\x00", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="csv reads NUL characters from Python 3.11 on")),
+        "\U0001d538\u00e9",
+    ], ids=["trailing NUL", "outside the BMP"])
+    def test_codes_survive_a_warm_load(self, tmp_path, scans, code):
+        table = IOTable.from_flows("A\U0001f30d", 2000, [code, "S2"],
+                                   np.array([[0.0, 1.0], [0.4, 0.0]]), np.array([2.0, 2.0]))
+        path = tmp_path / "panel.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_panel(Panel([table]), fh)
+        cold = load_panel(path)
+        warm = load_panel(path)
+        assert len(scans) == 1
+        assert warm.get("A\U0001f30d", 2000).codes == (code, "S2")
+        self.assert_same_tables(warm, cold)
+
+    def test_entry_count_is_bounded(self, text, tmp_path, cache, scans):
+        # blank lines are skipped, so each file holds the same tables in other bytes
+        paths = [self.write(tmp_path / f"panel{k}.csv", text + "\n" * k)
+                 for k in range(iodata._CACHE_ENTRIES + 3)]
+        for path in paths:
+            load_panel(path)
+            assert len(self.entries(cache)) <= iodata._CACHE_ENTRIES
+        assert len(self.entries(cache)) == iodata._CACHE_ENTRIES
+        load_panel(paths[-1])
+        assert len(scans) == len(paths)
+
+    @pytest.mark.parametrize("damage", ["truncate", "other layout", "empty",
+                                        "unknown compression method"])
+    def test_bad_entry_is_a_miss_and_is_rewritten(self, text, tmp_path, cache, scans, damage):
+        path = self.write(tmp_path / "panel.csv", text)
+        cold = load_panel(path)
+        [entry] = self.entries(cache)
+        data = entry.read_bytes()
+        if damage == "truncate":
+            entry.write_bytes(data[:len(data) // 2])
+        elif damage == "other layout":
+            np.savez(entry, flows=np.zeros(3))
+        elif damage == "empty":
+            entry.write_bytes(b"")
+        else:  # the method field of the first central directory record
+            k = data.index(b"PK\x01\x02") + 10
+            entry.write_bytes(data[:k] + (99).to_bytes(2, "little") + data[k + 2:])
+        assert iodata._read_entry(entry) is None
+        self.assert_same_tables(load_panel(path), cold)
+        assert len(scans) == 2 and iodata._read_entry(entry) is not None
+
+    def test_unwritable_cache_is_ignored(self, text, tmp_path, monkeypatch, scans):
+        # a file where the cache directory would go: no OSError escapes
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        path = self.write(tmp_path / "panel.csv", text)
+        self.assert_same_tables(load_panel(path), load_panel(path))
+        assert len(scans) == 2
+
+    def test_cache_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        assert iodata._cache_dir() == tmp_path / "xdg" / "ioresponse"
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        for unset in ("", "relative/path"):
+            monkeypatch.setenv("XDG_CACHE_HOME", unset)
+            assert iodata._cache_dir() == tmp_path / "home" / ".cache" / "ioresponse"
+        monkeypatch.setattr(iodata.os.path, "expanduser", lambda path: path)  # no home
+        assert iodata._cache_dir() is None
 
 
 class TestWriteTable:
