@@ -26,7 +26,6 @@ from .baselines import (
 from .dynamics import (
     ShockProfile,
     equilibrium_output,
-    lagged_covariance,
     stationary_covariance,
 )
 from .iodata import (
@@ -45,7 +44,6 @@ from .response import (
     fluctuation_prediction,
     implied_shock,
     impulse_response,
-    impulse_response_monte_carlo,
     lrt_forecast,
     recovery_time,
     response_grid,

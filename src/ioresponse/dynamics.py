@@ -6,8 +6,8 @@ drift matrix ``M = A - I`` while being driven by white noise with covariance
 
     dY = [(A - I) Y + D + X(t)] dt + dW,   cov(dW) = nu dt.
 
-This module provides the fixed point, the stationary and lagged covariances
-of the unshocked process, and Euler-Maruyama sampling of trajectories.
+This module provides the fixed point, the stationary covariance of the
+unshocked process, and Euler-Maruyama sampling of trajectories.
 ``simulate_batch`` is the one public entry: it stores the states of every
 replica, one path being ``replicas=1``.  The Monte Carlo Green-Kubo sums take
 the recorded states in blocks as the loop produces them instead
@@ -124,21 +124,6 @@ def stationary_covariance(coefficients: np.ndarray, nu: np.ndarray) -> np.ndarra
             f"{LYAPUNOV_RTOL:.0e} relative tolerance"
         )
     return sigma
-
-
-def lagged_covariance(coefficients: np.ndarray, nu: np.ndarray, tau: float) -> np.ndarray:
-    """Equilibrium lagged covariance C(tau) = exp(M tau) sigma, tau >= 0.
-
-    Entry (k, j) is the centered correlation <y_k(t + tau) y_j(t)>.
-    """
-    from .susceptibility import propagator  # which imports this module
-
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
-    sigma = stationary_covariance(coefficients, nu)
-    if tau == 0.0:
-        return sigma
-    return propagator(coefficients, tau) @ sigma
 
 
 # ---------------------------------------------------------------------------

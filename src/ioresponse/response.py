@@ -8,9 +8,7 @@ there a step response coincides bit-for-bit with
 ``truncated_susceptibility(A, h) @ X``.  Any other grid evaluates the
 propagator ``exp((A - I) t')`` directly per grid point, and a step response
 at each grid time T coincides bit-for-bit with
-``truncated_susceptibility(A, T) @ X``.  A Monte Carlo route estimates the
-same propagator from equilibrium correlations of simulated trajectories and
-carries standard errors; the two must agree within the Monte Carlo error.
+``truncated_susceptibility(A, T) @ X``.
 """
 
 from __future__ import annotations
@@ -22,15 +20,10 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .baselines import pearson_r
-from .dynamics import ShockProfile, simulate_batch, step_count
+from .dynamics import ShockProfile, step_count
 from .errors import IllConditioned, MissingPanelCell, NumericalError
 from .iodata import IOTable, Panel, leontief_solve, write_table
-from .susceptibility import (
-    SimulationBudget,
-    lag_count,
-    propagator,
-    truncated_susceptibility,
-)
+from .susceptibility import propagator, truncated_susceptibility
 
 #: Default relative threshold below which a sector counts as recovered.
 RECOVERY_EPS = 0.05
@@ -47,8 +40,6 @@ class ResponseCurve:
     grid: np.ndarray           # t' (years since the shock), increasing
     values: np.ndarray         # (len(grid), N)
     shock: ShockProfile
-    provenance: str            # "analytic" | "monte_carlo"
-    standard_errors: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -103,12 +94,7 @@ def impulse_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
         p = propagator(a, h)
         for k in range(1, len(grid)):
             values[k] = p @ values[k - 1]
-    return ResponseCurve(
-        grid=grid,
-        values=values,
-        shock=ShockProfile.impulse(x),
-        provenance="analytic",
-    )
+    return ResponseCurve(grid=grid, values=values, shock=ShockProfile.impulse(x))
 
 
 def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
@@ -130,63 +116,7 @@ def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
         values[1] = leontief_solve(a, np.eye(len(a)) - p) @ x
         for k in range(2, len(grid)):
             values[k] = values[1] + p @ values[k - 1]
-    return ResponseCurve(
-        grid=grid,
-        values=values,
-        shock=ShockProfile.step(x),
-        provenance="analytic",
-    )
-
-
-def impulse_response_monte_carlo(
-    table: IOTable,
-    shock_vector,
-    nu: np.ndarray,
-    horizon: float,
-    budget: SimulationBudget = SimulationBudget(),
-) -> ResponseCurve:
-    """Impulse response estimated from equilibrium correlations.
-
-    Per replica of n unshocked states ``y``, centered on their mean, the
-    curve at lag k is ``C_hat(k dt) sigma_hat^{-1} x`` with
-    ``C_hat(k dt) = y[k:]^T y[:n-k] / (n - k)``.  One solve
-    ``v = sigma_hat^{-1} x`` per replica projects the states to ``s = y v``,
-    so a lag costs one product ``y[k:]^T s[:n-k]`` and no N x N matrix.
-    The curve lives on the simulation lag grid (spacing ``budget.dt``);
-    standard errors come from the replica spread.  The states are stored
-    (see :class:`SimulationBudget`).
-    """
-    x = np.asarray(shock_vector, dtype=float)
-    n_lags = lag_count(horizon, budget)
-    lags = budget.dt * np.arange(n_lags + 1)
-    states = simulate_batch(
-        table.coefficients,
-        table.demand,
-        nu,
-        ShockProfile.none(),
-        dt=budget.dt,
-        horizon=budget.length,
-        burn_in=budget.burn_in,
-        seed=budget.seed,
-        replicas=budget.replicas,
-    )
-    n = states.shape[1]
-    curves = np.empty((budget.replicas, n_lags + 1, len(x)))  # (R, K+1, N)
-    for curve, y in zip(curves, states):
-        y -= y.mean(axis=0)
-        # sigma_hat is C_hat(0)
-        s = y @ np.linalg.solve(y.T @ y / n, x)
-        for k in range(n_lags + 1):
-            curve[k] = y[k:].T @ s[:n - k] / (n - k)
-    values = curves.mean(axis=0)
-    stderr = curves.std(axis=0, ddof=1) / math.sqrt(len(curves))
-    return ResponseCurve(
-        grid=lags,
-        values=values,
-        shock=ShockProfile.impulse(x),
-        provenance="monte_carlo",
-        standard_errors=stderr,
-    )
+    return ResponseCurve(grid=grid, values=values, shock=ShockProfile.step(x))
 
 
 def recovery_time(curve: ResponseCurve, eps: float = RECOVERY_EPS) -> np.ndarray:
@@ -345,8 +275,7 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
 
 
 def write_curve(curve: ResponseCurve, sectors: Sequence[str], stream: TextIO) -> None:
-    """Curve export: t_prime,sector,value[,stderr]."""
-    write_table(stream, "t_prime,sector,value,stderr", (
-        np.repeat(curve.grid, len(sectors)), list(sectors) * len(curve.grid),
-        curve.values, curve.standard_errors,
+    """Curve export: t_prime,sector,value."""
+    write_table(stream, "t_prime,sector,value", (
+        np.repeat(curve.grid, len(sectors)), list(sectors) * len(curve.grid), curve.values,
     ))

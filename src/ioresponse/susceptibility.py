@@ -19,11 +19,6 @@ to the stationary output change of sector k.  Two routes are provided:
   working memory does not grow with the simulated length.  A constant
   channel filtered with the states gives every sum that centering on the
   sample mean needs, so the centering is one projection at the end.
-
-The Monte Carlo impulse response
-(:func:`ioresponse.response.impulse_response_monte_carlo`) applies the
-per-lag estimates ``C_hat(k dt) sigma_hat^{-1}`` to one shock vector instead
-of integrating them; it stores the simulated states.
 """
 
 from __future__ import annotations
@@ -67,9 +62,7 @@ class SimulationBudget:
     process running it peaked at 75 MB at N = 28 and 87 MB at N = 56, for
     the default as for the command line's 8 replicas of 400 years (when the
     states were stored: 475 and 146 MB at N = 28, 878 and 227 MB at
-    N = 56).  The impulse-curve route,
-    :func:`ioresponse.response.impulse_response_monte_carlo`, stores
-    ``replicas * (length / dt + 1) * N * 8`` bytes of states.
+    N = 56).
     """
 
     dt: float = DEFAULT_DT

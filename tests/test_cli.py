@@ -903,7 +903,7 @@ def _fresh_python(code: str) -> str:
 _LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
-def test_cli_import_skips_scipy_stats():
+def test_cli_import_loads_no_scipy():
     assert _fresh_python(f"import sys, ioresponse.cli; print({_LOADED_SCIPY})") == "[]"
 
 

@@ -7,7 +7,6 @@ from ioresponse import dynamics
 from ioresponse.dynamics import (
     ShockProfile,
     equilibrium_output,
-    lagged_covariance,
     simulate_batch,
     stationary_covariance,
 )
@@ -15,6 +14,7 @@ from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
 from ioresponse.response import impulse_response
 from ioresponse.rng import GaussianStream
+from ioresponse.susceptibility import propagator
 
 from conftest import random_economy
 
@@ -97,23 +97,24 @@ class TestStationaryCovariance:
 
 
 class TestLaggedCovariance:
+    """C(tau) = exp((A - I) tau) sigma, formed from the propagator and the
+    stationary covariance."""
+
     def test_zero_lag_is_sigma(self):
         table = random_economy(4, seed=5)
         nu = 0.01 * np.eye(4)
         sigma = stationary_covariance(table.coefficients, nu)
-        np.testing.assert_array_equal(
-            lagged_covariance(table.coefficients, nu, 0.0), sigma
-        )
+        np.testing.assert_array_equal(propagator(table.coefficients, 0.0) @ sigma, sigma)
 
     def test_scalar_exponential_decay(self):
         # M = -1 via A = 0; choose nu so sigma = 1
-        c = lagged_covariance([[0.0]], [[2.0]], 1.0)
+        c = propagator([[0.0]], 1.0) @ stationary_covariance([[0.0]], [[2.0]])
         np.testing.assert_allclose(c, [[np.exp(-1.0)]], rtol=1e-12)
 
     def test_decay_to_zero(self):
         table = random_economy(3, seed=6)
         nu = 0.05 * np.eye(3)
-        c = lagged_covariance(table.coefficients, nu, 200.0)
+        c = propagator(table.coefficients, 200.0) @ stationary_covariance(table.coefficients, nu)
         assert np.max(np.abs(c)) < 1e-12
 
     def test_simulation_matches_lagged_covariance(self):
@@ -127,9 +128,11 @@ class TestLaggedCovariance:
             dt=dt, horizon=10_000.0, burn_in=50.0, seed=9, replicas=1,
         )[0]
         batches = np.array_split(states, 10)
+        sigma = stationary_covariance(table.coefficients, nu)
         for tau in (0.5, 1.0, 2.0):
             lag = int(round(tau / dt))
-            expected = lagged_covariance(table.coefficients, nu, tau)
+            # C(tau) = exp((A - I) tau) sigma, entry (k, j) = <y_k(t + tau) y_j(t)>
+            expected = propagator(table.coefficients, tau) @ sigma
             estimates = []
             for batch in batches:
                 y = batch - batch.mean(axis=0, keepdims=True)

@@ -1,5 +1,6 @@
 """Response curves, recovery times, implied shocks, and the forecaster."""
 
+import io
 import math
 
 import numpy as np
@@ -17,14 +18,14 @@ from ioresponse.response import (
     fluctuation_prediction,
     implied_shock,
     impulse_response,
-    impulse_response_monte_carlo,
     lrt_forecast,
     recovery_time,
     response_grid,
     step_response,
+    write_curve,
 )
 from ioresponse.scenario import scenario_response_curves
-from ioresponse.susceptibility import SimulationBudget, truncated_susceptibility
+from ioresponse.susceptibility import truncated_susceptibility
 
 from conftest import build_panel, random_economy
 
@@ -362,14 +363,52 @@ class TestWiodExamples:
         assert 6.0 <= slowest <= 10.0
 
 
-class TestMonteCarloCurve:
-    def test_agrees_with_analytic_within_three_se(self):
+class TestFluctuationResponse:
+    def test_unshocked_fluctuations_reproduce_the_impulse_response(self):
+        # fluctuation-dissipation: C(t') sigma^{-1} x = exp((A - I) t') x,
+        # estimated per replica from an unshocked path, within three
+        # standard errors of the replica spread
         table = random_economy(4, seed=70)
         nu = noise_covariance(NoiseSpec.output_proportional(0.02), table)
         x = np.array([1.0, 0.0, -0.5, 0.25])
-        budget = SimulationBudget(dt=0.01, length=800.0, replicas=8, seed=71)
-        mc = impulse_response_monte_carlo(table, x, nu, 2.0, budget)
-        exact = impulse_response(table, x, mc.grid)
-        gap = np.abs(mc.values - exact.values)
-        assert np.all(gap < 3.0 * mc.standard_errors + 1e-9)
-        assert mc.provenance == "monte_carlo"
+        dt = 0.01
+        states = simulate_batch(
+            table.coefficients, table.demand, nu, ShockProfile.none(),
+            dt=dt, horizon=800.0, burn_in=50.0, seed=71, replicas=8,
+        )
+        grid = np.array([0.0, 0.5, 1.0, 2.0])
+        per_replica = []
+        for y in states:
+            y = y - y.mean(axis=0)
+            n = len(y)
+            weights = np.linalg.solve(y.T @ y / n, x)
+            lags = np.rint(grid / dt).astype(int)
+            per_replica.append([y[k:].T @ y[:n - k] @ weights / (n - k) for k in lags])
+        per_replica = np.array(per_replica)
+        mean = per_replica.mean(axis=0)
+        se = per_replica.std(axis=0, ddof=1) / math.sqrt(len(per_replica))
+        exact = impulse_response(table, x, grid)
+        assert np.all(np.abs(mean - exact.values) < 3.0 * se + 1e-9)
+
+
+class TestCurveExport:
+    @pytest.fixture
+    def exported(self, two_sector_table):
+        curve = impulse_response(two_sector_table, [0.7, -0.2], response_grid(0.5, 0.25))
+        buf = io.StringIO()
+        write_curve(curve, two_sector_table.codes, buf)
+        return curve, buf.getvalue().splitlines()
+
+    def test_curve_export_layout(self, exported, two_sector_table):
+        curve, lines = exported
+        assert lines[0] == "t_prime,sector,value"
+        assert len(lines) == 1 + len(curve.grid) * two_sector_table.n_sectors
+        # one row per grid point and sector, sectors inner
+        keys = [tuple(line.split(",")[:2]) for line in lines[1:]]
+        assert [k[1] for k in keys] == list(two_sector_table.codes) * len(curve.grid)
+        assert [float(k[0]) for k in keys[::2]] == list(curve.grid)
+
+    def test_curve_export_parses_back(self, exported):
+        curve, lines = exported
+        values = np.array([float(line.split(",")[2]) for line in lines[1:]])
+        assert np.array_equal(values, curve.values.ravel())

@@ -16,7 +16,6 @@ from ioresponse.dynamics import (
 )
 from ioresponse.errors import InsufficientSamples, MissingPanelCell
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
-from ioresponse.response import impulse_response_monte_carlo
 from ioresponse.susceptibility import expm as package_expm
 from ioresponse.susceptibility import (
     SimulationBudget,
@@ -192,13 +191,13 @@ class TestMonteCarlo:
         scaled = est.values / budget.dt
         assert np.linalg.norm(scaled - np.eye(5)) < 0.5
 
-    @pytest.fixture(params=["susceptibility", "impulse_curve"])
+    # the estimate, and the budget check the command line runs before it
+    # reads any data: both must turn the same budgets away
+    @pytest.fixture(params=["susceptibility", "budget_check"])
     def route(self, request):
         if request.param == "susceptibility":
             return susceptibility_monte_carlo
-        return lambda table, nu, horizon, budget=SimulationBudget(): (
-            impulse_response_monte_carlo(table, np.ones(table.n_sectors), nu, horizon, budget)
-        )
+        return lambda table, nu, horizon, budget=SimulationBudget(): lag_count(horizon, budget)
 
     def test_standard_errors_need_replicas(self, economy, nu, route):
         budget = SimulationBudget(dt=0.01, length=50.0, replicas=1, seed=4)
@@ -222,8 +221,6 @@ class TestMonteCarlo:
         states = unshocked_states(economy, nu, budget)
         assert lag_propagators(states, n_lags).shape == (2, 201, 5, 5)
         assert np.all(np.isfinite(green_kubo_integrals(economy, states, n_lags, budget.dt)))
-        curve = impulse_response_monte_carlo(economy, np.ones(5), nu, 2.0, budget)
-        assert len(curve.grid) == 201
         with pytest.raises(InsufficientSamples):
             lag_count(2.01, budget)
 
@@ -294,27 +291,6 @@ class TestGreenKuboIntegral:
             results.append(sums.integrals())
         gap = np.max(np.abs(results[1] - results[0])) / np.max(np.abs(results[0]))
         assert gap < 1e-12
-
-
-class TestImpulseCurveProjection:
-    """The projected Monte Carlo impulse curve against the per-lag route."""
-
-    # one lag; more lags than a 1,024-state FFT segment
-    @pytest.mark.parametrize("length, horizon", [(5.0, 0.01), (30.0, 12.0)])
-    def test_curve_is_replica_mean_of_propagators_applied_to_shock(
-        self, economy, nu, length, horizon
-    ):
-        budget = SimulationBudget(dt=0.01, length=length, replicas=3, burn_in=5.0, seed=10)
-        x = np.array([1.0, -0.5, 0.0, 2.0, 0.25])
-        curve = impulse_response_monte_carlo(economy, x, nu, horizon, budget)
-        n_lags = lag_count(horizon, budget)
-        assert np.array_equal(curve.grid, budget.dt * np.arange(n_lags + 1))
-        per_replica = lag_propagators(unshocked_states(economy, nu, budget), n_lags) @ x
-        reference = per_replica.mean(axis=0)
-        stderr = per_replica.std(axis=0, ddof=1) / math.sqrt(budget.replicas)
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(curve.values - reference)) < 1e-12 * scale
-        assert np.max(np.abs(curve.standard_errors - stderr)) < 1e-12 * scale
 
 
 class TestSectorSusceptibility:
