@@ -35,7 +35,13 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
-from .dynamics import _check_size, _noise_transform, equilibrium_output, stationary_covariance
+from .dynamics import (
+    _check_size,
+    _noise_transform,
+    _recur,
+    equilibrium_output,
+    stationary_covariance,
+)
 from .errors import (
     DegenerateInput,
     InsufficientSamples,
@@ -261,13 +267,10 @@ def fit_var1(
     sigma = stationary_covariance(table.coefficients, nu)
     start = _noise_transform(sigma)
     step = _noise_transform(sigma - phi @ sigma @ phi.T)
-    states = np.zeros((samples + 1, n))
-    if start is not None and step is not None:  # zero noise leaves every state at Y*
-        stream = GaussianStream(seed)
-        states[0] = start(stream.normals(n))
-        innovations = step(stream.normals((samples, n)))
-        for k in range(samples):
-            states[k + 1] = phi @ states[k] + innovations[k]
+    states = np.empty((samples + 1, n))
+    stream = GaussianStream(seed)
+    states[0] = start(stream.normals(n))
+    _recur(states, phi, step(stream.normals((samples, n))))
     states += equilibrium_output(table.coefficients, table.demand)
     lagged = states[:-1]
     leading = states[1:]

@@ -7,10 +7,12 @@ drift matrix ``M = A - I`` while being driven by white noise with covariance
     dY = [(A - I) Y + D + X(t)] dt + dW,   cov(dW) = nu dt.
 
 This module provides the fixed point, the stationary covariance of the
-unshocked process, and Euler-Maruyama sampling of trajectories.
+unshocked process, and Euler-Maruyama sampling of trajectories: one fixed
+linear map plus forcing, ``x(k+1) = F x(k) + g(k)`` on the deviations
+``x = Y - Y0``, with ``F = I + dt (A - I)`` and the noise and shocks in ``g``.
 ``simulate_batch`` is the one public entry: it stores the states of every
 replica, one path being ``replicas=1``.  The Monte Carlo Green-Kubo sums take
-the recorded states in blocks as the loop produces them instead
+the deviations in blocks as the loop produces them instead
 (``_euler_blocks``, which ``simulate_batch`` fills its array from).  All
 randomness flows through :mod:`ioresponse.rng`, so a seed pins a trajectory
 bit-for-bit.
@@ -160,11 +162,9 @@ class ShockProfile:
 
 def _noise_transform(nu: np.ndarray):
     """Map from standard normal draws (last axis N) to draws of covariance nu,
-    through a factor nu = F F^T; None for zero noise.  A diagonal nu scales
+    through a factor nu = L L^T.  A diagonal nu, zero noise included, scales
     the draws in place."""
     nu = np.asarray(nu, dtype=float)
-    if not nu.any():
-        return None
     off = nu - np.diag(np.diag(nu))
     if not off.any():
         diag = np.diag(nu)
@@ -177,6 +177,15 @@ def _noise_transform(nu: np.ndarray):
         raise ValueError("noise covariance is not positive semidefinite")
     factor = v * np.sqrt(np.clip(w, 0.0, None))
     return lambda draws: draws @ factor.T
+
+
+def _recur(record: np.ndarray, f: np.ndarray, forcing: np.ndarray) -> None:
+    """``record[k + 1] = F record[k] + forcing[k]`` in place for each k of the
+    forcing: the one recursion of every sampled path, Euler's and the VAR's."""
+    ft = f.T
+    for k in range(len(forcing)):
+        np.matmul(record[k], ft, out=record[k + 1])
+        np.add(record[k + 1], forcing[k], out=record[k + 1])
 
 
 def _euler_blocks(
@@ -192,12 +201,14 @@ def _euler_blocks(
 ) -> tuple[np.ndarray, int, Iterator[np.ndarray]]:
     """Check the arguments, then return ``(Y0, records, blocks)``.
 
-    ``blocks`` runs the Euler-Maruyama loop and yields the recorded states
-    in time order as (replicas, b, N) arrays, ``records`` states in all: one
-    block per ``_NOISE_CHUNK`` steps (fewer in the block that ends the
-    burn-in), then the final state.  A block is yielded only after its
-    blow-up check, and the next block overwrites it, so a consumer copies
-    what it keeps.
+    ``blocks`` steps the deviations and yields the ``records`` recorded ones
+    in time order as (replicas, b, N) arrays: one block per ``_NOISE_CHUNK``
+    steps (fewer in the block that ends the burn-in), then the final state.
+    A block's forcing ``g`` is its noise plus the equilibrium residual
+    ``dt ((A - I) Y0 + D)`` (zero up to rounding), plus ``dt X`` after the
+    burn-in for a step shock or ``X`` at its end for an impulse.  A block is
+    yielded after its blow-up check and overwritten by the next, so a
+    consumer copies what it keeps.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -217,51 +228,39 @@ def _euler_blocks(
     total_steps = burn_steps + rec_steps
 
     transform = _noise_transform(nu)
-    stream = GaussianStream(seed) if transform is not None else None
-    sqrt_dt = np.sqrt(dt)
+    stream = GaussianStream(seed)
     blow_cap = BLOWUP_FACTOR * max(float(np.max(np.abs(y0))), 1.0)
-
-    impulse_step = burn_steps if shock.kind == "impulse" else None
-    step_vector = shock.vector if shock.kind == "step" else None
+    f = np.eye(n) + dt * m
+    residual = dt * (y0 @ m.T + d)
 
     def blocks() -> Iterator[np.ndarray]:
-        y = np.tile(y0, (replicas, 1))
-        drift = np.empty_like(y)
-        record = np.empty((replicas, min(_NOISE_CHUNK, rec_steps), n))
-        step = 0
-        while step < total_steps:
+        # time-major: rec[k] holds every replica's deviation k steps into the block
+        rec = np.zeros((min(_NOISE_CHUNK, total_steps) + 1, replicas, n))
+        for step in range(0, total_steps, _NOISE_CHUNK):
             chunk = min(_NOISE_CHUNK, total_steps - step)
-            if transform is not None:
-                noise = None  # free the last block before the next is drawn
-                noise = transform(stream.normals((chunk, replicas, n)))
-                noise *= sqrt_dt
-            first = max(step, burn_steps)
+            first = max(burn_steps - step, 0)  # the block's first step past the burn-in
+            g = None  # free the last block before the next is drawn
+            g = transform(stream.normals((chunk, replicas, n)))
+            g *= np.sqrt(dt)
+            g += residual
+            if shock.kind == "step":
+                g[first:] += dt * shock.vector
+            elif shock.kind == "impulse" and step <= burn_steps < step + chunk:
+                g[first] += shock.vector
             # overflow inside a diverging run is caught by the blowup check
             # below; the error state is not held across a yield
             with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(chunk):
-                    if step >= burn_steps:
-                        record[:, step - first] = y
-                    np.matmul(y, m.T, out=drift)
-                    drift += d
-                    if step_vector is not None and step >= burn_steps:
-                        drift += step_vector
-                    drift *= dt
-                    y += drift
-                    if transform is not None:
-                        y += noise[k]
-                    if impulse_step is not None and step == impulse_step:
-                        y += shock.vector
-                    step += 1
-                peak = float(np.max(np.abs(y)))
+                _recur(rec, f, g)
+                peak = float(np.max(np.abs(rec[chunk] + y0)))
             if not np.isfinite(peak) or peak > blow_cap:
                 raise NumericalBlowup(
                     f"state magnitude exceeded {BLOWUP_FACTOR:.0e} x ||Y0||_inf "
-                    f"at t = {(step - burn_steps) * dt:.4g}"
+                    f"at t = {(step + chunk - burn_steps) * dt:.4g}"
                 )
-            if step > first:
-                yield record[:, :step - first]
-        yield y[:, None]
+            if first < chunk:
+                yield rec[first:chunk].transpose(1, 0, 2)
+            rec[0] = rec[chunk]
+        yield rec[:1].transpose(1, 0, 2)
 
     return y0, rec_steps + 1, blocks()
 
@@ -285,11 +284,12 @@ def simulate_batch(
     ``replicas=1`` and row 0 of the result.  Shock times refer to the
     recorded clock; the burn-in occupies t < 0.
 
-    Beyond the returned states the run holds the noise and the recorded
-    states of ``_NOISE_CHUNK`` steps, and the next noise block while it is
-    drawn.  A path that blows up stops at the end of its block.  A caller
-    that needs only sums over the states can take the blocks as they are
-    recorded instead (see :mod:`ioresponse.susceptibility`).
+    Beyond the returned states the run holds the forcing and the
+    deviations of ``_NOISE_CHUNK`` steps, and the next noise block while it
+    is drawn; ``Y0`` is added once per block.  A path that blows up stops at
+    the end of its block.  A caller that needs only sums over the states can
+    take the deviations as they are recorded instead (see
+    :mod:`ioresponse.susceptibility`).
     """
     y0, records, blocks = _euler_blocks(
         coefficients, demand, nu, shock, dt, horizon, burn_in, seed, replicas
@@ -297,6 +297,6 @@ def simulate_batch(
     out = np.empty((replicas, records, y0.shape[0]))
     filled = 0
     for block in blocks:
-        out[:, filled:filled + block.shape[1]] = block
+        np.add(block, y0, out=out[:, filled:filled + block.shape[1]])
         filled += block.shape[1]
     return out

@@ -38,7 +38,7 @@ from .dynamics import (
     drift_matrix,
     step_count,
 )
-from .errors import InsufficientSamples, MissingPanelCell
+from .errors import InsufficientSamples, MissingPanelCell, NumericalError
 from .iodata import IOTable, guarded_solve, leontief_solve, write_table
 
 #: Normal critical value for the 95% confidence intervals of the
@@ -55,14 +55,12 @@ class SimulationBudget:
     economy under the default noise.
 
     Memory: ``susceptibility_monte_carlo`` stores no states.  It holds the
-    replicas' current states, the noise and the recorded states of one
-    block of 1,024 Euler steps, and the Green-Kubo filter's FFT buffers of
-    N + 1 columns (the states and a constant), whatever the length: a traced
-    peak of 10.3 MB at N = 28 and 20.5 MB at N = 56 for 8 replicas.  A
-    process running it peaked at 75 MB at N = 28 and 87 MB at N = 56, for
-    the default as for the command line's 8 replicas of 400 years (when the
-    states were stored: 475 and 146 MB at N = 28, 878 and 227 MB at
-    N = 56).
+    forcing and the deviations from ``Y0`` of one block of 1,024 Euler
+    steps, and the Green-Kubo filter's FFT buffers of N + 1 columns (the
+    deviations and a constant), whatever the length: a traced peak of
+    10.3 MB at N = 28 and 20.5 MB at N = 56 for 8 replicas.  A process
+    running it peaked at 75 MB at N = 28 and 87 MB at N = 56, for the
+    default as for the command line's 8 replicas of 400 years.
     """
 
     dt: float = DEFAULT_DT
@@ -225,8 +223,8 @@ class _GreenKuboSums:
     the path centered on its own mean.  No path is stored:
 
     * Each state enters as its deviation ``x = y - Y0`` from the known fixed
-      point, so the sums below do not cancel, followed by a constant 1:
-      ``z = [x, 1]``.
+      point, as the Euler loop makes it, so the sums below do not cancel,
+      followed by a constant 1: ``z = [x, 1]``.
     * With the taps ``h_k = w_k / (n - k)``, the lag sum
       ``sum_k h_k sum_t z[t + k] z[t]^T`` is ``sum_s z[s] u[s]^T`` for the
       causal filter ``u[s] = sum_k h_k z[s - k]``.  An overlap-save FFT
@@ -242,37 +240,35 @@ class _GreenKuboSums:
     equal states give equal bits however they are fed.
     """
 
-    def __init__(self, origin: np.ndarray, records: int, n_lags: int, dt: float, replicas: int):
+    def __init__(self, n_sectors: int, records: int, n_lags: int, dt: float, replicas: int):
         from scipy.fft import next_fast_len, rfft
 
         weights = np.full(n_lags + 1, dt)
         weights[[0, -1]] = 0.5 * dt
         taps = weights / (records - np.arange(n_lags + 1))
-        self._origin = origin
         self._records = records
         self._lags = n_lags
         self._segment = max(_SEGMENT, n_lags)
         self._size = next_fast_len(n_lags + self._segment, real=True)
         self._taps_spectrum = rfft(taps, self._size)[:, None]
-        n = origin.shape[0] + 1
-        _check_size(replicas * (n_lags + self._segment) * n, "Green-Kubo buffer")
-        # the carried n_lags states, then the segment being filled; the
-        # constant channel starts at 0 in the carry, and the carry shift
-        # moves its ones forward, so no block writes it
-        self._buffer = np.zeros((replicas, n_lags + self._segment, n))
-        self._buffer[:, n_lags:, -1] = 1.0
+        n = n_sectors + 1
+        _check_size(replicas * self._size * n, "Green-Kubo buffer")
+        # the carried n_lags states, the segment being filled, zeros up to
+        # the FFT length; the constant channel starts at 0 in the carry, and
+        # the carry shift moves its ones forward, so no block writes it
+        self._buffer = np.zeros((replicas, self._size, n))
+        self._buffer[:, n_lags:n_lags + self._segment, -1] = 1.0
         self._fill = 0
         self._cross = np.zeros((replicas, n, n))  # sum_s z[s] u[s]^T
         self._gram = np.zeros((replicas, n, n))  # sum_s z[s] z[s]^T
 
     def add(self, block: np.ndarray) -> None:
-        """Feed the next (replicas, b, N) states of every path."""
+        """Feed the next (replicas, b, N) deviations of every path."""
         done = 0
         while done < block.shape[1]:
             take = min(block.shape[1] - done, self._segment - self._fill)
             start = self._lags + self._fill
-            np.subtract(block[:, done:done + take], self._origin,
-                        out=self._buffer[:, start:start + take, :-1])
+            self._buffer[:, start:start + take, :-1] = block[:, done:done + take]
             self._fill += take
             done += take
             if self._fill == self._segment:
@@ -283,7 +279,7 @@ class _GreenKuboSums:
 
         lags, fill = self._lags, self._fill
         z = self._buffer[:, lags:lags + fill]
-        spectrum = rfft(self._buffer, self._size, axis=1)
+        spectrum = rfft(self._buffer, axis=1)
         spectrum *= self._taps_spectrum
         # outputs at the carry's positions would need older states
         u = irfft(spectrum, self._size, axis=1)[:, lags:lags + fill]
@@ -297,7 +293,7 @@ class _GreenKuboSums:
         """(replicas, N, N) integrals once all ``records`` states are fed."""
         if self._fill:
             self._flush()
-        n = self._origin.shape[0]
+        n = self._gram.shape[1] - 1
         # P = [I, -m], with m the sample mean, maps each z = [x, 1] to x - m
         p = np.zeros((len(self._gram), n, n + 1))
         p[:, :, :n] = np.eye(n)
@@ -319,18 +315,15 @@ def susceptibility_monte_carlo(
     """Green-Kubo estimate of rho(T) from unshocked trajectories, with
     standard errors from the replica spread (see :func:`lag_count`)."""
     n_lags = lag_count(horizon, budget)
-    origin, records, blocks = _euler_blocks(
-        table.coefficients,
-        table.demand,
-        nu,
-        ShockProfile.none(),
-        dt=budget.dt,
-        horizon=budget.length,
-        burn_in=budget.burn_in,
-        seed=budget.seed,
-        replicas=budget.replicas,
+    y0, records, blocks = _euler_blocks(
+        table.coefficients, table.demand, nu, ShockProfile.none(), dt=budget.dt,
+        horizon=budget.length, burn_in=budget.burn_in, seed=budget.seed, replicas=budget.replicas,
     )
-    sums = _GreenKuboSums(origin, records, n_lags, budget.dt, budget.replicas)
+    # the deviations can carry noise that no output Y0 + x can hold; they would
+    # then fluctuate by the rounding of the equilibrium residual alone
+    if np.all(np.diag(nu) * budget.dt < np.spacing(y0) ** 2):
+        raise NumericalError("the noise is below the float64 resolution of every output")
+    sums = _GreenKuboSums(len(y0), records, n_lags, budget.dt, budget.replicas)
     for block in blocks:
         sums.add(block)
     stack = sums.integrals()

@@ -1,7 +1,7 @@
 """Shared fixtures: toy economies, random productive economies, a
-deterministic synthetic panel with export detail, and the per-lag reference
-for the Monte Carlo routes.  Every test session keeps its table cache in a
-directory of its own."""
+deterministic synthetic panel with export detail, the Euler update on the
+states and the per-lag reference for the Monte Carlo routes.  Every test
+session keeps its table cache in a directory of its own."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_batch
+from ioresponse import dynamics
+from ioresponse.dynamics import ShockProfile, equilibrium_output, step_count
 from ioresponse.iodata import IOTable, Panel, write_panel
+from ioresponse.rng import GaussianStream
 from ioresponse.sectors import WIOD_SECTORS
 from ioresponse.susceptibility import _GreenKuboSums
 
@@ -80,13 +82,46 @@ def build_panel(
     return Panel(tables)
 
 
-def unshocked_states(table: IOTable, nu: np.ndarray, budget) -> np.ndarray:
-    """(replicas, records, N) states of a Monte Carlo budget's unshocked run."""
-    return simulate_batch(
+def euler_states(coefficients, demand, nu, shock, dt, horizon, burn_in, seed, replicas):
+    """``simulate_batch`` by the Euler-Maruyama update on the states,
+    ``y += ((A - I) y + D [+ X]) dt``, then ``+ noise``, with an impulse
+    ``X`` added after the step that ends the burn-in: the arithmetic the
+    recursion on deviations replaced, with the same noise drawn in one block."""
+    a = np.asarray(coefficients, dtype=float)
+    d = np.asarray(demand, dtype=float)
+    m = a - np.eye(len(a))
+    burn_steps = step_count(burn_in, dt)
+    total_steps = burn_steps + step_count(horizon, dt)
+    noise = dynamics._noise_transform(nu)(
+        GaussianStream(seed).normals((total_steps, replicas, len(a)))
+    )
+    noise *= np.sqrt(dt)
+    y = np.tile(equilibrium_output(a, d), (replicas, 1))
+    records = []
+    for step in range(total_steps):
+        if step >= burn_steps:
+            records.append(y.copy())
+        drift = y @ m.T + d
+        if shock.kind == "step" and step >= burn_steps:
+            drift += shock.vector
+        y += drift * dt
+        y += noise[step]
+        if shock.kind == "impulse" and step == burn_steps:
+            y += shock.vector
+    records.append(y)
+    return np.stack(records, axis=1)
+
+
+def unshocked_deviations(table: IOTable, nu: np.ndarray, budget) -> np.ndarray:
+    """(replicas, records, N) deviations from Y0 of a Monte Carlo budget's
+    unshocked run: the blocks ``susceptibility_monte_carlo`` feeds its sums."""
+    _, _, blocks = dynamics._euler_blocks(
         table.coefficients, table.demand, nu, ShockProfile.none(),
         dt=budget.dt, horizon=budget.length, burn_in=budget.burn_in,
         seed=budget.seed, replicas=budget.replicas,
     )
+    # each block is overwritten by the next, so copy it as it comes
+    return np.concatenate([block.copy() for block in blocks], axis=1)
 
 
 def lag_propagators(states: np.ndarray, n_lags: int) -> np.ndarray:
@@ -116,14 +151,12 @@ def lag_propagators(states: np.ndarray, n_lags: int) -> np.ndarray:
     return np.stack(out)
 
 
-def green_kubo_integrals(
-    table: IOTable, states: np.ndarray, n_lags: int, dt: float
-) -> np.ndarray:
-    """(replicas, N, N) Green-Kubo integrals of the states, by the FFT filter
-    that ``susceptibility_monte_carlo`` feeds while it simulates."""
-    origin = equilibrium_output(table.coefficients, table.demand)
-    sums = _GreenKuboSums(origin, states.shape[1], n_lags, dt, len(states))
-    sums.add(states)
+def green_kubo_integrals(deviations: np.ndarray, n_lags: int, dt: float) -> np.ndarray:
+    """(replicas, N, N) Green-Kubo integrals of the deviations, by the FFT
+    filter that ``susceptibility_monte_carlo`` feeds while it simulates."""
+    replicas, records, n = deviations.shape
+    sums = _GreenKuboSums(n, records, n_lags, dt, replicas)
+    sums.add(deviations)
     return sums.integrals()
 
 

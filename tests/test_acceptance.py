@@ -41,7 +41,7 @@ from ioresponse.susceptibility import (
     truncated_susceptibility,
 )
 
-from conftest import build_panel, green_kubo_integrals, random_economy, unshocked_states
+from conftest import build_panel, green_kubo_integrals, random_economy, unshocked_deviations
 
 EU_COUNTRIES = (
     "AUT BEL BGR CYP CZE DEU DNK ESP EST FIN FRA GBR GRC HRV HUN IRL ITA "
@@ -108,8 +108,7 @@ def test_criterion_2_monte_carlo_convergence():
 
     def replica_error(length, seed):
         budget = SimulationBudget(dt=0.01, length=length, replicas=8, seed=seed)
-        states = unshocked_states(table, nu, budget)
-        integrals = green_kubo_integrals(table, states, 200, budget.dt)
+        integrals = green_kubo_integrals(unshocked_deviations(table, nu, budget), 200, budget.dt)
         return np.mean([np.linalg.norm(i - exact) / exact_norm for i in integrals])
 
     ratio = replica_error(250.0, seed=2) / replica_error(1000.0, seed=3)

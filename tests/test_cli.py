@@ -933,10 +933,15 @@ def test_propagator_subcommands_load_no_scipy(panel_file, tmp_path, args):
     assert _fresh_python(code) == "0 []"
 
 
-def test_perturbed_io_benchmark_loads_no_scipy_linalg(panel_file, tmp_path):
-    # its t-tests load scipy.special, its propagators no scipy.linalg
-    argv = ["benchmark", "--baseline", "perturbed_io", "--data", str(panel_file),
-            "--out", str(tmp_path / "out")]
+@pytest.mark.parametrize("args", [
+    ("benchmark", "--baseline", "perturbed_io"),
+    ("susceptibility", "--method", "monte_carlo", "--country", "AAA", "--year", "2004",
+     "--horizon", "1", "--mc-replicas", "2", "--mc-length", "20"),
+], ids=["perturbed_io_benchmark", "monte_carlo_susceptibility"])
+def test_scipy_routes_load_no_scipy_linalg(panel_file, tmp_path, args):
+    # the t-tests and the normal variates load scipy.special, the Green-Kubo
+    # filter scipy.fft; the propagators and the Euler loop need no scipy.linalg
+    argv = [*args, "--data", str(panel_file), "--out", str(tmp_path / "out")]
     code = ("import sys; from ioresponse.cli import run; "
             f"print(run({argv!r}), [m for m in {_LOADED_SCIPY} if m.startswith('scipy.linalg')])")
     assert _fresh_python(code) == "0 []"

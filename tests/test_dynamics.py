@@ -16,7 +16,7 @@ from ioresponse.response import impulse_response
 from ioresponse.rng import GaussianStream
 from ioresponse.susceptibility import propagator
 
-from conftest import random_economy
+from conftest import euler_states, random_economy
 
 
 class TestEquilibrium:
@@ -279,29 +279,46 @@ def test_shock_vector_length_checked(two_sector_table, kind):
         )
 
 
+def _noise_block_cases():
+    """(nu, shock) pairs: no shock with diagonal noise, an impulse with full
+    noise, a step with diagonal noise."""
+    factor = np.arange(16.0).reshape(4, 4) / 40.0
+    return [
+        (0.01 * np.diag([1.0, 2.0, 3.0, 4.0]), ShockProfile.none()),
+        (factor @ factor.T, ShockProfile.impulse(np.ones(4))),
+        (0.02 * np.eye(4), ShockProfile.step(np.full(4, 0.5))),
+    ]
+
+
 class TestNoiseBlocks:
     """The Euler loop draws its noise in blocks; the block size is invisible."""
 
     @staticmethod
-    def _run(nu, shock):
+    def _run(nu, shock, simulate=simulate_batch):
         table = random_economy(4, seed=3)
-        return simulate_batch(
+        return simulate(
             table.coefficients, table.demand, nu, shock, dt=0.01, horizon=2.0,
             burn_in=0.5, seed=9, replicas=3,
         )
 
     @pytest.mark.parametrize("chunk", [1, 7, 16384])
     def test_block_size_leaves_paths_bit_identical(self, monkeypatch, chunk):
-        factor = np.arange(16.0).reshape(4, 4) / 40.0
-        cases = [
-            (0.01 * np.diag([1.0, 2.0, 3.0, 4.0]), ShockProfile.none()),
-            (factor @ factor.T, ShockProfile.impulse(np.ones(4))),
-            (0.02 * np.eye(4), ShockProfile.step(np.full(4, 0.5))),
-        ]
+        cases = _noise_block_cases()
         reference = [self._run(nu, shock) for nu, shock in cases]
         monkeypatch.setattr(dynamics, "_NOISE_CHUNK", chunk)
         for (nu, shock), expected in zip(cases, reference):
             assert np.array_equal(self._run(nu, shock), expected)
+
+    @pytest.mark.parametrize("case", range(3), ids=["none", "impulse", "step"])
+    def test_recursion_on_deviations_matches_euler_update_on_states(self, case):
+        # a wrong F, residual term or shock forcing moves the paths by far
+        # more than the rounding that separates the two arithmetics
+        nu, shock = _noise_block_cases()[case]
+        table = random_economy(4, seed=3)
+        y0 = equilibrium_output(table.coefficients, table.demand)
+        expected = self._run(nu, shock, simulate=euler_states)
+        gap = np.max(np.abs(self._run(nu, shock) - expected))
+        assert gap <= 1e-12 * np.max(np.abs(expected - y0))
 
     def test_split_draws_concatenate_to_one_draw(self):
         whole = GaussianStream(11).normals((8, 3, 5))

@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ioresponse.dynamics import (
-    ShockProfile,
-    equilibrium_output,
-    simulate_batch,
-    stationary_covariance,
-)
-from ioresponse.errors import InsufficientSamples, MissingPanelCell
+from ioresponse.dynamics import equilibrium_output, stationary_covariance
+from ioresponse.errors import InsufficientSamples, MissingPanelCell, NumericalError
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
 from ioresponse.susceptibility import expm as package_expm
 from ioresponse.susceptibility import (
@@ -30,7 +25,7 @@ from ioresponse.susceptibility import (
     write_matrix,
 )
 
-from conftest import green_kubo_integrals, lag_propagators, random_economy, unshocked_states
+from conftest import green_kubo_integrals, lag_propagators, random_economy, unshocked_deviations
 
 
 class TestAnalytic:
@@ -184,6 +179,13 @@ class TestMonteCarlo:
         b = susceptibility_monte_carlo(economy, 100.0 * nu, 1.0, budget)
         np.testing.assert_allclose(a.values, b.values, rtol=1e-9)
 
+    def test_noise_that_moves_no_output_is_refused(self, economy):
+        # the deviations from Y0 could carry it, the outputs Y0 + x cannot
+        y0 = equilibrium_output(economy.coefficients, economy.demand)
+        budget = SimulationBudget(dt=0.01, length=5.0, replicas=2, burn_in=1.0)
+        with pytest.raises(NumericalError, match="float64 resolution"):
+            susceptibility_monte_carlo(economy, np.diag((1e-150 * y0) ** 2), 1.0, budget)
+
     def test_short_horizon_scales_like_identity(self, economy, nu):
         budget = SimulationBudget(dt=0.01, length=100.0, replicas=4, seed=3)
         est = susceptibility_monte_carlo(economy, nu, budget.dt, budget)
@@ -218,9 +220,9 @@ class TestMonteCarlo:
         budget = SimulationBudget(dt=0.01, length=2.0, replicas=2, burn_in=1.0, seed=5)
         n_lags = lag_count(2.0, budget)
         assert n_lags == 200
-        states = unshocked_states(economy, nu, budget)
-        assert lag_propagators(states, n_lags).shape == (2, 201, 5, 5)
-        assert np.all(np.isfinite(green_kubo_integrals(economy, states, n_lags, budget.dt)))
+        deviations = unshocked_deviations(economy, nu, budget)
+        assert lag_propagators(deviations, n_lags).shape == (2, 201, 5, 5)
+        assert np.all(np.isfinite(green_kubo_integrals(deviations, n_lags, budget.dt)))
         with pytest.raises(InsufficientSamples):
             lag_count(2.01, budget)
 
@@ -231,10 +233,10 @@ class TestGreenKuboIntegral:
     @staticmethod
     def assert_trapezoid_of_propagators(economy, nu, horizon, budget):
         n_lags = lag_count(horizon, budget)
-        states = unshocked_states(economy, nu, budget)
-        propagators = lag_propagators(states, n_lags)
+        deviations = unshocked_deviations(economy, nu, budget)
+        propagators = lag_propagators(deviations, n_lags)
         assert propagators.shape[1] == int(round(horizon / budget.dt)) + 1
-        integrals = green_kubo_integrals(economy, states, n_lags, budget.dt)
+        integrals = green_kubo_integrals(deviations, n_lags, budget.dt)
         for prop, integral in zip(propagators, integrals):
             reference = budget.dt * (
                 0.5 * (prop[0] + prop[-1]) + prop[1:-1].sum(axis=0)
@@ -250,9 +252,7 @@ class TestGreenKuboIntegral:
     def test_estimate_is_replica_mean_of_propagator_integrals(self, economy, nu):
         budget = SimulationBudget(dt=0.01, length=60.0, replicas=3, burn_in=5.0, seed=7)
         est = susceptibility_monte_carlo(economy, nu, 1.0, budget)
-        integrals = green_kubo_integrals(
-            economy, unshocked_states(economy, nu, budget), 100, budget.dt
-        )
+        integrals = green_kubo_integrals(unshocked_deviations(economy, nu, budget), 100, budget.dt)
         assert np.array_equal(est.values, integrals.mean(axis=0))
 
     # a path inside one FFT segment; more lags than a segment holds states
@@ -262,32 +262,26 @@ class TestGreenKuboIntegral:
         self.assert_trapezoid_of_propagators(economy, nu, horizon, budget)
 
     def test_sums_do_not_depend_on_how_states_are_fed(self, economy, nu):
-        states = simulate_batch(
-            economy.coefficients, economy.demand, nu, ShockProfile.none(),
-            dt=0.01, horizon=30.0, burn_in=5.0, seed=9, replicas=2,
-        )
-        origin = equilibrium_output(economy.coefficients, economy.demand)
+        budget = SimulationBudget(dt=0.01, length=30.0, replicas=2, burn_in=5.0, seed=9)
+        deviations = unshocked_deviations(economy, nu, budget)
         results = []
-        for width in (1, 7, 1024, states.shape[1]):
-            sums = _GreenKuboSums(origin, states.shape[1], 150, 0.01, 2)
-            for start in range(0, states.shape[1], width):
-                sums.add(states[:, start:start + width])
+        for width in (1, 7, 1024, deviations.shape[1]):
+            sums = _GreenKuboSums(5, deviations.shape[1], 150, 0.01, 2)
+            for start in range(0, deviations.shape[1], width):
+                sums.add(deviations[:, start:start + width])
             results.append(sums.integrals())
         assert all(np.array_equal(results[0], r) for r in results[1:])
 
     def test_centering_holds_when_the_mean_is_far_from_the_origin(self, economy, nu):
         # measured from Y0 + sd the deviations have a mean of about -sd, so
         # the centering removes as much as the fluctuations it keeps
-        states = simulate_batch(
-            economy.coefficients, economy.demand, nu, ShockProfile.none(),
-            dt=0.01, horizon=30.0, burn_in=5.0, seed=11, replicas=2,
-        )
-        origin = equilibrium_output(economy.coefficients, economy.demand)
+        budget = SimulationBudget(dt=0.01, length=30.0, replicas=2, burn_in=5.0, seed=11)
+        deviations = unshocked_deviations(economy, nu, budget)
         sd = np.sqrt(np.diag(stationary_covariance(economy.coefficients, nu)))
         results = []
-        for shifted in (origin, origin + sd):
-            sums = _GreenKuboSums(shifted, states.shape[1], 150, 0.01, 2)
-            sums.add(states)
+        for offset in (0.0, sd):
+            sums = _GreenKuboSums(5, deviations.shape[1], 150, 0.01, 2)
+            sums.add(deviations - offset)
             results.append(sums.integrals())
         gap = np.max(np.abs(results[1] - results[0])) / np.max(np.abs(results[0]))
         assert gap < 1e-12
