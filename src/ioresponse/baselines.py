@@ -39,14 +39,15 @@ from .dynamics import (
     _check_size,
     _noise_transform,
     _recur,
+    _yearly_moments,
     equilibrium_output,
-    stationary_covariance,
 )
 from .errors import (
     DegenerateInput,
     InsufficientSamples,
     MisalignedPanel,
     NonConvergent,
+    NumericalError,
     RankDeficientRegressors,
     TooShortSeries,
 )
@@ -247,38 +248,51 @@ def fit_var1(
 
     The unshocked economy is sampled from its exact yearly transition
     ``Y(k+1) - Y* = Phi (Y(k) - Y*) + xi(k)``, ``Phi = exp(A - I)`` (the
-    forecaster's propagator ``P``, so the population AR matrix is ``P``),
-    ``cov(xi) = Sigma - Phi Sigma Phi^T`` (``Sigma`` stationary, ``Y*`` the
-    equilibrium output), starting at ``Y*`` plus a draw from ``N(0, Sigma)``,
-    so no burn-in is needed.  ``GaussianStream(seed)`` gives the first N
-    variates to that start, then ``samples x N`` to the innovations, year by
-    year.  The ``samples`` transition pairs are fitted by ordinary least
-    squares with intercepts: the AR matrix regresses the leading states on
-    the lagged ones, both centered on their means, and the intercept is
+    forecaster's yearly map ``P``, so the population AR matrix is ``P``),
+    ``cov(xi) = Q``, a year's noise carried by the drift (``Y*`` the
+    equilibrium output), starting at ``Y*`` plus a draw from ``N(0, Sigma)``
+    (``Sigma`` stationary), so no burn-in is needed.  ``Phi``, ``Q`` and
+    ``Sigma`` come from one block exponential and a doubling
+    (:func:`ioresponse.dynamics.stationary_covariance`).
+    ``GaussianStream(seed)`` gives the first N variates to that start, then
+    ``samples x N`` to the innovations, year by year.  The ``samples``
+    transition pairs are fitted by ordinary least squares with intercepts:
+    the AR matrix regresses the leading states on the lagged ones, both
+    centered on their means, and the intercept is
     ``mean(leading) - AR mean(lagged)``.  That is the fit on a column of
     ones, with a rank check that does not depend on the noise scale.
-    Raises :class:`InsufficientSamples` when ``samples < N + 2``.
+    Raises :class:`InsufficientSamples` when ``samples < N + 2``, and
+    :class:`NumericalError` when the states or their sums of squares
+    overflow float64 (``--eta`` from about 1e150).
     """
     n = table.n_sectors
     if samples < n + 2:
         raise InsufficientSamples(f"VAR samples must be >= N + 2 = {n + 2}, got {samples}")
     _check_size((samples + 1) * n, "VAR states")
-    phi = propagator(table.coefficients, 1.0)
-    sigma = stationary_covariance(table.coefficients, nu)
+    phi, q, sigma = _yearly_moments(table.coefficients, nu)
     start = _noise_transform(sigma)
-    step = _noise_transform(sigma - phi @ sigma @ phi.T)
+    step = _noise_transform(q)
     states = np.empty((samples + 1, n))
     stream = GaussianStream(seed)
-    states[0] = start(stream.normals(n))
-    _recur(states, phi, step(stream.normals((samples, n))))
-    states += equilibrium_output(table.coefficients, table.demand)
-    lagged = states[:-1]
-    leading = states[1:]
-    # centered regressors carry no intercept column, so the rank check and
-    # the fit do not depend on how large the states are beside a constant
-    lag_mean = lagged.mean(axis=0)
-    lead_mean = leading.mean(axis=0)
-    design = lagged - lag_mean
+    # noise near the float64 limit overflows the states or their sums of
+    # squares; that is reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        states[0] = start(stream.normals(n))
+        _recur(states, phi, step(stream.normals((samples, n))))
+        states += equilibrium_output(table.coefficients, table.demand)
+        lagged = states[:-1]
+        leading = states[1:]
+        # centered regressors carry no intercept column, so the rank check and
+        # the fit do not depend on how large the states are beside a constant
+        lag_mean = lagged.mean(axis=0)
+        lead_mean = leading.mean(axis=0)
+        design = lagged - lag_mean
+        gram = design.T @ design
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(gram))):
+        raise NumericalError(
+            f"{table.country}/{table.year}: the VAR states or their sums of squares "
+            "overflow float64: the noise is too large"
+        )
     if np.linalg.matrix_rank(design) < n:
         raise RankDeficientRegressors(
             "yearly states do not span the regressor space: the noise is too small to move them"
@@ -288,7 +302,7 @@ def fit_var1(
     residuals = leading - lead_mean - design @ coef
     dof = max(len(lagged) - (n + 1), 1)
     sigma2 = (residuals**2).sum(axis=0) / dof
-    gram_inv = np.linalg.inv(design.T @ design)
+    gram_inv = np.linalg.inv(gram)
     intercept_var = 1.0 / len(lagged) + lag_mean @ gram_inv @ lag_mean
     return VarModel(
         ar=ar,

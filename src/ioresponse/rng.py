@@ -5,8 +5,11 @@ Every stochastic routine in the package draws its noise through
 bit generator (keyed through ``numpy.random.SeedSequence`` with spawn key 0)
 with an inverse-CDF transform, ``scipy.special.ndtri``.  Both pieces are fully
 specified algorithms with no rejection step, so a given seed yields the
-same variates in the same order on every platform, and the stream position
-is a pure function of how many variates were drawn.
+same variates in the same order on one machine and library build, and the
+stream position is a pure function of how many variates were drawn.  The
+inverse CDF goes through the C library's ``log``, which can round
+differently on another CPU or build: across platforms the variates agree
+to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -15,15 +18,29 @@ import numpy as np
 
 _TWO_53 = 1 << 53
 _INV_TWO_53 = 1.0 / _TWO_53
+#: The largest double below 1.
+_BELOW_ONE = 1.0 - _INV_TWO_53
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Doubles ``(k + 0.5) * 2**-53`` from 53-bit words ``k``, inside (0, 1).
+
+    The top word ``2**53 - 1`` rounds to exactly 1.0, where the inverse
+    normal CDF is infinite; it is clamped to the largest double below 1,
+    and every other word maps below it.
+    """
+    u = words.astype(np.float64)
+    u += 0.5
+    u *= _INV_TWO_53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 class GaussianStream:
     """Seeded stream of standard normal variates.
 
-    Uniform doubles are built from 53-bit Philox words as
-    ``(k + 0.5) * 2**-53``, which lies strictly inside (0, 1), then mapped
-    through the inverse normal CDF.  One bit-generator draw is consumed per
-    variate.
+    Uniform doubles are built from 53-bit Philox words (:func:`_uniforms`),
+    then mapped through the inverse normal CDF.  One bit-generator draw is
+    consumed per variate.
     """
 
     def __init__(self, seed: int):
@@ -38,7 +55,5 @@ class GaussianStream:
         """
         from scipy.special import ndtri
 
-        u = self._gen.integers(0, _TWO_53, size=shape, dtype=np.uint64).astype(np.float64)
-        u += 0.5
-        u *= _INV_TWO_53
+        u = _uniforms(self._gen.integers(0, _TWO_53, size=shape, dtype=np.uint64))
         return ndtri(u, out=u)

@@ -36,6 +36,7 @@ from .dynamics import (
     _check_size,
     _euler_blocks,
     drift_matrix,
+    expm,  # every propagator calls it as this module's attribute
     step_count,
 )
 from .errors import InsufficientSamples, MissingPanelCell, NumericalError
@@ -93,62 +94,6 @@ class SusceptibilityMatrix:
         return len(self.sectors)
 
 
-#: Largest 1-norm at which the degree-18 Taylor polynomial of exp has a
-#: relative backward error under the unit roundoff 2^-53 (Bader, Blanes &
-#: Casas, Mathematics 7:1174, 2019).
-_THETA_18 = 1.090863719290036
-
-#: 1/k! for k = 0..18, row j holding the factors of B^(4j) .. B^(4j+3): the
-#: Paterson-Stockmeyer blocks of the Taylor polynomial in powers of B^4.
-_TAYLOR_BLOCKS = np.array(
-    [[1.0 / math.factorial(k) if k <= 18 else 0.0 for k in range(j, j + 4)]
-     for j in range(0, 20, 4)]
-)
-
-
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring a Taylor polynomial.
-
-    ``exp(M) = exp(mu) exp(B)^(2^s)`` with ``mu`` the mean of the diagonal,
-    ``B = (M - mu I) / 2^s`` and ``s`` the fewest halvings that bring
-    ``||B||_1`` under ``_THETA_18``; ``exp(B)`` is its degree-18 Taylor
-    polynomial, evaluated by Paterson-Stockmeyer in seven matrix products
-    and no solve (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005).  On
-    drift matrices it agrees with ``scipy.linalg.expm`` within 5e-14 of the
-    largest entry up to ``t = 80``.  ``mu`` is taken from the diagonal's
-    minimum, so a constant diagonal gives ``B = 0`` and ``exp(c I)`` is
-    exactly ``exp(c) I``.  ``exp(mu / 2^s)`` scales the polynomial before
-    the squarings, so a long horizon neither overflows nor underflows early.
-
-    Every propagator, and so every response curve and forecast, goes through
-    this one module attribute, and it needs numpy only.
-    """
-    b = np.array(m, dtype=float, order="C")
-    n = b.shape[0]
-    diagonal = b.diagonal()
-    low = diagonal.min()
-    mu = low + (diagonal - low).mean()
-    b.reshape(-1)[:: n + 1] -= mu
-    _, s = math.frexp(np.abs(b).sum(axis=0).max() / _THETA_18)
-    s = max(s, 0)
-    b *= 0.5**s
-    powers = np.zeros((4, n, n))
-    powers[0].reshape(-1)[:: n + 1] = 1.0
-    powers[1] = b
-    np.matmul(b, b, out=powers[2])
-    np.matmul(powers[2], b, out=powers[3])
-    b4 = powers[2] @ powers[2]
-    blocks = (_TAYLOR_BLOCKS @ powers.reshape(4, -1)).reshape(-1, n, n)
-    e = blocks[-1]
-    for block in blocks[-2::-1]:
-        e = b4 @ e
-        e += block
-    e *= np.exp(mu * 0.5**s)
-    for _ in range(s):
-        e = e @ e
-    return e
-
-
 def propagator(coefficients: np.ndarray, t: float) -> np.ndarray:
     """exp((A - I) t): carries a deviation from equilibrium t years ahead.
 
@@ -188,10 +133,12 @@ def lag_count(horizon: float, budget: SimulationBudget) -> int:
     """Check a Monte Carlo estimate's horizon and budget, and return the
     number of dt lag steps up to the horizon; each lag needs a sample pair.
 
-    :class:`ValueError` when the horizon is not finite, is under one step or
-    a step count cannot be formed; :class:`InsufficientSamples` when the
-    budget has fewer than 2 replicas (the standard errors need a spread) or
-    the lags outrun the recorded states.
+    :class:`ValueError` when the horizon is not finite, is under one step,
+    is not a whole number of steps (within 1e-9 relative: the integral would
+    end at another horizon) or a step count cannot be formed;
+    :class:`InsufficientSamples` when the budget has fewer than 2 replicas
+    (the standard errors need a spread) or the lags outrun the recorded
+    states.
     """
     if not math.isfinite(horizon):
         raise ValueError("Monte Carlo estimates need a finite horizon")
@@ -200,6 +147,8 @@ def lag_count(horizon: float, budget: SimulationBudget) -> int:
     n_lags = step_count(horizon, budget.dt)
     if n_lags < 1:
         raise ValueError(f"horizon {horizon!r} must cover at least one lag step of {budget.dt!r}")
+    if abs(horizon / budget.dt - n_lags) > 1e-9 * n_lags:
+        raise ValueError(f"horizon {horizon!r} is not a whole number of steps of {budget.dt!r}")
     n_records = step_count(budget.length, budget.dt) + 1
     if n_lags >= n_records:
         raise InsufficientSamples(
@@ -215,6 +164,21 @@ def lag_count(horizon: float, budget: SimulationBudget) -> int:
 _SEGMENT = 1024
 
 
+def _fast_len(n: int) -> int:
+    """Smallest ``2^a 3^b 5^c >= n``: the lengths numpy's FFT transforms
+    fastest, as ``scipy.fft.next_fast_len(n, real=True)`` gives them."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the least power-of-two multiple of odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 class _GreenKuboSums:
     """Green-Kubo integrals of replica paths fed in blocks of states.
 
@@ -228,6 +192,7 @@ class _GreenKuboSums:
     * With the taps ``h_k = w_k / (n - k)``, the lag sum
       ``sum_k h_k sum_t z[t + k] z[t]^T`` is ``sum_s z[s] u[s]^T`` for the
       causal filter ``u[s] = sum_k h_k z[s - k]``.  An overlap-save FFT
+      (numpy's ``rfft`` and ``irfft`` at a 5-smooth length, :func:`_fast_len`)
       computes ``u`` over segments of ``_SEGMENT`` states (``n_lags`` if
       more), carrying the last ``n_lags`` states from one to the next.
     * The constant channel carries every sum of ``x`` that centering needs:
@@ -241,16 +206,14 @@ class _GreenKuboSums:
     """
 
     def __init__(self, n_sectors: int, records: int, n_lags: int, dt: float, replicas: int):
-        from scipy.fft import next_fast_len, rfft
-
         weights = np.full(n_lags + 1, dt)
         weights[[0, -1]] = 0.5 * dt
         taps = weights / (records - np.arange(n_lags + 1))
         self._records = records
         self._lags = n_lags
         self._segment = max(_SEGMENT, n_lags)
-        self._size = next_fast_len(n_lags + self._segment, real=True)
-        self._taps_spectrum = rfft(taps, self._size)[:, None]
+        self._size = _fast_len(n_lags + self._segment)
+        self._taps_spectrum = np.fft.rfft(taps, self._size)[:, None]
         n = n_sectors + 1
         _check_size(replicas * self._size * n, "Green-Kubo buffer")
         # the carried n_lags states, the segment being filled, zeros up to
@@ -275,14 +238,12 @@ class _GreenKuboSums:
                 self._flush()
 
     def _flush(self) -> None:
-        from scipy.fft import irfft, rfft
-
         lags, fill = self._lags, self._fill
         z = self._buffer[:, lags:lags + fill]
-        spectrum = rfft(self._buffer, axis=1)
+        spectrum = np.fft.rfft(self._buffer, axis=1)
         spectrum *= self._taps_spectrum
         # outputs at the carry's positions would need older states
-        u = irfft(spectrum, self._size, axis=1)[:, lags:lags + fill]
+        u = np.fft.irfft(spectrum, self._size, axis=1)[:, lags:lags + fill]
         zt = z.transpose(0, 2, 1)
         self._cross += zt @ u
         self._gram += zt @ z

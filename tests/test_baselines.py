@@ -19,6 +19,7 @@ from ioresponse.baselines import (
     t_test_mean_zero,
     var_forecast,
 )
+from ioresponse.dynamics import _yearly_moments
 from ioresponse.errors import (
     DegenerateInput,
     InsufficientSamples,
@@ -38,7 +39,6 @@ from ioresponse.iodata import (
 )
 from ioresponse.response import implied_shock, lrt_forecast
 from ioresponse.rng import GaussianStream
-from ioresponse.susceptibility import expm as package_expm
 from ioresponse.susceptibility import propagator, truncated_susceptibility
 
 from conftest import build_panel, random_economy
@@ -308,20 +308,23 @@ class TestVar:
         from ioresponse import baselines
 
         table = random_economy(3, seed=80)
+        nu = 0.01 * np.eye(3)
         seen = []
 
-        def spy(coefficients, t):
-            seen.append((np.asarray(coefficients), t, propagator(coefficients, t)))
+        def spy(coefficients, noise):
+            seen.append((np.asarray(coefficients), noise, _yearly_moments(coefficients, noise)))
             return seen[-1][2]
 
-        monkeypatch.setattr(baselines, "propagator", spy)
-        fit_var1(table, 0.01 * np.eye(3), samples=50, seed=0)
-        [(coefficients, t, phi)] = seen
+        monkeypatch.setattr(baselines, "_yearly_moments", spy)
+        fit_var1(table, nu, samples=50, seed=0)
+        [(coefficients, noise, (phi, q, sigma))] = seen
         np.testing.assert_array_equal(coefficients, table.coefficients)
-        assert t == 1.0
-        np.testing.assert_array_equal(phi, propagator(table.coefficients, 1.0))
-        # the same bits as exp(A - I) formed directly by the package's expm
-        np.testing.assert_array_equal(phi, package_expm(table.coefficients - np.eye(3)))
+        np.testing.assert_array_equal(noise, nu)
+        # the forecaster's yearly map, here formed inside the block exponential
+        p = propagator(table.coefficients, 1.0)
+        assert np.max(np.abs(phi - p)) <= 1e-14 * np.max(np.abs(p))
+        # a year's noise is what the stationary covariance loses in a year
+        assert np.max(np.abs(q - (sigma - phi @ sigma @ phi.T))) <= 1e-14 * np.max(np.abs(q))
 
     def test_matrix_exponential_recovered_entrywise(self):
         table = random_economy(3, seed=80)

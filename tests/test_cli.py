@@ -597,6 +597,8 @@ class TestSettingChecks:
             ("susceptibility", "--method", "monte_carlo", "--horizon", "0.001"),
             ("susceptibility", "--method", "monte_carlo", "--horizon", "1e308"),
             ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--dt", "1e-320"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--dt", "0.6"),
+            ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--dt", "0.3"),
             ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--mc-length", "1e308"),
             ("susceptibility", "--method", "monte_carlo", "--horizon", "1", "--burn-in", "1e308"),
         ],
@@ -807,6 +809,7 @@ class TestExtremeSettings:
             ((*_MC_CELL, "--mc-replicas", str(10**13)), 2),
             ((*_MC_CELL, "--mc-replicas", str(10**16)), 2),
             (("benchmark", "--baseline", "var", "--eta", "1e150"), 4),
+            (("benchmark", "--baseline", "var", "--eta", "1e151"), 4),
             (("benchmark", "--baseline", "var", "--eta", "1e200"), 4),
             (("benchmark", "--baseline", "var", "--noise", "isotropic", "--eta", "1e200"), 4),
             ((*_MC_CELL, "--mc-length", "5", "--eta", "1e200"), 4),
@@ -937,13 +940,14 @@ def test_propagator_subcommands_load_no_scipy(panel_file, tmp_path, args):
     ("benchmark", "--baseline", "perturbed_io"),
     ("susceptibility", "--method", "monte_carlo", "--country", "AAA", "--year", "2004",
      "--horizon", "1", "--mc-replicas", "2", "--mc-length", "20"),
-], ids=["perturbed_io_benchmark", "monte_carlo_susceptibility"])
+    ("benchmark", "--baseline", "var", "--var-samples", "200"),
+], ids=["perturbed_io_benchmark", "monte_carlo_susceptibility", "var_benchmark"])
 def test_scipy_routes_load_no_scipy_linalg(panel_file, tmp_path, args):
-    # the t-tests and the normal variates load scipy.special, the Green-Kubo
-    # filter scipy.fft; the propagators and the Euler loop need no scipy.linalg
+    # the t-tests and the normal variates load scipy.special; the propagators,
+    # the covariances, the Euler loop and the Green-Kubo filter are numpy
     argv = [*args, "--data", str(panel_file), "--out", str(tmp_path / "out")]
-    code = ("import sys; from ioresponse.cli import run; "
-            f"print(run({argv!r}), [m for m in {_LOADED_SCIPY} if m.startswith('scipy.linalg')])")
+    code = (f"import sys; from ioresponse.cli import run; print(run({argv!r}), "
+            f"[m for m in {_LOADED_SCIPY} if m.startswith(('scipy.linalg', 'scipy.fft'))])")
     assert _fresh_python(code) == "0 []"
 
 

@@ -13,7 +13,7 @@ from ioresponse.dynamics import (
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
 from ioresponse.response import impulse_response
-from ioresponse.rng import GaussianStream
+from ioresponse.rng import GaussianStream, _uniforms
 from ioresponse.susceptibility import propagator
 
 from conftest import euler_states, random_economy
@@ -67,6 +67,30 @@ class TestStationaryCovariance:
     def test_unstable_drift(self):
         with pytest.raises(UnstableDrift):
             stationary_covariance([[1.5]], [[1.0]])
+
+    def test_marginal_drift(self):
+        # exp(0) = 1: each doubling adds as much as the sum already holds
+        with pytest.raises(UnstableDrift):
+            stationary_covariance([[1.0]], [[1.0]])
+
+    @pytest.mark.parametrize("target", [0.6, 0.95, 0.99])
+    def test_doubling_matches_lyapunov_solve(self, target):
+        from scipy.linalg import solve_continuous_lyapunov
+
+        table = random_economy(56, seed=3, spectral_target=target)
+        nu = noise_covariance(NoiseSpec.output_proportional(0.01), table)
+        reference = solve_continuous_lyapunov(table.coefficients - np.eye(56), -nu)
+        sigma = stationary_covariance(table.coefficients, nu)
+        assert np.max(np.abs(sigma - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_variances_near_1e200_scale_out(self):
+        # unscaled, the block exponential would halve a norm near 1e200 some
+        # 660 times and round A - I away
+        table = random_economy(5, seed=3)
+        nu = noise_covariance(NoiseSpec.output_proportional(0.01), table)
+        sigma = stationary_covariance(table.coefficients, nu)
+        large = stationary_covariance(table.coefficients, 1e200 * nu) / 1e200
+        assert np.max(np.abs(large - sigma)) <= 1e-12 * np.max(np.abs(sigma))
 
     def test_lyapunov_residual(self):
         table = random_economy(5, seed=3)
@@ -319,6 +343,16 @@ class TestNoiseBlocks:
         expected = self._run(nu, shock, simulate=euler_states)
         gap = np.max(np.abs(self._run(nu, shock) - expected))
         assert gap <= 1e-12 * np.max(np.abs(expected - y0))
+
+    def test_uniforms_stay_inside_the_unit_interval(self):
+        from scipy.special import ndtri
+
+        # the top word alone rounds to 1.0, where the inverse normal CDF is infinite
+        words = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+        u = _uniforms(words)
+        np.testing.assert_array_equal(u[:-1], (words[:-1] + 0.5) * 2.0**-53)
+        assert u[-1] == 1.0 - 2.0**-53
+        assert np.all(np.isfinite(ndtri(u)))
 
     def test_split_draws_concatenate_to_one_draw(self):
         whole = GaussianStream(11).normals((8, 3, 5))

@@ -14,6 +14,7 @@ from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
 from ioresponse.susceptibility import expm as package_expm
 from ioresponse.susceptibility import (
     SimulationBudget,
+    _fast_len,
     _GreenKuboSums,
     aggregate_susceptibilities,
     lag_count,
@@ -260,6 +261,11 @@ class TestGreenKuboIntegral:
     def test_segment_edges_match_trapezoid_of_propagators(self, economy, nu, length, horizon):
         budget = SimulationBudget(dt=0.01, length=length, replicas=2, burn_in=5.0, seed=8)
         self.assert_trapezoid_of_propagators(economy, nu, horizon, budget)
+
+    def test_fft_lengths_are_scipys(self):
+        from scipy.fft import next_fast_len
+
+        assert all(_fast_len(n) == next_fast_len(n, real=True) for n in range(1, 20_001))
 
     def test_sums_do_not_depend_on_how_states_are_fed(self, economy, nu):
         budget = SimulationBudget(dt=0.01, length=30.0, replicas=2, burn_in=5.0, seed=9)
