@@ -20,7 +20,8 @@ drift term.  Everything is deterministic given the inputs.
 
 The VAR(1) baseline is fitted by ordinary least squares to yearly states of
 the unshocked economy, drawn from the exact yearly transition of that
-Ornstein-Uhlenbeck process (Gillespie, Phys. Rev. E 54, 2084, 1996).
+Ornstein-Uhlenbeck process (Gillespie, Phys. Rev. E 54, 2084, 1996): the
+transition the Monte Carlo route samples at its step, taken at one year.
 
 ``evaluate_forecasts`` scores aligned panels of predictions with per-cell
 Pearson correlations, predictability gains, and one-sample two-sided t-tests
@@ -39,7 +40,7 @@ from .dynamics import (
     _check_size,
     _noise_transform,
     _recur,
-    _yearly_moments,
+    _transition_moments,
     equilibrium_output,
 )
 from .errors import (
@@ -252,8 +253,8 @@ def fit_var1(
     ``cov(xi) = Q``, a year's noise carried by the drift (``Y*`` the
     equilibrium output), starting at ``Y*`` plus a draw from ``N(0, Sigma)``
     (``Sigma`` stationary), so no burn-in is needed.  ``Phi``, ``Q`` and
-    ``Sigma`` come from one block exponential and a doubling
-    (:func:`ioresponse.dynamics.stationary_covariance`).
+    ``Sigma`` come from one block exponential and a doubling at a step of
+    one year (:func:`ioresponse.dynamics.stationary_covariance`).
     ``GaussianStream(seed)`` gives the first N variates to that start, then
     ``samples x N`` to the innovations, year by year.  The ``samples``
     transition pairs are fitted by ordinary least squares with intercepts:
@@ -269,7 +270,7 @@ def fit_var1(
     if samples < n + 2:
         raise InsufficientSamples(f"VAR samples must be >= N + 2 = {n + 2}, got {samples}")
     _check_size((samples + 1) * n, "VAR states")
-    phi, q, sigma = _yearly_moments(table.coefficients, nu)
+    phi, q, sigma = _transition_moments(table.coefficients, nu, 1.0)
     start = _noise_transform(sigma)
     step = _noise_transform(q)
     states = np.empty((samples + 1, n))

@@ -7,18 +7,20 @@ drift matrix ``M = A - I`` while being driven by white noise with covariance
     dY = [(A - I) Y + D + X(t)] dt + dW,   cov(dW) = nu dt.
 
 This module provides the fixed point, the package's matrix exponential
-(``expm``, numpy only), the moments of the unshocked process, and
-Euler-Maruyama sampling of trajectories.  The yearly map ``exp(A - I)``,
-the covariance of a year's noise and the stationary covariance come from
-one exponential of a block matrix (Van Loan, IEEE Trans. Autom. Control
-23:395, 1978) and Smith's doubling (SIAM J. Appl. Math. 16:198, 1968).
-Every sampled path is one fixed linear map plus forcing,
-``x(k+1) = F x(k) + g(k)`` on the deviations ``x = Y - Y0``, with
-``F = I + dt (A - I)`` and the noise and shocks in ``g``.
+(``expm``, numpy only), the moments of the unshocked process, and sampling
+of trajectories by the process's exact transition (Gillespie, Phys. Rev. E
+54:2084, 1996).  The map ``F = exp((A - I) h)`` over a step ``h``, the
+covariance ``Q(h)`` of a step's noise and the stationary covariance come
+from one exponential of a block matrix (Van Loan, IEEE Trans. Autom.
+Control 23:395, 1978) and Smith's doubling (SIAM J. Appl. Math. 16:198,
+1968).  Every sampled path is ``x(k+1) = F x(k) + g(k)`` on the deviations
+``x = Y - Y0``, with the noise and shocks in ``g``, at ``h = 1`` for the VAR
+baseline and ``h = dt`` for the Monte Carlo route: exact at any step, so a
+noiseless shocked path is the analytic response curve up to rounding.
 ``simulate_batch`` is the one public entry: it stores the states of every
 replica, one path being ``replicas=1``.  The Monte Carlo Green-Kubo sums take
 the deviations in blocks as the loop produces them instead
-(``_euler_blocks``, which ``simulate_batch`` fills its array from).  All
+(``_path_blocks``, which ``simulate_batch`` fills its array from).  All
 randomness flows through :mod:`ioresponse.rng`, so on one machine and
 library build a seed pins a trajectory bit-for-bit.
 """
@@ -47,10 +49,10 @@ LYAPUNOV_RTOL = 1e-9
 #: A state is declared blown up beyond this multiple of ||Y0||_inf.
 BLOWUP_FACTOR = 1e12
 
-DEFAULT_DT = 0.01
+DEFAULT_DT = 0.05
 DEFAULT_BURN_IN = 50.0
 
-#: Euler steps per block of noise draws.  The stream position depends only
+#: Steps per block of noise draws.  The stream position depends only
 #: on the count drawn, so the block size never changes a variate.
 _NOISE_CHUNK = 1024
 #: Float64 values in 2**57 bytes, the largest address space of a 64-bit Linux process.
@@ -164,18 +166,19 @@ def expm(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def _yearly_moments(
-    coefficients: np.ndarray, nu: np.ndarray
+def _transition_moments(
+    coefficients: np.ndarray, nu: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(P, Q, sigma)``: the yearly map ``P = exp(M)``, the covariance
-    ``Q = int_0^1 exp(M s) nu exp(M^T s) ds`` of a year's noise, and the
-    stationary covariance ``sigma = sum_k P^k Q P^kT``.
+    """``(P, Q, sigma)``: the map ``P = exp(M h)`` over a step of ``h``
+    years, the covariance ``Q = int_0^h exp(M s) nu exp(M^T s) ds`` of a
+    step's noise, and the stationary covariance ``sigma = sum_k P^k Q P^kT``.
 
-    ``P`` and ``Q`` come from one :func:`expm` of ``[[-M, nu / c], [0, M^T]]``,
-    ``c`` the largest ``|nu|``: its lower right block is ``P^T``, and ``P``
-    times its upper right block is ``Q / c`` (Van Loan, IEEE Trans. Autom.
-    Control 23:395, 1978).  Without ``c`` a variance of 1e200 would take
-    hundreds of halvings and round ``M`` away.  ``sigma / c`` follows by
+    ``P`` and ``Q`` come from one :func:`expm` of
+    ``[[-M, nu / c], [0, M^T]] h``, ``c`` the largest ``|nu|``: its lower
+    right block is ``P^T``, and ``P`` times its upper right block is
+    ``Q / c`` (Van Loan, IEEE Trans. Autom. Control 23:395, 1978).  Without
+    ``c`` a variance of 1e200 would take hundreds of halvings and round
+    ``M`` away.  ``sigma / c`` follows by
     Smith's doubling (SIAM J. Appl. Math. 16:198, 1968): ``S = Q / c``,
     ``E = P``, then ``S += E S E^T`` and ``E = E E`` until the increment is
     below 1e-17 of ``S``.  :class:`UnstableDrift` when the sum overflows or
@@ -195,7 +198,7 @@ def _yearly_moments(
     settled = False
     # an unstable drift overflows: it is reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        f = expm(block)
+        f = expm(block * h)
         p = f[n:, n:].T
         q = p @ f[:n, n:]
         s, e = q, p
@@ -229,12 +232,12 @@ def stationary_covariance(coefficients: np.ndarray, nu: np.ndarray) -> np.ndarra
 
     sigma solves the continuous Lyapunov equation
     ``M sigma + sigma M^T + nu = 0`` with ``M = A - I``; it is formed from
-    one block exponential and a doubling (:func:`_yearly_moments`).  An
+    one block exponential and a doubling (:func:`_transition_moments`).  An
     unstable drift raises :class:`UnstableDrift` once the noise reaches it;
     a mode that no noise excites keeps the sum finite and goes unreported
     (a productive table, ``rho(A) < 1``, has no unstable mode).
     """
-    return _yearly_moments(coefficients, nu)[2]
+    return _transition_moments(coefficients, nu, 1.0)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -271,33 +274,27 @@ class ShockProfile:
 
 def _noise_transform(nu: np.ndarray):
     """Map from standard normal draws (last axis N) to draws of covariance nu,
-    through a factor nu = L L^T.  A diagonal nu, zero noise included, scales
-    the draws in place."""
+    through a factor nu = L L^T, applied as one matrix product over all
+    draws."""
     nu = np.asarray(nu, dtype=float)
-    off = nu - np.diag(np.diag(nu))
-    if not off.any():
-        diag = np.diag(nu)
-        if np.any(diag < 0.0):
-            raise ValueError("noise covariance has negative diagonal entries")
-        scale = np.sqrt(diag)
-        return lambda draws: np.multiply(draws, scale, out=draws)
     w, v = np.linalg.eigh(0.5 * (nu + nu.T))
     if np.min(w) < -1e-12 * max(np.max(np.abs(w)), 1.0):
         raise ValueError("noise covariance is not positive semidefinite")
-    factor = v * np.sqrt(np.clip(w, 0.0, None))
-    return lambda draws: draws @ factor.T
+    factor_t = (v * np.sqrt(np.clip(w, 0.0, None))).T
+    return lambda draws: (draws.reshape(-1, len(nu)) @ factor_t).reshape(draws.shape)
 
 
 def _recur(record: np.ndarray, f: np.ndarray, forcing: np.ndarray) -> None:
     """``record[k + 1] = F record[k] + forcing[k]`` in place for each k of the
-    forcing: the one recursion of every sampled path, Euler's and the VAR's."""
+    forcing: the one recursion of every sampled path, the Monte Carlo
+    sampler's and the VAR's."""
     ft = f.T
     for k in range(len(forcing)):
         np.matmul(record[k], ft, out=record[k + 1])
         np.add(record[k + 1], forcing[k], out=record[k + 1])
 
 
-def _euler_blocks(
+def _path_blocks(
     coefficients: np.ndarray,
     demand: np.ndarray,
     nu: np.ndarray,
@@ -310,14 +307,15 @@ def _euler_blocks(
 ) -> tuple[np.ndarray, int, Iterator[np.ndarray]]:
     """Check the arguments, then return ``(Y0, records, blocks)``.
 
-    ``blocks`` steps the deviations and yields the ``records`` recorded ones
-    in time order as (replicas, b, N) arrays: one block per ``_NOISE_CHUNK``
+    ``blocks`` steps the deviations by the exact transition over ``dt``,
+    ``F = exp((A - I) dt)``, and yields the ``records`` recorded ones in
+    time order as (replicas, b, N) arrays: one block per ``_NOISE_CHUNK``
     steps (fewer in the block that ends the burn-in), then the final state.
-    A block's forcing ``g`` is its noise plus the equilibrium residual
-    ``dt ((A - I) Y0 + D)`` (zero up to rounding), plus ``dt X`` after the
-    burn-in for a step shock or ``X`` at its end for an impulse.  A block is
-    yielded after its blow-up check and overwritten by the next, so a
-    consumer copies what it keeps.
+    A block's forcing ``g`` is its noise, of covariance ``Q(dt)``, plus
+    ``rho(dt) X = (I - A)^{-1} (I - F) X`` after the burn-in for a step
+    shock or ``X`` at its end for an impulse.  A block is yielded after its
+    blow-up check and overwritten by the next, so a consumer copies what it
+    keeps.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -329,18 +327,18 @@ def _euler_blocks(
     d = np.asarray(demand, dtype=float)
     n = a.shape[0]
     shock.check_dimension(n)
-    m = drift_matrix(a)
     y0 = equilibrium_output(a, d)
 
     burn_steps = step_count(burn_in, dt)
     rec_steps = step_count(horizon, dt)
     total_steps = burn_steps + rec_steps
 
-    transform = _noise_transform(nu)
+    f, q, _ = _transition_moments(a, nu, dt)
+    transform = _noise_transform(q)
+    if shock.kind == "step":
+        step_forcing = leontief_solve(a, shock.vector - f @ shock.vector)
     stream = GaussianStream(seed)
     blow_cap = BLOWUP_FACTOR * max(float(np.max(np.abs(y0))), 1.0)
-    f = np.eye(n) + dt * m
-    residual = dt * (y0 @ m.T + d)
 
     def blocks() -> Iterator[np.ndarray]:
         # time-major: rec[k] holds every replica's deviation k steps into the block
@@ -350,10 +348,8 @@ def _euler_blocks(
             first = max(burn_steps - step, 0)  # the block's first step past the burn-in
             g = None  # free the last block before the next is drawn
             g = transform(stream.normals((chunk, replicas, n)))
-            g *= np.sqrt(dt)
-            g += residual
             if shock.kind == "step":
-                g[first:] += dt * shock.vector
+                g[first:] += step_forcing
             elif shock.kind == "impulse" and step <= burn_steps < step + chunk:
                 g[first] += shock.vector
             # overflow inside a diverging run is caught by the blowup check
@@ -385,7 +381,8 @@ def simulate_batch(
     seed: int,
     replicas: int,
 ) -> np.ndarray:
-    """Euler-Maruyama integration of ``replicas`` independent paths.
+    """``replicas`` independent paths, sampled by the exact transition
+    over each step of ``dt``.
 
     Returns states of shape (replicas, steps + 1, N), one per step of the
     ``horizon`` starting at t = 0, the end of the burn-in (every path sits at
@@ -394,13 +391,14 @@ def simulate_batch(
     recorded clock; the burn-in occupies t < 0.
 
     Beyond the returned states the run holds the forcing and the
-    deviations of ``_NOISE_CHUNK`` steps, and the next noise block while it
-    is drawn; ``Y0`` is added once per block.  A path that blows up stops at
-    the end of its block.  A caller that needs only sums over the states can
+    deviations of ``_NOISE_CHUNK`` steps, and the next noise block and its
+    standard normals while it is drawn; ``Y0`` is added once per block.  A
+    path that blows up stops at the end of its block; an unstable drift that
+    the noise reaches raises :class:`UnstableDrift` before the first step.  A caller that needs only sums over the states can
     take the deviations as they are recorded instead (see
     :mod:`ioresponse.susceptibility`).
     """
-    y0, records, blocks = _euler_blocks(
+    y0, records, blocks = _path_blocks(
         coefficients, demand, nu, shock, dt, horizon, burn_in, seed, replicas
     )
     out = np.empty((replicas, records, y0.shape[0]))

@@ -34,7 +34,7 @@ from .dynamics import (
     DEFAULT_DT,
     ShockProfile,
     _check_size,
-    _euler_blocks,
+    _path_blocks,
     drift_matrix,
     expm,  # every propagator calls it as this module's attribute
     step_count,
@@ -51,17 +51,19 @@ _Z95 = 1.959963984540054
 class SimulationBudget:
     """Monte Carlo budget: step size, per-replica length (years), replicas.
 
-    The default (8 replicas of 2000 years at dt = 0.01) puts the relative
-    Frobenius error of the Green-Kubo ``rho(1)`` at 4.8% for a 56-sector
-    economy under the default noise.
+    Each path is sampled by the exact transition over ``dt``, so the step
+    only sets the lag grid of the trapezoid rule.  The default (8 replicas
+    of 2000 years at dt = 0.05) puts the relative Frobenius error of the
+    Green-Kubo ``rho(1)`` at 4.6% for a 56-sector economy under the default
+    noise.
 
     Memory: ``susceptibility_monte_carlo`` stores no states.  It holds the
-    forcing and the deviations from ``Y0`` of one block of 1,024 Euler
-    steps, and the Green-Kubo filter's FFT buffers of N + 1 columns (the
-    deviations and a constant), whatever the length: a traced peak of
-    10.3 MB at N = 28 and 20.5 MB at N = 56 for 8 replicas.  A process
-    running it peaked at 75 MB at N = 28 and 87 MB at N = 56, for the
-    default as for the command line's 8 replicas of 400 years.
+    forcing and the deviations from ``Y0`` of one block of 1,024 steps, and
+    the Green-Kubo filter's FFT buffers of N + 1 columns (the deviations
+    and a constant), whatever the length: a traced peak of 9.9 MB at
+    N = 28 and 20.0 MB at N = 56 for 8 replicas.  A process running it
+    peaked at 75 MB at N = 28 and 91 MB at N = 56, for the default as for
+    the command line's 8 replicas of 400 years.
     """
 
     dt: float = DEFAULT_DT
@@ -187,7 +189,7 @@ class _GreenKuboSums:
     the path centered on its own mean.  No path is stored:
 
     * Each state enters as its deviation ``x = y - Y0`` from the known fixed
-      point, as the Euler loop makes it, so the sums below do not cancel,
+      point, as the sampler makes it, so the sums below do not cancel,
       followed by a constant 1: ``z = [x, 1]``.
     * With the taps ``h_k = w_k / (n - k)``, the lag sum
       ``sum_k h_k sum_t z[t + k] z[t]^T`` is ``sum_s z[s] u[s]^T`` for the
@@ -276,12 +278,12 @@ def susceptibility_monte_carlo(
     """Green-Kubo estimate of rho(T) from unshocked trajectories, with
     standard errors from the replica spread (see :func:`lag_count`)."""
     n_lags = lag_count(horizon, budget)
-    y0, records, blocks = _euler_blocks(
+    y0, records, blocks = _path_blocks(
         table.coefficients, table.demand, nu, ShockProfile.none(), dt=budget.dt,
         horizon=budget.length, burn_in=budget.burn_in, seed=budget.seed, replicas=budget.replicas,
     )
-    # the deviations can carry noise that no output Y0 + x can hold; they would
-    # then fluctuate by the rounding of the equilibrium residual alone
+    # the deviations can carry noise that no output Y0 + x can hold: the
+    # estimate would then describe outputs that never move
     if np.all(np.diag(nu) * budget.dt < np.spacing(y0) ** 2):
         raise NumericalError("the noise is below the float64 resolution of every output")
     sums = _GreenKuboSums(len(y0), records, n_lags, budget.dt, budget.replicas)

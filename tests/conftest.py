@@ -1,7 +1,8 @@
 """Shared fixtures: toy economies, random productive economies, a
-deterministic synthetic panel with export detail, the Euler update on the
-states and the per-lag reference for the Monte Carlo routes.  Every test
-session keeps its table cache in a directory of its own."""
+deterministic synthetic panel with export detail, the exact transition on
+the states, the per-lag reference for the Monte Carlo routes and the
+family-wise bound of the statistical tests.  Every test session keeps its
+table cache in a directory of its own."""
 
 from __future__ import annotations
 
@@ -10,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from ioresponse import dynamics
 from ioresponse.dynamics import ShockProfile, equilibrium_output, step_count
 from ioresponse.iodata import IOTable, Panel, write_panel
 from ioresponse.rng import GaussianStream
 from ioresponse.sectors import WIOD_SECTORS
-from ioresponse.susceptibility import _GreenKuboSums
+from ioresponse.susceptibility import _GreenKuboSums, truncated_susceptibility
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -82,40 +84,48 @@ def build_panel(
     return Panel(tables)
 
 
-def euler_states(coefficients, demand, nu, shock, dt, horizon, burn_in, seed, replicas):
-    """``simulate_batch`` by the Euler-Maruyama update on the states,
-    ``y += ((A - I) y + D [+ X]) dt``, then ``+ noise``, with an impulse
-    ``X`` added after the step that ends the burn-in: the arithmetic the
-    recursion on deviations replaced, with the same noise drawn in one block."""
+def exact_states(coefficients, demand, nu, shock, dt, horizon, burn_in, seed, replicas):
+    """``simulate_batch`` by the exact transition on the states,
+    ``y = Y0 + F (y - Y0) + L xi`` with ``F = exp((A - I) dt)`` and
+    ``L L^T = Q(dt)``, plus ``rho(dt) X`` in each step past the burn-in for
+    a step shock and ``X`` after the step that ends the burn-in for an
+    impulse, with the same noise drawn in one block.  ``rho(dt)`` is the
+    closed form of :mod:`ioresponse.susceptibility`."""
     a = np.asarray(coefficients, dtype=float)
     d = np.asarray(demand, dtype=float)
-    m = a - np.eye(len(a))
+    f, q, _ = dynamics._transition_moments(a, nu, dt)
     burn_steps = step_count(burn_in, dt)
     total_steps = burn_steps + step_count(horizon, dt)
-    noise = dynamics._noise_transform(nu)(
+    noise = dynamics._noise_transform(q)(
         GaussianStream(seed).normals((total_steps, replicas, len(a)))
     )
-    noise *= np.sqrt(dt)
-    y = np.tile(equilibrium_output(a, d), (replicas, 1))
+    rho = truncated_susceptibility(a, dt)
+    y0 = equilibrium_output(a, d)
+    y = np.tile(y0, (replicas, 1))
     records = []
     for step in range(total_steps):
         if step >= burn_steps:
             records.append(y.copy())
-        drift = y @ m.T + d
+        y = y0 + (y - y0) @ f.T + noise[step]
         if shock.kind == "step" and step >= burn_steps:
-            drift += shock.vector
-        y += drift * dt
-        y += noise[step]
+            y += rho @ shock.vector
         if shock.kind == "impulse" and step == burn_steps:
             y += shock.vector
     records.append(y)
     return np.stack(records, axis=1)
 
 
+def family_bound(replicas: int, entries: int) -> float:
+    """Bound on ``|estimate - reference| / SE`` for ``entries`` replica means
+    at a family-wise false-failure rate of 1e-3: the two-sided Bonferroni
+    quantile of the t law with ``replicas - 1`` degrees of freedom."""
+    return float(-stdtrit(replicas - 1, 1e-3 / (2 * entries)))
+
+
 def unshocked_deviations(table: IOTable, nu: np.ndarray, budget) -> np.ndarray:
     """(replicas, records, N) deviations from Y0 of a Monte Carlo budget's
     unshocked run: the blocks ``susceptibility_monte_carlo`` feeds its sums."""
-    _, _, blocks = dynamics._euler_blocks(
+    _, _, blocks = dynamics._path_blocks(
         table.coefficients, table.demand, nu, ShockProfile.none(),
         dt=budget.dt, horizon=budget.length, burn_in=budget.burn_in,
         seed=budget.seed, replicas=budget.replicas,

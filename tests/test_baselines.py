@@ -19,7 +19,7 @@ from ioresponse.baselines import (
     t_test_mean_zero,
     var_forecast,
 )
-from ioresponse.dynamics import _yearly_moments
+from ioresponse.dynamics import _transition_moments
 from ioresponse.errors import (
     DegenerateInput,
     InsufficientSamples,
@@ -311,15 +311,17 @@ class TestVar:
         nu = 0.01 * np.eye(3)
         seen = []
 
-        def spy(coefficients, noise):
-            seen.append((np.asarray(coefficients), noise, _yearly_moments(coefficients, noise)))
-            return seen[-1][2]
+        def spy(coefficients, noise, h):
+            seen.append((np.asarray(coefficients), noise, h,
+                         _transition_moments(coefficients, noise, h)))
+            return seen[-1][3]
 
-        monkeypatch.setattr(baselines, "_yearly_moments", spy)
+        monkeypatch.setattr(baselines, "_transition_moments", spy)
         fit_var1(table, nu, samples=50, seed=0)
-        [(coefficients, noise, (phi, q, sigma))] = seen
+        [(coefficients, noise, h, (phi, q, sigma))] = seen
         np.testing.assert_array_equal(coefficients, table.coefficients)
         np.testing.assert_array_equal(noise, nu)
+        assert h == 1.0
         # the forecaster's yearly map, here formed inside the block exponential
         p = propagator(table.coefficients, 1.0)
         assert np.max(np.abs(phi - p)) <= 1e-14 * np.max(np.abs(p))

@@ -301,16 +301,16 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.splitlines()[0].startswith("MissingCountryYear:")
 
-    def test_numerical_error_exit_4(self, panel_file, tmp_path):
-        # a huge Euler step makes the Monte Carlo integrator blow up
+    def test_numerical_error_exit_4(self, panel_file, tmp_path, capsys):
+        # noise this large drives the Monte Carlo states past the blow-up cap
         code = run([
             "susceptibility", "--data", str(panel_file), "--country", "AAA",
-            "--year", "2004", "--method", "monte_carlo", "--horizon", "12",
-            "--dt", "4.0", "--mc-length", "600", "--mc-replicas", "2",
-            "--burn-in", "0", "--eta", "0.5",
+            "--year", "2004", "--method", "monte_carlo", "--horizon", "1",
+            "--mc-length", "20", "--mc-replicas", "2", "--eta", "1e13",
             "--out", str(tmp_path / "out"),
         ])
         assert code == 4
+        assert capsys.readouterr().err.startswith("NumericalBlowup: ")
 
     def test_partial_outputs_removed_on_failure(self, panel_file, tmp_path):
         out = tmp_path / "out"
@@ -944,7 +944,7 @@ def test_propagator_subcommands_load_no_scipy(panel_file, tmp_path, args):
 ], ids=["perturbed_io_benchmark", "monte_carlo_susceptibility", "var_benchmark"])
 def test_scipy_routes_load_no_scipy_linalg(panel_file, tmp_path, args):
     # the t-tests and the normal variates load scipy.special; the propagators,
-    # the covariances, the Euler loop and the Green-Kubo filter are numpy
+    # the covariances, the sampled paths and the Green-Kubo filter are numpy
     argv = [*args, "--data", str(panel_file), "--out", str(tmp_path / "out")]
     code = (f"import sys; from ioresponse.cli import run; print(run({argv!r}), "
             f"[m for m in {_LOADED_SCIPY} if m.startswith(('scipy.linalg', 'scipy.fft'))])")

@@ -1,4 +1,4 @@
-"""Equilibrium, covariances, and Euler-Maruyama simulation."""
+"""Equilibrium, covariances, and sampling by the exact transition."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,11 @@ from ioresponse.dynamics import (
 )
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
-from ioresponse.response import impulse_response
+from ioresponse.response import impulse_response, step_response
 from ioresponse.rng import GaussianStream, _uniforms
 from ioresponse.susceptibility import propagator
 
-from conftest import euler_states, random_economy
+from conftest import exact_states, family_bound, random_economy
 
 
 class TestEquilibrium:
@@ -102,22 +102,42 @@ class TestStationaryCovariance:
         np.testing.assert_allclose(sigma, sigma.T)
         assert np.all(np.linalg.eigvalsh(sigma) > 0.0)
 
-    def test_simulation_matches_sigma_within_three_se(self):
+    def test_simulation_matches_sigma(self):
+        # each replica's covariance about the known mean Y0; its 15 distinct
+        # entries within the t bound of a 1e-3 family-wise rate
         table = random_economy(5, seed=4)
         nu = noise_covariance(NoiseSpec.output_proportional(0.02), table)
         sigma = stationary_covariance(table.coefficients, nu)
+        y0 = equilibrium_output(table.coefficients, table.demand)
+        replicas = 48
         states = simulate_batch(
             table.coefficients, table.demand, nu, ShockProfile.none(),
-            dt=0.01, horizon=400.0, burn_in=50.0, seed=42, replicas=12,
+            dt=0.1, horizon=400.0, burn_in=50.0, seed=42, replicas=replicas,
         )
-        estimates = []
-        for r in range(states.shape[0]):
-            y = states[r] - states[r].mean(axis=0, keepdims=True)
-            estimates.append(y.T @ y / len(y))
-        estimates = np.stack(estimates)
+        y = states - y0
+        estimates = y.transpose(0, 2, 1) @ y / states.shape[1]
         mean = estimates.mean(axis=0)
-        se = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
-        assert np.all(np.abs(mean - sigma) < 3.0 * se + 1e-12)
+        se = estimates.std(axis=0, ddof=1) / np.sqrt(replicas)
+        upper = np.triu_indices(5)
+        z = np.abs(mean - sigma)[upper] / se[upper]
+        assert np.all(z < family_bound(replicas, len(z)))
+
+
+class TestTransitionMoments:
+    """The sampler's step map and step noise come from the block exponential
+    that also gives the VAR's yearly ones."""
+
+    @pytest.mark.parametrize("h", [0.01, 0.5])
+    def test_map_and_noise_at_any_step(self, h):
+        table = random_economy(5, seed=3)
+        nu = noise_covariance(NoiseSpec.output_proportional(0.01), table)
+        f, q, sigma = dynamics._transition_moments(table.coefficients, nu, h)
+        p = propagator(table.coefficients, h)
+        assert np.max(np.abs(f - p)) <= 1e-14 * np.max(np.abs(p))
+        # a step's noise is what the stationary covariance loses in a step
+        assert np.max(np.abs(q - (sigma - f @ sigma @ f.T))) <= 1e-13 * np.max(np.abs(q))
+        np.testing.assert_allclose(sigma, stationary_covariance(table.coefficients, nu),
+                                   rtol=1e-12, atol=1e-15 * np.max(np.abs(sigma)))
 
 
 class TestLaggedCovariance:
@@ -142,29 +162,29 @@ class TestLaggedCovariance:
         assert np.max(np.abs(c)) < 1e-12
 
     def test_simulation_matches_lagged_covariance(self):
-        # time-average estimator over one 10^4-year trajectory; standard
-        # errors from ten batch means of 10^3 years each
+        # time-average estimator about the known mean Y0 in each of 40
+        # replicas of 2,500 years; the 75 entries of three lags within the t
+        # bound of a 1e-3 family-wise rate
         table = random_economy(5, seed=8)
         nu = noise_covariance(NoiseSpec.output_proportional(0.02), table)
-        dt = 0.01
+        dt = 0.1
+        replicas = 40
+        taus = (0.5, 1.0, 2.0)
         states = simulate_batch(
             table.coefficients, table.demand, nu, ShockProfile.none(),
-            dt=dt, horizon=10_000.0, burn_in=50.0, seed=9, replicas=1,
-        )[0]
-        batches = np.array_split(states, 10)
+            dt=dt, horizon=2_500.0, burn_in=50.0, seed=9, replicas=replicas,
+        )
+        y = states - equilibrium_output(table.coefficients, table.demand)
         sigma = stationary_covariance(table.coefficients, nu)
-        for tau in (0.5, 1.0, 2.0):
+        bound = family_bound(replicas, len(taus) * 25)
+        for tau in taus:
             lag = int(round(tau / dt))
             # C(tau) = exp((A - I) tau) sigma, entry (k, j) = <y_k(t + tau) y_j(t)>
             expected = propagator(table.coefficients, tau) @ sigma
-            estimates = []
-            for batch in batches:
-                y = batch - batch.mean(axis=0, keepdims=True)
-                estimates.append(y[lag:].T @ y[: len(y) - lag] / (len(y) - lag))
-            estimates = np.stack(estimates)
+            estimates = y[:, lag:].transpose(0, 2, 1) @ y[:, :-lag] / (y.shape[1] - lag)
             mean = estimates.mean(axis=0)
-            se = estimates.std(axis=0, ddof=1) / np.sqrt(len(estimates))
-            assert np.all(np.abs(mean - expected) < 3.0 * se + 1e-12)
+            se = estimates.std(axis=0, ddof=1) / np.sqrt(replicas)
+            assert np.all(np.abs(mean - expected) < bound * se)
 
 
 def _path(table, nu, shock, dt, horizon, burn_in, seed=0):
@@ -177,13 +197,13 @@ def _path(table, nu, shock, dt, horizon, burn_in, seed=0):
 
 class TestSimulate:
     def test_deterministic_fixed_point(self, two_sector_table):
+        # no forcing but the noise: a noiseless path never leaves Y0
         states = _path(
             two_sector_table, np.zeros((2, 2)), ShockProfile.none(),
             dt=0.01, horizon=20.0, burn_in=5.0,
         )
         y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
-        drift = np.max(np.abs(states - y0[None, :]))
-        assert drift < 1e-8 * np.max(np.abs(y0))
+        np.testing.assert_array_equal(states, np.tile(y0, (len(states), 1)))
 
     def test_step_shock_converges_to_perturbed_equilibrium(self, two_sector_table):
         x = np.array([1.0, 0.0])
@@ -217,12 +237,24 @@ class TestSimulate:
         assert not np.array_equal(a, b)
 
     def test_blowup_detected(self, two_sector_table):
+        y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
         with pytest.raises(NumericalBlowup):
             _path(
                 two_sector_table, np.zeros((2, 2)),
-                ShockProfile.step(np.array([1.0, 1.0])),
+                ShockProfile.step(1e13 * np.max(np.abs(y0)) * np.ones(2)),
                 dt=3.0, horizon=600.0, burn_in=0.0,
             )
+
+    def test_stable_at_any_step(self, two_sector_table):
+        # a step of 3 years, past where Euler's 1 + dt (A - I) diverges
+        x = np.array([1.0, 1.0])
+        states = _path(
+            two_sector_table, np.zeros((2, 2)), ShockProfile.step(x),
+            dt=3.0, horizon=600.0, burn_in=0.0,
+        )
+        y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
+        target = y0 + np.linalg.solve(np.eye(2) - two_sector_table.coefficients, x)
+        np.testing.assert_allclose(states[-1], target, rtol=1e-12)
 
     def test_impulse_injected_once(self, two_sector_table):
         x = np.array([1.0, 0.0])
@@ -231,29 +263,34 @@ class TestSimulate:
             dt=0.01, horizon=1.0, burn_in=0.5,
         )
         y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
-        jump = states[1] - states[0]
-        # one-step increment is X plus an O(dt) drift correction
-        np.testing.assert_allclose(jump, x, atol=0.05)
-        np.testing.assert_allclose(states[0], y0, rtol=1e-12)
+        # the first step carries X whole; later steps only relax it
+        np.testing.assert_allclose(states[1] - states[0], x, atol=1e-15 * np.max(np.abs(y0)))
+        np.testing.assert_array_equal(states[0], y0)
 
-    def test_first_order_convergence_of_deterministic_part(self, two_sector_table):
-        from scipy.linalg import expm
+    @pytest.mark.parametrize("dt", [0.5, 0.01])
+    def test_noiseless_step_path_is_the_step_response(self, dt):
+        table = random_economy(6, seed=60)
+        x = np.linspace(-1.0, 1.0, 6)
+        states = _path(
+            table, np.zeros((6, 6)), ShockProfile.step(x), dt=dt, horizon=4.0, burn_in=1.0,
+        )
+        y0 = equilibrium_output(table.coefficients, table.demand)
+        exact = y0 + step_response(table, x, dt * np.arange(len(states))).values
+        assert np.max(np.abs(states - exact)) <= 1e-13 * np.max(np.abs(exact))
 
-        x = np.array([1.0, 0.5])
-        target = np.linalg.solve(np.eye(2) - two_sector_table.coefficients, x)
-        y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
-        m = two_sector_table.coefficients - np.eye(2)
-        exact = y0 + (np.eye(2) - expm(m * 4.0)) @ target
-
-        def endpoint_error(dt):
-            states = _path(
-                two_sector_table, np.zeros((2, 2)), ShockProfile.step(x),
-                dt=dt, horizon=4.0, burn_in=0.0,
-            )
-            return np.max(np.abs(states[-1] - exact))
-
-        ratio = endpoint_error(0.02) / endpoint_error(0.01)
-        assert 1.5 < ratio < 3.0
+    @pytest.mark.parametrize("dt", [0.5, 0.01])
+    def test_noiseless_impulse_path_is_the_impulse_response(self, dt):
+        # the impulse enters in the step after t = 0, so record k + 1 holds
+        # the response at t = k dt
+        table = random_economy(6, seed=60)
+        x = np.linspace(-1.0, 1.0, 6)
+        states = _path(
+            table, np.zeros((6, 6)), ShockProfile.impulse(x), dt=dt, horizon=4.0, burn_in=1.0,
+        )
+        y0 = equilibrium_output(table.coefficients, table.demand)
+        exact = impulse_response(table, x, dt * np.arange(len(states) - 1)).values
+        gap = np.max(np.abs(states[1:] - y0 - exact))
+        assert gap <= 1e-13 * np.max(np.abs(states))
 
     def test_zero_step_equals_no_shock(self, two_sector_table):
         nu = 0.01 * np.eye(2)
@@ -263,20 +300,6 @@ class TestSimulate:
         )
         free = _path(two_sector_table, nu, ShockProfile.none(), **kwargs)
         np.testing.assert_array_equal(stepped, free)
-
-    def test_noiseless_impulse_follows_analytic_response(self, two_sector_table):
-        x = np.array([1.0, -0.5])
-        dt = 1e-3
-        states = _path(
-            two_sector_table, np.zeros((2, 2)), ShockProfile.impulse(x),
-            dt=dt, horizon=3.0, burn_in=0.0,
-        )
-        y0 = equilibrium_output(two_sector_table.coefficients, two_sector_table.demand)
-        grid = np.array([0.0, 1.0, 2.0, 3.0])
-        exact = impulse_response(two_sector_table, x, grid).values
-        index = np.rint(grid[1:] / dt).astype(int)
-        # Euler's first-order error on an O(1) curve
-        np.testing.assert_allclose(states[index] - y0, exact[1:], atol=dt)
 
     def test_batch_replicas_start_at_y0_and_differ(self, two_sector_table):
         states = simulate_batch(
@@ -315,7 +338,7 @@ def _noise_block_cases():
 
 
 class TestNoiseBlocks:
-    """The Euler loop draws its noise in blocks; the block size is invisible."""
+    """The sampler draws its noise in blocks; the block size is invisible."""
 
     @staticmethod
     def _run(nu, shock, simulate=simulate_batch):
@@ -334,13 +357,13 @@ class TestNoiseBlocks:
             assert np.array_equal(self._run(nu, shock), expected)
 
     @pytest.mark.parametrize("case", range(3), ids=["none", "impulse", "step"])
-    def test_recursion_on_deviations_matches_euler_update_on_states(self, case):
-        # a wrong F, residual term or shock forcing moves the paths by far
+    def test_recursion_on_deviations_matches_exact_update_on_states(self, case):
+        # a wrong F, noise factor or shock forcing moves the paths by far
         # more than the rounding that separates the two arithmetics
         nu, shock = _noise_block_cases()[case]
         table = random_economy(4, seed=3)
         y0 = equilibrium_output(table.coefficients, table.demand)
-        expected = self._run(nu, shock, simulate=euler_states)
+        expected = self._run(nu, shock, simulate=exact_states)
         gap = np.max(np.abs(self._run(nu, shock) - expected))
         assert gap <= 1e-12 * np.max(np.abs(expected - y0))
 

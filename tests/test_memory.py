@@ -58,9 +58,9 @@ def _simulate(economy, nu):
 def test_simulation_holds_states_and_one_noise_block(economy, nu):
     states, peak = traced_peak(lambda: _simulate(economy, nu))
     assert states.shape == (4, 10001, 6)
-    # beyond the states: the integer draw and the float block of the next
-    # noise block while the last one is still bound, a tenth of the states
-    # here; half the states bounds it with room
+    # beyond the states: the next noise block's integer draw and normals,
+    # then its normals and their transform, a tenth of the states here;
+    # half the states bounds it with room
     assert peak <= 1.5 * states.nbytes
     block = dynamics._NOISE_CHUNK * BUDGET.replicas * economy.n_sectors * 8
     assert 3 * block < 0.5 * states.nbytes

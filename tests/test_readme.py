@@ -1,11 +1,16 @@
-"""The README's library example runs against the public API."""
+"""The README's library example runs against the public API, and its table
+of defaults is the code's."""
 
 import re
 from pathlib import Path
 
+import dataclasses
+
 import numpy as np
 
+from ioresponse.cli import _SCHEMA
 from ioresponse.iodata import write_panel
+from ioresponse.susceptibility import SimulationBudget
 
 from conftest import build_panel
 
@@ -29,3 +34,32 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert scope["predicted"].shape == (n,)
     assert scope["curve"].values.shape == (1001, n)
     assert np.all(np.isfinite(scope["curve"].values))
+
+
+#: ``SimulationBudget`` field behind each command-line key of the table.
+_BUDGET_FIELDS = {
+    "dt": "dt", "burn_in": "burn_in", "mc_replicas": "replicas",
+    "mc_length": "length", "seed": "seed",
+}
+
+
+def _defaults_table() -> list[list[str]]:
+    """The cells of the table under "Defaults worth knowing", one list per row."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Defaults worth knowing", 1)[1]
+    rows = re.findall(r"^\| `--.*\|$", section, re.M)
+    return [[cell.strip().strip("`") for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_defaults_table_matches_the_code():
+    rows = _defaults_table()
+    assert len(rows) >= 11
+    library = {}
+    for flag, cli_default, budget_default, _ in rows:
+        key = flag.removeprefix("--").replace("-", "_")
+        parse, default = _SCHEMA[key]
+        assert parse(cli_default) == default, flag
+        if budget_default:
+            library[_BUDGET_FIELDS[key]] = parse(budget_default)
+    # every field of the library's budget is in the table, with its value
+    assert library == dataclasses.asdict(SimulationBudget())
