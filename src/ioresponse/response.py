@@ -9,10 +9,18 @@ there a step response coincides bit-for-bit with
 propagator ``exp((A - I) t')`` directly per grid point, and a step response
 at each grid time T coincides bit-for-bit with
 ``truncated_susceptibility(A, T) @ X``.
+
+A forecast cell forms one exponential: the yearly map ``P = exp(A - I)`` of
+a table is kept for the next call on the same table, so that
+:func:`implied_shock` (through ``rho(1) = (I - A)^{-1} (I - P)``) and
+:func:`lrt_forecast` share it.  The implied shock's condition cap is
+certified from ``||A||_1`` when that bound settles it, and only otherwise
+from a singular value decomposition.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO
@@ -27,7 +35,7 @@ from .susceptibility import propagator, truncated_susceptibility
 
 #: Default relative threshold below which a sector counts as recovered.
 RECOVERY_EPS = 0.05
-#: Condition-estimate cap for the implied-shock solve.
+#: Cap on the 2-norm condition number of rho(1) in the implied-shock solve.
 CONDITION_CAP = 1e12
 #: Relative tolerance of the implied-shock round trip rho(1) X = dY.
 ROUND_TRIP_RTOL = 1e-8
@@ -44,7 +52,12 @@ class ResponseCurve:
 
 @dataclass(frozen=True)
 class ImpliedShock:
-    """Step demand shock that reproduces an observed one-year output change."""
+    """Step demand shock that reproduces an observed one-year output change.
+
+    ``condition`` is the upper bound on ``cond_2(rho(1))`` that was checked
+    against :data:`CONDITION_CAP`: the 1-norm certificate of
+    :func:`implied_shock` when it settles the cap, else the exact value.
+    """
 
     year: int
     values: np.ndarray
@@ -149,20 +162,59 @@ def recovery_time(curve: ResponseCurve, eps: float = RECOVERY_EPS) -> np.ndarray
 # implied shocks and the forecaster
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _yearly_map(table: IOTable) -> np.ndarray:
+    """Read-only ``P = exp(A - I)`` of the last table asked for.
+
+    ``IOTable`` is frozen, compares by identity and holds read-only arrays,
+    so the table object itself keys the entry.
+    """
+    p = propagator(table.coefficients, 1.0)
+    p.flags.writeable = False
+    return p
+
+
+def _condition_certificate(coefficients: np.ndarray) -> float:
+    """Upper bound on ``cond_2(rho(1))`` from ``alpha = ||A||_1``; inf when
+    ``alpha >= 1``.
+
+    With ``beta = exp(alpha - 1) >= ||P||_1`` (``P = e^{-1} e^A``),
+    ``||rho(1)||_1 <= (1 + beta) / (1 - alpha)`` and
+    ``||rho(1)^{-1}||_1 = ||(I - P)^{-1} (I - A)||_1 <= (1 + alpha) / (1 - beta)``;
+    ``||M||_2 <= sqrt(N) ||M||_1`` turns their product into a 2-norm bound.
+    """
+    alpha = float(np.abs(coefficients).sum(axis=0).max())
+    beta = math.exp(alpha - 1.0)
+    if beta >= 1.0:
+        return math.inf
+    n = coefficients.shape[0]
+    return n * (1.0 + alpha) * (1.0 + beta) / ((1.0 - alpha) * (1.0 - beta))
+
+
 def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
     """Solve rho(T=1) X = Y(t+1) - Y(t) for the step shock X implied by data.
 
-    A direct LU solve is used; the 2-norm condition estimate of the truncated
-    susceptibility must stay below :data:`CONDITION_CAP`
-    (:class:`IllConditioned` otherwise).
+    ``rho(1) = (I - A)^{-1} (I - P)`` is formed from the table's yearly map
+    ``P = exp(A - I)``, which :func:`lrt_forecast` on the same table reuses,
+    and X by a direct LU solve.  ``cond_2(rho(1))`` must not exceed
+    :data:`CONDITION_CAP` (:class:`IllConditioned` otherwise).  When
+    ``alpha = ||A||_1 < 1`` the certificate
+    ``N (1 + alpha)(1 + beta) / ((1 - alpha)(1 - beta))``, with
+    ``beta = exp(alpha - 1)``, bounds it from above; a certificate of at
+    most half the cap settles the check without a singular value
+    decomposition.  Otherwise the exact ``cond_2`` is computed and compared.
     """
     y_t = np.asarray(output_t, dtype=float)
     y_t1 = np.asarray(output_t1, dtype=float)
     delta = y_t1 - y_t
-    rho = truncated_susceptibility(table.coefficients, 1.0)
-    condition = float(np.linalg.cond(rho))
-    if condition > CONDITION_CAP:
-        raise IllConditioned(condition, CONDITION_CAP)
+    a = table.coefficients
+    rho = leontief_solve(a, np.eye(len(a)) - _yearly_map(table))
+    condition = _condition_certificate(a)
+    # the factor 2 covers the rounding in alpha and in the SVD's cond_2
+    if condition > CONDITION_CAP / 2:
+        condition = float(np.linalg.cond(rho))
+        if condition > CONDITION_CAP:
+            raise IllConditioned(condition, CONDITION_CAP)
     x = np.linalg.solve(rho, delta)
     scale = float(np.max(np.abs(delta)))
     if scale > 0.0:
@@ -182,10 +234,12 @@ def lrt_forecast(table: IOTable, output_t, output_t1) -> np.ndarray:
     ``rho(t, 1) X = dY``, without extracting X: ``rho(2) = rho(1) + P rho(1)``
     with ``P = exp(A - I)``, so ``rho(2) X = dY + P dY``.  No shock is solved
     for, so neither the condition cap nor the round-trip check applies.
+    ``P`` is the one :func:`implied_shock` formed for the same table, so a
+    forecast cell costs one exponential.
     """
     y_t1 = np.asarray(output_t1, dtype=float)
     delta = y_t1 - np.asarray(output_t, dtype=float)
-    return y_t1 + propagator(table.coefficients, 1.0) @ delta
+    return y_t1 + _yearly_map(table) @ delta
 
 
 def fluctuation_prediction(table: IOTable) -> np.ndarray:

@@ -41,7 +41,7 @@ from ioresponse.response import implied_shock, lrt_forecast
 from ioresponse.rng import GaussianStream
 from ioresponse.susceptibility import propagator, truncated_susceptibility
 
-from conftest import build_panel, random_economy
+from conftest import build_panel, family_bound, random_economy
 
 
 def _arma_series(phi: float, theta: float, n: int, seed: int, d: int = 0) -> np.ndarray:
@@ -331,11 +331,13 @@ class TestVar:
     def test_matrix_exponential_recovered_entrywise(self):
         table = random_economy(3, seed=80)
         nu = noise_covariance(NoiseSpec.output_proportional(0.02), table)
-        model = fit_var1(table, nu, samples=20_000, seed=6)
+        samples = 34_000
+        model = fit_var1(table, nu, samples=samples, seed=6)
         target = expm(table.coefficients - np.eye(3))
-        gap = np.abs(model.ar - target)
-        # 3 standard errors plus room for the O(dt) integrator bias
-        assert np.all(gap < 3.0 * model.ar_stderr + 0.01)
+        # the sampler steps by the exact yearly map, so only sampling error is
+        # left: each of the 9 entries within the family-wise t bound
+        z = np.abs(model.ar - target) / model.ar_stderr
+        assert np.all(z < family_bound(samples - 3, 9))
 
     def test_var_forecast_iterates_map(self):
         table = random_economy(2, seed=81)

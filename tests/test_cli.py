@@ -274,6 +274,29 @@ class TestOtherSubcommands:
         ]
         assert sorted(calls) == cells
 
+    def test_forecast_cell_runs_one_exponential_and_no_svd(self, tmp_path, monkeypatch):
+        from ioresponse import susceptibility
+
+        panel = build_panel(n_countries=2, years=(2000, 2004), n_sectors=4, seed=11)
+        data = tmp_path / "panel.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            write_panel(panel, fh)
+        calls = {"expm": 0, "cond": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(susceptibility, "expm", counting("expm", susceptibility.expm))
+        monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+        code = run(["forecast", "--data", str(data), "--out", str(tmp_path / "out")])
+        assert code == 0
+        cells = sum((t.country, t.year + 1) in panel for t in panel)
+        assert cells == 8
+        assert calls == {"expm": cells, "cond": 0}
+
     def test_monte_carlo_panel_selection_is_usage_error(self, panel_file, tmp_path):
         code = run([
             "susceptibility", "--data", str(panel_file),

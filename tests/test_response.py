@@ -268,6 +268,67 @@ class TestImpliedShock:
             lrt_forecast(two_sector_table, y, y1), y1 + p @ (y1 - y)
         )
 
+    @staticmethod
+    def _alpha(table):
+        return float(np.abs(table.coefficients).sum(axis=0).max())
+
+    @pytest.mark.parametrize("n", [2, 6, 28, 56])
+    def test_certificate_bounds_condition(self, n):
+        checked = 0
+        for target in (0.3, 0.6, 0.9, 0.95, 0.99):
+            for seed in range(3):
+                table = random_economy(n, seed=seed, spectral_target=target)
+                if self._alpha(table) >= 1.0:
+                    continue
+                a = table.coefficients
+                exact = np.linalg.cond(truncated_susceptibility(a, 1.0))
+                assert response_module._condition_certificate(a) >= exact
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
+    def test_certificate_bounds_condition_of_signed_matrices(self, alpha):
+        # the bound uses only ||A||_1 < 1, not the signs of A
+        rng = np.random.default_rng(90)
+        for n in (2, 6, 28):
+            a = rng.normal(size=(n, n))
+            a *= alpha / np.abs(a).sum(axis=0).max()
+            exact = np.linalg.cond(truncated_susceptibility(a, 1.0))
+            assert response_module._condition_certificate(a) >= exact
+
+    @pytest.fixture
+    def cond_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.cond
+
+        def counted(m, *args):
+            calls.append(m.shape)
+            return original(m, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        return calls
+
+    def test_certified_cap_runs_no_svd(self, cond_calls):
+        table = random_economy(6, seed=40)
+        assert self._alpha(table) < 1.0
+        y = table.output
+        shock = implied_shock(table, y, y * 1.01)
+        assert cond_calls == []
+        assert shock.condition == response_module._condition_certificate(table.coefficients)
+
+    def test_uncertified_cap_takes_exact_condition(self, cond_calls):
+        # productive (spectral radius 0.9), but a column of A sums past 1
+        table = random_economy(56, seed=0, spectral_target=0.9)
+        assert self._alpha(table) >= 1.0
+        rng = np.random.default_rng(91)
+        y_t = table.output
+        y_t1 = y_t * (1.0 + rng.normal(0.0, 0.05, size=56))
+        shock = implied_shock(table, y_t, y_t1)
+        assert len(cond_calls) == 1
+        rho = truncated_susceptibility(table.coefficients, 1.0)
+        assert shock.condition == np.linalg.cond(rho)
+        np.testing.assert_array_equal(shock.values, np.linalg.solve(rho, y_t1 - y_t))
+
 
 class TestForecast:
     def test_no_change_forecasts_no_change(self, two_sector_table):
