@@ -818,7 +818,8 @@ _CHUNK_ROWS = 4096
 def _column_text(column) -> list[str]:
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return list(map(_fmt, column.tolist()))
-    return [_fmt(v) if isinstance(v, float) else str(v) for v in column]
+    return [v if type(v) is str else _fmt(v) if isinstance(v, float) else str(v)
+            for v in column]
 
 
 def write_table(stream: TextIO, header: str, columns: Sequence) -> None:
@@ -859,7 +860,7 @@ def _io_table_columns(table: IOTable) -> tuple:
     return (
         ["OUTPUT"] * n + ["FLOW"] * len(fi) + ["FINAL"] * final.size,
         [table.country] * n_rows,
-        [table.year] * n_rows,
+        [str(table.year)] * n_rows,
         codes + [codes[i] for i in fi.tolist()] + [c for c in codes for _ in dests],
         [""] * n + [codes[j] for j in fj.tolist()] + dests * n,
         np.concatenate((table.output, table.flows[fi, fj], final.ravel())),

@@ -10,12 +10,14 @@ propagator ``exp((A - I) t')`` directly per grid point, and a step response
 at each grid time T coincides bit-for-bit with
 ``truncated_susceptibility(A, T) @ X``.
 
-A forecast cell forms one exponential: the yearly map ``P = exp(A - I)`` of
-a table is kept for the next call on the same table, so that
-:func:`implied_shock` (through ``rho(1) = (I - A)^{-1} (I - P)``) and
-:func:`lrt_forecast` share it.  The implied shock's condition cap is
-certified from ``||A||_1`` when that bound settles it, and only otherwise
-from a singular value decomposition.
+A forecast cell forms one exponential and one LU factorization: the yearly
+map ``P = exp(A - I)`` of a table is kept for the next call on the same
+table, so that :func:`implied_shock` and :func:`lrt_forecast` share it, and
+the shock solves ``(I - P) X = (I - A) dY`` against one vector.  The
+shock's condition cap and its round trip ``rho(1) X = dY`` are certified
+from ``||A||_1`` when those bounds settle them; only otherwise is
+``rho(1)`` formed for a singular value decomposition, or the exact
+round-trip residual solved for.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .baselines import pearson_r
 from .dynamics import ShockProfile, step_count
 from .errors import IllConditioned, MissingPanelCell, NumericalError
-from .iodata import IOTable, Panel, leontief_solve, write_table
+from .iodata import IOTable, Panel, guarded_solve, leontief_solve, write_table
 from .susceptibility import propagator, truncated_susceptibility
 
 #: Default relative threshold below which a sector counts as recovered.
@@ -39,6 +41,8 @@ RECOVERY_EPS = 0.05
 CONDITION_CAP = 1e12
 #: Relative tolerance of the implied-shock round trip rho(1) X = dY.
 ROUND_TRIP_RTOL = 1e-8
+#: Unit roundoff u of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,11 @@ class ResponseCurve:
 class ImpliedShock:
     """Step demand shock that reproduces an observed one-year output change.
 
-    ``condition`` is the upper bound on ``cond_2(rho(1))`` that was checked
-    against :data:`CONDITION_CAP`: the 1-norm certificate of
-    :func:`implied_shock` when it settles the cap, else the exact value.
+    ``values`` solves ``(I - P) X = (I - A) dY``, i.e. ``rho(1) X = dY``,
+    to within :data:`ROUND_TRIP_RTOL`.  ``condition`` is the upper bound on
+    ``cond_2(rho(1))`` that was checked against :data:`CONDITION_CAP`: the
+    1-norm certificate of :func:`implied_shock` when it settles the cap,
+    else the exact value.
     """
 
     year: int
@@ -174,52 +180,90 @@ def _yearly_map(table: IOTable) -> np.ndarray:
     return p
 
 
-def _condition_certificate(coefficients: np.ndarray) -> float:
-    """Upper bound on ``cond_2(rho(1))`` from ``alpha = ||A||_1``; inf when
-    ``alpha >= 1``.
+def _condition_certificate(alpha: float, n: int) -> float:
+    """Upper bound on ``cond_2(rho(1))`` of an N-sector table from
+    ``alpha = ||A||_1``; inf when ``alpha >= 1``.
 
     With ``beta = exp(alpha - 1) >= ||P||_1`` (``P = e^{-1} e^A``),
     ``||rho(1)||_1 <= (1 + beta) / (1 - alpha)`` and
     ``||rho(1)^{-1}||_1 = ||(I - P)^{-1} (I - A)||_1 <= (1 + alpha) / (1 - beta)``;
     ``||M||_2 <= sqrt(N) ||M||_1`` turns their product into a 2-norm bound.
     """
-    alpha = float(np.abs(coefficients).sum(axis=0).max())
     beta = math.exp(alpha - 1.0)
     if beta >= 1.0:
         return math.inf
-    n = coefficients.shape[0]
     return n * (1.0 + alpha) * (1.0 + beta) / ((1.0 - alpha) * (1.0 - beta))
+
+
+def _round_trip_bound(alpha: float, p: np.ndarray, a: np.ndarray, x: np.ndarray,
+                      delta: np.ndarray) -> float:
+    """Upper bound on ``max|rho(1) X - dY|`` from two matrix-vector products;
+    inf when ``alpha = ||A||_1 >= 1``.
+
+    ``rho(1) X - dY = (I - A)^{-1} ((I - P) X - (I - A) dY)`` and
+    ``||(I - A)^{-1}||_1 <= 1 / (1 - alpha)``.  The computed residual
+    ``r = (X - P X) - (dY - A dY)`` differs from the exact one by at most
+    ``gamma_{N+3} ((1 + beta) ||X||_1 + 2 (1 + alpha) ||dY||_1)``, with
+    ``beta = exp(alpha - 1) >= ||P||_1`` and ``gamma_k = k u / (1 - k u)``;
+    the factor 2 covers the rounding in the norms and in ``alpha``.
+    """
+    if alpha >= 1.0:
+        return math.inf
+    beta = math.exp(alpha - 1.0)
+    k = (len(x) + 3) * _UNIT_ROUNDOFF
+    gamma = k / (1.0 - k)
+    r = (x - p @ x) - (delta - a @ delta)
+    rounding = gamma * ((1.0 + beta) * np.abs(x).sum()
+                        + 2.0 * (1.0 + alpha) * np.abs(delta).sum())
+    return float((np.abs(r).sum() + rounding) / (1.0 - alpha))
+
+
+def _checked_output(table: IOTable, name: str, value) -> np.ndarray:
+    """An output vector as floats; :class:`ValueError`, naming the argument,
+    unless it holds N finite values."""
+    y = np.asarray(value, dtype=float)
+    if y.shape != (table.n_sectors,) or not np.isfinite(y).all():
+        raise ValueError(f"{name} must hold {table.n_sectors} finite values")
+    return y
 
 
 def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
     """Solve rho(T=1) X = Y(t+1) - Y(t) for the step shock X implied by data.
 
-    ``rho(1) = (I - A)^{-1} (I - P)`` is formed from the table's yearly map
-    ``P = exp(A - I)``, which :func:`lrt_forecast` on the same table reuses,
-    and X by a direct LU solve.  ``cond_2(rho(1))`` must not exceed
-    :data:`CONDITION_CAP` (:class:`IllConditioned` otherwise).  When
-    ``alpha = ||A||_1 < 1`` the certificate
-    ``N (1 + alpha)(1 + beta) / ((1 - alpha)(1 - beta))``, with
+    With ``rho(1) = (I - A)^{-1} (I - P)`` and ``P = exp(A - I)`` the table's
+    yearly map, which :func:`lrt_forecast` on the same table reuses, X solves
+    ``(I - P) X = (I - A) dY`` by one LU solve against one vector.
+    ``cond_2(rho(1))`` must not exceed :data:`CONDITION_CAP`
+    (:class:`IllConditioned` otherwise).  When ``alpha = ||A||_1 < 1`` the
+    certificate ``N (1 + alpha)(1 + beta) / ((1 - alpha)(1 - beta))``, with
     ``beta = exp(alpha - 1)``, bounds it from above; a certificate of at
-    most half the cap settles the check without a singular value
-    decomposition.  Otherwise the exact ``cond_2`` is computed and compared.
+    most half the cap settles the check without forming ``rho(1)``.
+    Otherwise ``rho(1)`` is formed and its exact ``cond_2`` compared.
+
+    The round trip ``max|rho(1) X - dY|`` must not exceed
+    :data:`ROUND_TRIP_RTOL` times ``max|dY|`` (:class:`NumericalError`
+    otherwise).  A bound on it from the residual ``(I - P) X - (I - A) dY``
+    settles the check when it is at most half that limit; otherwise the
+    exact residual ``(I - A)^{-1} (X - P X) - dY`` is solved for and
+    compared.  :class:`ValueError` when an output is not N finite values.
     """
-    y_t = np.asarray(output_t, dtype=float)
-    y_t1 = np.asarray(output_t1, dtype=float)
-    delta = y_t1 - y_t
+    y_t = _checked_output(table, "output_t", output_t)
+    delta = _checked_output(table, "output_t1", output_t1) - y_t
     a = table.coefficients
-    rho = leontief_solve(a, np.eye(len(a)) - _yearly_map(table))
-    condition = _condition_certificate(a)
+    p = _yearly_map(table)
+    i_minus_p = np.eye(len(a)) - p
+    alpha = float(np.abs(a).sum(axis=0).max())
+    condition = _condition_certificate(alpha, len(a))
     # the factor 2 covers the rounding in alpha and in the SVD's cond_2
     if condition > CONDITION_CAP / 2:
-        condition = float(np.linalg.cond(rho))
+        condition = float(np.linalg.cond(leontief_solve(a, i_minus_p)))
         if condition > CONDITION_CAP:
             raise IllConditioned(condition, CONDITION_CAP)
-    x = np.linalg.solve(rho, delta)
-    scale = float(np.max(np.abs(delta)))
-    if scale > 0.0:
-        residual = float(np.max(np.abs(rho @ x - delta)))
-        if residual > ROUND_TRIP_RTOL * scale:
+    x = guarded_solve(i_minus_p, delta - a @ delta, "I - P")
+    limit = ROUND_TRIP_RTOL * float(np.max(np.abs(delta)))
+    if not _round_trip_bound(alpha, p, a, x, delta) <= limit / 2:
+        residual = float(np.max(np.abs(leontief_solve(a, x - p @ x) - delta)))
+        if not residual <= limit:
             raise NumericalError(
                 f"implied-shock round trip residual {residual:.3e} exceeds "
                 f"{ROUND_TRIP_RTOL:.0e} relative"
@@ -235,23 +279,25 @@ def lrt_forecast(table: IOTable, output_t, output_t1) -> np.ndarray:
     with ``P = exp(A - I)``, so ``rho(2) X = dY + P dY``.  No shock is solved
     for, so neither the condition cap nor the round-trip check applies.
     ``P`` is the one :func:`implied_shock` formed for the same table, so a
-    forecast cell costs one exponential.
+    forecast cell costs one exponential.  :class:`ValueError` when an output
+    is not N finite values.
     """
-    y_t1 = np.asarray(output_t1, dtype=float)
-    delta = y_t1 - np.asarray(output_t, dtype=float)
+    y_t = _checked_output(table, "output_t", output_t)
+    y_t1 = _checked_output(table, "output_t1", output_t1)
+    delta = y_t1 - y_t
     return y_t1 + _yearly_map(table) @ delta
 
 
 def fluctuation_prediction(table: IOTable) -> np.ndarray:
     """Structural term sum_i rho_ki Y_i of the fluctuation-size predictor,
-    with the stationary (infinite-horizon) susceptibility.
+    with the stationary (infinite-horizon) susceptibility: ``(I - A)^{-1} Y``
+    by one solve against one vector.
 
     The proportionality constant (the common noise amplitude) is fitted
     downstream as the regression slope against observed time-averaged output
     changes.
     """
-    rho = truncated_susceptibility(table.coefficients, math.inf)
-    return rho @ table.output
+    return leontief_solve(table.coefficients, table.output)
 
 
 @dataclass(frozen=True)

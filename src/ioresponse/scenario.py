@@ -19,9 +19,9 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError
-from .iodata import IOTable, Panel, parse_bool, parse_horizon, write_table
+from .iodata import IOTable, Panel, leontief_solve, parse_bool, parse_horizon, write_table
 from .response import ResponseCurve, response_grid, step_response
-from .susceptibility import truncated_susceptibility
+from .susceptibility import propagator
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,20 @@ def build_shock_vectors(spec: ScenarioSpec, panel: Panel) -> dict[str, np.ndarra
 def scenario_impact(
     table: IOTable, shock_vector, horizon: float = math.inf
 ) -> list[SectorImpact]:
-    """Stationary sectoral impacts dY = rho(horizon) X, in USD and percent."""
+    """Sectoral impacts dY = rho(horizon) X, in USD and percent; stationary
+    at the default horizon.
+
+    ``rho(T) X = (I - A)^{-1} (X - exp((A - I) T) X)`` takes one solve
+    against one vector; ``rho(inf) X = (I - A)^{-1} X``.
+    """
     x = np.asarray(shock_vector, dtype=float)
-    delta = truncated_susceptibility(table.coefficients, horizon) @ x
+    a = table.coefficients
+    if horizon == math.inf:
+        delta = leontief_solve(a, x)
+    elif horizon > 0.0:
+        delta = leontief_solve(a, x - propagator(a, horizon) @ x)
+    else:
+        raise ValueError("horizon must be > 0 (or inf)")
     out = []
     for k, code in enumerate(table.codes):
         y = table.output[k]

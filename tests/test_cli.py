@@ -281,7 +281,7 @@ class TestOtherSubcommands:
         data = tmp_path / "panel.csv"
         with open(data, "w", encoding="utf-8", newline="") as fh:
             write_panel(panel, fh)
-        calls = {"expm": 0, "cond": 0}
+        calls = {"expm": 0, "cond": 0, "solve 1-D": 0, "solve 2-D": 0}
 
         def counting(name, original):
             def counted(*args, **kwargs):
@@ -289,13 +289,20 @@ class TestOtherSubcommands:
                 return original(*args, **kwargs)
             return counted
 
+        def counting_solve(system, rhs):
+            calls[f"solve {np.ndim(rhs)}-D"] += 1
+            return original_solve(system, rhs)
+
+        original_solve = np.linalg.solve
         monkeypatch.setattr(susceptibility, "expm", counting("expm", susceptibility.expm))
         monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         code = run(["forecast", "--data", str(data), "--out", str(tmp_path / "out")])
         assert code == 0
         cells = sum((t.country, t.year + 1) in panel for t in panel)
         assert cells == 8
-        assert calls == {"expm": cells, "cond": 0}
+        # each cell: the shock from one vector LU; its round trip certified
+        assert calls == {"expm": cells, "cond": 0, "solve 1-D": cells, "solve 2-D": 0}
 
     def test_monte_carlo_panel_selection_is_usage_error(self, panel_file, tmp_path):
         code = run([

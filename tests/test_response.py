@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from ioresponse import response as response_module
 from ioresponse import susceptibility as susceptibility_module
 from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_batch
-from ioresponse.errors import IllConditioned
+from ioresponse.errors import IllConditioned, NumericalError
 from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
 from ioresponse.response import (
     RECOVERY_EPS,
@@ -25,7 +25,7 @@ from ioresponse.response import (
     write_curve,
 )
 from ioresponse.scenario import scenario_response_curves
-from ioresponse.susceptibility import truncated_susceptibility
+from ioresponse.susceptibility import propagator, truncated_susceptibility
 
 from conftest import build_panel, family_bound, random_economy
 
@@ -269,8 +269,8 @@ class TestImpliedShock:
         )
 
     @staticmethod
-    def _alpha(table):
-        return float(np.abs(table.coefficients).sum(axis=0).max())
+    def _alpha(a):
+        return float(np.abs(a).sum(axis=0).max())
 
     @pytest.mark.parametrize("n", [2, 6, 28, 56])
     def test_certificate_bounds_condition(self, n):
@@ -278,11 +278,11 @@ class TestImpliedShock:
         for target in (0.3, 0.6, 0.9, 0.95, 0.99):
             for seed in range(3):
                 table = random_economy(n, seed=seed, spectral_target=target)
-                if self._alpha(table) >= 1.0:
-                    continue
                 a = table.coefficients
+                if self._alpha(a) >= 1.0:
+                    continue
                 exact = np.linalg.cond(truncated_susceptibility(a, 1.0))
-                assert response_module._condition_certificate(a) >= exact
+                assert response_module._condition_certificate(self._alpha(a), n) >= exact
                 checked += 1
         assert checked >= 3
 
@@ -294,7 +294,49 @@ class TestImpliedShock:
             a = rng.normal(size=(n, n))
             a *= alpha / np.abs(a).sum(axis=0).max()
             exact = np.linalg.cond(truncated_susceptibility(a, 1.0))
-            assert response_module._condition_certificate(a) >= exact
+            assert response_module._condition_certificate(self._alpha(a), n) >= exact
+
+    def _assert_round_trip_bound_holds(self, a, delta):
+        """The round-trip bound is at least max|rho(1) X - dY| for the solved
+        shock and for shocks moved off it, the residual taken in extended
+        precision and by the exact check's own solve."""
+        n = len(a)
+        eye = np.eye(n)
+        p = propagator(a, 1.0)
+        x = np.linalg.solve(eye - p, delta - a @ delta)
+        rng = np.random.default_rng(n)
+        for shock in (x, x * (1.0 + 1e-12), x * (1.0 + 1e-6),
+                      x + 1e-9 * np.abs(x).max() * rng.normal(size=n)):
+            ld = np.longdouble
+            w = (eye.astype(ld) - p.astype(ld)) @ shock.astype(ld) - (
+                eye.astype(ld) - a.astype(ld)) @ delta.astype(ld)
+            extended = np.linalg.solve(eye - a, w.astype(float))
+            direct = np.linalg.solve(eye - a, shock - p @ shock) - delta
+            exact = max(np.abs(extended).max(), np.abs(direct).max())
+            bound = response_module._round_trip_bound(self._alpha(a), p, a, shock, delta)
+            assert bound >= exact
+
+    @pytest.mark.parametrize("n", [2, 6, 28, 56])
+    def test_round_trip_certificate_bounds_exact_residual(self, n):
+        checked = 0
+        for target in (0.3, 0.6, 0.9, 0.95, 0.99):
+            for seed in range(3):
+                table = random_economy(n, seed=seed, spectral_target=target)
+                if self._alpha(table.coefficients) >= 1.0:
+                    continue
+                rng = np.random.default_rng(seed + 200)
+                delta = table.output * rng.normal(0.0, 0.05, size=n)
+                self._assert_round_trip_bound_holds(table.coefficients, delta)
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
+    def test_round_trip_certificate_bounds_exact_residual_of_signed_matrices(self, alpha):
+        rng = np.random.default_rng(92)
+        for n in (2, 6, 28, 56):
+            a = rng.normal(size=(n, n))
+            a *= alpha / np.abs(a).sum(axis=0).max()
+            self._assert_round_trip_bound_holds(a, rng.normal(size=n))
 
     @pytest.fixture
     def cond_calls(self, monkeypatch):
@@ -308,26 +350,78 @@ class TestImpliedShock:
         monkeypatch.setattr(np.linalg, "cond", counted)
         return calls
 
-    def test_certified_cap_runs_no_svd(self, cond_calls):
+    @pytest.fixture
+    def leontief_ranks(self, monkeypatch):
+        ranks = []
+        original = response_module.leontief_solve
+
+        def counted(a, rhs):
+            ranks.append(np.ndim(rhs))
+            return original(a, rhs)
+
+        monkeypatch.setattr(response_module, "leontief_solve", counted)
+        return ranks
+
+    def test_certified_cap_runs_no_svd(self, cond_calls, leontief_ranks):
         table = random_economy(6, seed=40)
-        assert self._alpha(table) < 1.0
+        alpha = self._alpha(table.coefficients)
+        assert alpha < 1.0
         y = table.output
         shock = implied_shock(table, y, y * 1.01)
         assert cond_calls == []
-        assert shock.condition == response_module._condition_certificate(table.coefficients)
+        # the round trip is certified too, so no Leontief solve runs
+        assert leontief_ranks == []
+        assert shock.condition == response_module._condition_certificate(alpha, 6)
 
-    def test_uncertified_cap_takes_exact_condition(self, cond_calls):
+    def test_uncertified_cap_takes_exact_condition(self, cond_calls, leontief_ranks):
         # productive (spectral radius 0.9), but a column of A sums past 1
         table = random_economy(56, seed=0, spectral_target=0.9)
-        assert self._alpha(table) >= 1.0
+        a = table.coefficients
+        assert self._alpha(a) >= 1.0
         rng = np.random.default_rng(91)
         y_t = table.output
         y_t1 = y_t * (1.0 + rng.normal(0.0, 0.05, size=56))
         shock = implied_shock(table, y_t, y_t1)
         assert len(cond_calls) == 1
-        rho = truncated_susceptibility(table.coefficients, 1.0)
+        rho = truncated_susceptibility(a, 1.0)
         assert shock.condition == np.linalg.cond(rho)
-        np.testing.assert_array_equal(shock.values, np.linalg.solve(rho, y_t1 - y_t))
+        delta = y_t1 - y_t
+        eye = np.eye(56)
+        np.testing.assert_array_equal(
+            shock.values, np.linalg.solve(eye - propagator(a, 1.0), delta - a @ delta)
+        )
+        # rho(1) for cond_2, then the exact round-trip residual
+        assert leontief_ranks == [2, 1]
+
+    @pytest.mark.parametrize("table", [
+        random_economy(6, seed=40), random_economy(56, seed=0, spectral_target=0.9),
+    ], ids=["certified", "uncertified"])
+    def test_wrong_shock_fails_round_trip(self, table, monkeypatch):
+        original = response_module.guarded_solve
+
+        def off_by_a_millionth(system, rhs, name):
+            return original(system, rhs, name) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(response_module, "guarded_solve", off_by_a_millionth)
+        y = table.output
+        with pytest.raises(NumericalError, match="round trip"):
+            implied_shock(table, y, y * 1.01)
+
+    @pytest.mark.parametrize("function", [implied_shock, lrt_forecast])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("argument", ["output_t", "output_t1"])
+    def test_non_finite_output_is_refused(self, two_sector_table, function, bad, argument):
+        outputs = {"output_t": two_sector_table.output.copy(),
+                   "output_t1": two_sector_table.output * 1.01}
+        outputs[argument][0] = bad
+        with pytest.raises(ValueError, match=f"{argument} must hold 2 finite values"):
+            function(two_sector_table, **outputs)
+
+    @pytest.mark.parametrize("function", [implied_shock, lrt_forecast])
+    def test_output_of_wrong_length_is_refused(self, two_sector_table, function):
+        y = two_sector_table.output
+        with pytest.raises(ValueError, match="output_t1 must hold 2 finite values"):
+            function(two_sector_table, y, np.append(y, 1.0))
 
 
 class TestForecast:

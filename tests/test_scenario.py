@@ -16,6 +16,8 @@ from ioresponse.scenario import (
     scenario_response_curves,
 )
 
+from ioresponse.susceptibility import truncated_susceptibility
+
 from conftest import build_panel
 
 
@@ -130,6 +132,20 @@ class TestScenarioImpact:
         for c in result.aggregates:
             rows = [r.delta_usd for r in result.impacts if r.country == c]
             assert result.aggregates[c] == math.fsum(rows)
+
+    @pytest.mark.parametrize("horizon", [0.5, 3.0, math.inf])
+    def test_impact_is_susceptibility_times_shock(self, scenario_panel, horizon):
+        table = scenario_panel.get("CCC", 2014)
+        x = np.random.default_rng(5).normal(size=table.n_sectors)
+        rows = scenario_impact(table, x, horizon=horizon)
+        expected = truncated_susceptibility(table.coefficients, horizon) @ x
+        np.testing.assert_allclose([r.delta_usd for r in rows], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_non_positive_horizon_refused(self, scenario_panel, horizon):
+        table = scenario_panel.get("AAA", 2014)
+        with pytest.raises(ValueError, match="horizon"):
+            scenario_impact(table, np.ones(table.n_sectors), horizon=horizon)
 
     def test_percent_definition(self, scenario_panel):
         table = scenario_panel.get("BBB", 2014)
