@@ -3,8 +3,9 @@
 Library surface: table ingestion (:mod:`ioresponse.iodata`), stochastic
 dynamics (:mod:`ioresponse.dynamics`), susceptibility matrices and
 aggregates (:mod:`ioresponse.susceptibility`), response curves and the
-implied-shock forecaster (:mod:`ioresponse.response`), econometric baselines
-and evaluation (:mod:`ioresponse.baselines`), demand-shock scenarios
+implied-shock forecaster with its benchmark against the baselines
+(:mod:`ioresponse.response`), econometric baselines and evaluation
+(:mod:`ioresponse.baselines`), demand-shock scenarios
 (:mod:`ioresponse.scenario`), and backbone extraction
 (:mod:`ioresponse.backbone`).  The ``ioresponse`` console script wires these
 into reproducible pipelines.
@@ -16,7 +17,6 @@ from .baselines import (
     ForecastEvaluation,
     VarModel,
     arima_forecast,
-    benchmark_lrt_vs_baseline,
     evaluate_forecasts,
     fit_arima,
     fit_var1,
@@ -40,6 +40,7 @@ from .iodata import (
 from .response import (
     ImpliedShock,
     ResponseCurve,
+    benchmark_lrt_vs_baseline,
     fluctuation_panel_regression,
     fluctuation_prediction,
     implied_shock,
@@ -64,6 +65,7 @@ from .susceptibility import (
     SusceptibilityAggregates,
     SusceptibilityMatrix,
     aggregate_susceptibilities,
+    applied_susceptibility,
     propagator,
     sector_susceptibility,
     susceptibility_analytic,

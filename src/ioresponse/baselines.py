@@ -25,7 +25,10 @@ transition the Monte Carlo route samples at its step, taken at one year.
 
 ``evaluate_forecasts`` scores aligned panels of predictions with per-cell
 Pearson correlations, predictability gains, and one-sample two-sided t-tests
-per year and pooled.
+per year and pooled.  The panel benchmark that sets the susceptibility
+forecaster against these baselines,
+:func:`ioresponse.response.benchmark_lrt_vs_baseline`, lives beside that
+forecaster, so each forecast cell and its yearly map are defined once.
 """
 
 from __future__ import annotations
@@ -52,17 +55,8 @@ from .errors import (
     RankDeficientRegressors,
     TooShortSeries,
 )
-from .iodata import (
-    DEFAULT_NOISE,
-    IOTable,
-    NoiseSpec,
-    Panel,
-    guarded_solve,
-    noise_covariance,
-    write_table,
-)
+from .iodata import IOTable, write_table
 from .rng import GaussianStream
-from .susceptibility import propagator
 
 #: AR/MA coefficients are searched inside this magnitude, short of the
 #: stationarity/invertibility boundary; a fit that ends on it is ``clamped``.
@@ -254,7 +248,7 @@ def fit_var1(
     equilibrium output), starting at ``Y*`` plus a draw from ``N(0, Sigma)``
     (``Sigma`` stationary), so no burn-in is needed.  ``Phi``, ``Q`` and
     ``Sigma`` come from one block exponential and a doubling at a step of
-    one year (:func:`ioresponse.dynamics.stationary_covariance`).
+    one year (:func:`ioresponse.dynamics._transition_moments`).
     ``GaussianStream(seed)`` gives the first N variates to that start, then
     ``samples x N`` to the innovations, year by year.  The ``samples``
     transition pairs are fitted by ordinary least squares with intercepts:
@@ -465,137 +459,6 @@ def evaluate_forecasts(
     pooled = t_test_mean_zero([c.pg for c in cells])
     return ForecastEvaluation(
         target=target, cells=tuple(cells), by_year=by_year, pooled=pooled
-    )
-
-
-# ---------------------------------------------------------------------------
-# panel benchmark pipeline
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BenchmarkResult:
-    evaluation: ForecastEvaluation
-    baseline: str
-    observed: Mapping[tuple[str, int], np.ndarray]
-    anchor: Mapping[tuple[str, int], np.ndarray]
-    lrt_predictions: Mapping[tuple[str, int], np.ndarray]
-    baseline_predictions: Mapping[tuple[str, int], np.ndarray]
-
-
-def _arima_cell_forecast(
-    series_by_sector: np.ndarray, upto: int, orders, models=None
-) -> np.ndarray:
-    """One-step forecasts of every sector series, history ending at ``upto``.
-
-    ``models`` holds one fitted model per sector (full-sample calibration);
-    without it each sector is fitted to its history.
-    """
-    out = np.empty(series_by_sector.shape[1])
-    for k in range(len(out)):
-        history = series_by_sector[: upto + 1, k]
-        model = models[k] if models is not None else fit_arima(history, *orders)
-        out[k] = arima_forecast(model, history, 1)[0]
-    return out
-
-
-def benchmark_lrt_vs_baseline(
-    panel: Panel,
-    baseline: str = "arima",
-    orders: tuple[int, int, int] = (1, 1, 1),
-    calibration: str = "expanding",
-    target: str = "changes",
-    var_samples: int = 10_000,
-    var_calibration_year: int | None = None,
-    noise: NoiseSpec = DEFAULT_NOISE,
-    seed: int = 0,
-) -> BenchmarkResult:
-    """Two-year-ahead forecast comparison over a complete panel.
-
-    For every country and shock year t with data at t, t+1, and t+2, the
-    susceptibility model predicts the level at t+2 as ``Y(t+1) + P dY``, with
-    ``P = exp(A - I)`` formed once per cell and ``dY = Y(t+1) - Y(t)`` (what
-    :func:`~ioresponse.response.lrt_forecast` returns); the baseline predicts
-    the same level from its own information set (ARIMA: series up to t+1,
-    one step ahead; VAR: the fitted yearly map applied twice from Y(t);
-    perturbed-io: the perturbed equilibrium ``Y(t) + (I - A)^{-1} X`` under
-    the step shock X with ``rho(1) X = dY``, computed as
-    ``Y(t) + (I - P)^{-1} dY``).  No implied shock is extracted, so no
-    condition cap applies.  Cells where the baseline cannot be fitted yet
-    (short ARIMA history) are skipped.  Cells run one after another in
-    sorted order; ``noise`` drives the simulated economy the VAR baseline is
-    calibrated on.
-
-    ARIMA ``calibration`` is ``"expanding"`` (each cell fits the history up
-    to t+1) or ``"full"`` (one model per sector from the whole series).  An
-    unknown ``baseline``, ``calibration`` or ``target`` raises ValueError
-    before any work.
-    """
-    if baseline not in ("arima", "var", "perturbed_io"):
-        raise ValueError(f"unknown baseline {baseline!r}")
-    if calibration not in ("expanding", "full"):
-        raise ValueError(f"unknown calibration {calibration!r}")
-    if target not in ("changes", "levels"):
-        raise ValueError(f"unknown target {target!r}")
-    countries = panel.countries()
-    years = panel.years()
-
-    var_models: dict[str, VarModel] = {}
-    if baseline == "var":
-        calib_year = var_calibration_year if var_calibration_year is not None else years[0]
-        for c in countries:
-            table = panel.get(c, calib_year)
-            nu = noise_covariance(noise, table)
-            var_models[c] = fit_var1(table, nu, samples=var_samples, seed=seed)
-
-    p, d, q = orders
-    min_obs = p + d + q + 3
-
-    observed = {}
-    anchor = {}
-    lrt_pred = {}
-    base_pred = {}
-    for c in countries:
-        c_years = panel.years(c)
-        series = np.stack([panel.get(c, y).output for y in c_years])
-        full_models = None  # fitted at the country's first scored cell
-        for t in c_years:
-            if t + 1 not in c_years or t + 2 not in c_years:
-                continue
-            if baseline == "arima" and c_years.index(t + 1) + 1 < min_obs:
-                continue
-            table = panel.get(c, t)
-            y_t = table.output
-            y_t1 = panel.get(c, t + 1).output
-            y_t2 = panel.get(c, t + 2).output
-            p_year = propagator(table.coefficients, 1.0)
-            delta = y_t1 - y_t
-            if baseline == "arima":
-                if calibration == "full" and full_models is None:
-                    full_models = [fit_arima(s, p, d, q) for s in series.T]
-                pred_base = _arima_cell_forecast(
-                    series, c_years.index(t + 1), orders, full_models
-                )
-            elif baseline == "var":
-                # t+1 and t+2 levels come from iterating the fitted yearly map
-                pred_base = var_forecast(var_models[c], y_t, steps=2)
-            else:
-                # (I - A)^{-1} X = (I - P)^{-1} dY, as (I - A)^{-1} commutes with P
-                pred_base = y_t + guarded_solve(
-                    np.eye(len(delta)) - p_year, delta, "I - exp(A - I)"
-                )
-            observed[(c, t)] = y_t2
-            anchor[(c, t)] = y_t1
-            lrt_pred[(c, t)] = y_t1 + p_year @ delta
-            base_pred[(c, t)] = pred_base
-
-    evaluation = evaluate_forecasts(observed, anchor, lrt_pred, base_pred, target=target)
-    return BenchmarkResult(
-        evaluation=evaluation,
-        baseline=baseline,
-        observed=observed,
-        anchor=anchor,
-        lrt_predictions=lrt_pred,
-        baseline_predictions=base_pred,
     )
 
 

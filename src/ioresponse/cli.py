@@ -448,7 +448,7 @@ def _summary_json(s: baselines.TTestSummary) -> dict:
 def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
     panel = _load_panel(cfg)
     var_year = None if cfg["var_year"] == "first" else cfg["var_year"]
-    result = baselines.benchmark_lrt_vs_baseline(
+    result = response.benchmark_lrt_vs_baseline(
         panel,
         baseline=cfg["baseline"],
         orders=cfg.arima_orders(),
@@ -524,10 +524,8 @@ def _cmd_backbone(cfg: RunConfig, out: OutputDir) -> None:
     node_values = None
     if cfg["node_time"]:
         # annotate nodes with the unit-impulse response at the chosen time
-        t_prime = float(cfg["node_time"])
-        grid = np.array([0.0]) if t_prime == 0.0 else np.array([0.0, t_prime])
-        curve = response.impulse_response(table, np.ones(table.n_sectors), grid)
-        node_values = dict(zip(table.codes, (float(v) for v in curve.values[-1])))
+        p = susceptibility.propagator(table.coefficients, float(cfg["node_time"]))
+        node_values = dict(zip(table.codes, (float(v) for v in p @ np.ones(table.n_sectors))))
     graph = backbone.disparity_filter(
         rho, cfg["significance"], node_values=node_values
     )

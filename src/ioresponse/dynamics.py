@@ -138,7 +138,7 @@ def expm(m: np.ndarray) -> np.ndarray:
     every propagator goes through ``susceptibility.expm`` (this function,
     imported there), and so every response curve and forecast; the yearly
     noise covariance and the stationary covariance come from one call on a
-    block matrix (:func:`stationary_covariance`).
+    block matrix (:func:`_transition_moments`).
     """
     b = np.array(m, dtype=float, order="C")
     n = b.shape[0]
@@ -394,9 +394,9 @@ def simulate_batch(
     deviations of ``_NOISE_CHUNK`` steps, and the next noise block and its
     standard normals while it is drawn; ``Y0`` is added once per block.  A
     path that blows up stops at the end of its block; an unstable drift that
-    the noise reaches raises :class:`UnstableDrift` before the first step.  A caller that needs only sums over the states can
-    take the deviations as they are recorded instead (see
-    :mod:`ioresponse.susceptibility`).
+    the noise reaches raises :class:`UnstableDrift` before the first step.
+    A caller that needs only sums over the states can take the deviations
+    as they are recorded instead (see :mod:`ioresponse.susceptibility`).
     """
     y0, records, blocks = _path_blocks(
         coefficients, demand, nu, shock, dt, horizon, burn_in, seed, replicas

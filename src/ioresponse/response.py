@@ -1,14 +1,16 @@
-"""Response curves, implied shocks, and the susceptibility-based forecaster.
+"""Response curves, implied shocks, the susceptibility-based forecaster,
+and its benchmark against the econometric baselines.
 
 Analytic curves on a uniform grid ``t_k = k h`` (what :func:`response_grid`
 returns) form ``P = exp((A - I) h)`` once and propagate by the semigroup
 property: one ``expm`` per curve, then one matrix-vector product per grid
-point.  The point at ``h`` is computed as the direct route computes it, so
-there a step response coincides bit-for-bit with
-``truncated_susceptibility(A, h) @ X``.  Any other grid evaluates the
+point.  The step response's point at ``h`` is computed as the direct route
+computes it, so there it coincides bit-for-bit with
+``applied_susceptibility(A, h, X)``.  Any other grid evaluates the
 propagator ``exp((A - I) t')`` directly per grid point, and a step response
 at each grid time T coincides bit-for-bit with
-``truncated_susceptibility(A, T) @ X``.
+``applied_susceptibility(A, T, X)``.  Every Leontief solve of a step curve
+is against one vector, never against an N x N right-hand side.
 
 A forecast cell forms one exponential and one LU factorization: the yearly
 map ``P = exp(A - I)`` of a table is kept for the next call on the same
@@ -17,7 +19,10 @@ the shock solves ``(I - P) X = (I - A) dY`` against one vector.  The
 shock's condition cap and its round trip ``rho(1) X = dY`` are certified
 from ``||A||_1`` when those bounds settle them; only otherwise is
 ``rho(1)`` formed for a singular value decomposition, or the exact
-round-trip residual solved for.
+round-trip residual solved for.  :func:`benchmark_lrt_vs_baseline` scores
+the same forecast, through :func:`lrt_forecast`, against an ARIMA, VAR or
+perturbed-io baseline (:mod:`ioresponse.baselines`); a cell forms one
+exponential whichever the baseline.
 """
 
 from __future__ import annotations
@@ -25,15 +30,33 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .baselines import pearson_r
+from .baselines import (
+    ForecastEvaluation,
+    VarModel,
+    arima_forecast,
+    evaluate_forecasts,
+    fit_arima,
+    fit_var1,
+    pearson_r,
+    var_forecast,
+)
 from .dynamics import ShockProfile, step_count
 from .errors import IllConditioned, MissingPanelCell, NumericalError
-from .iodata import IOTable, Panel, guarded_solve, leontief_solve, write_table
-from .susceptibility import propagator, truncated_susceptibility
+from .iodata import (
+    DEFAULT_NOISE,
+    IOTable,
+    NoiseSpec,
+    Panel,
+    guarded_solve,
+    leontief_solve,
+    noise_covariance,
+    write_table,
+)
+from .susceptibility import applied_susceptibility, propagator
 
 #: Default relative threshold below which a sector counts as recovered.
 RECOVERY_EPS = 0.05
@@ -117,24 +140,28 @@ def impulse_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
 
 
 def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
-    """<dY(t')> = rho(t') X for a step shock switched on at t' = 0."""
+    """<dY(t')> = rho(t') X for a step shock switched on at t' = 0;
+    :class:`NumericalError` when a value overflows float64."""
     grid = _check_grid(grid)
     x = np.asarray(shock_vector, dtype=float)
     values = np.empty((len(grid), len(x)))
     values[0] = 0.0
     a = table.coefficients
     h = _uniform_spacing(grid)
-    if h is None:
-        for k, t in enumerate(grid[1:], start=1):
-            values[k] = truncated_susceptibility(a, t) @ x
-    else:
-        # rho(t + h) = rho(h) + exp((A - I) h) rho(t), because (I - A)^{-1}
-        # commutes with exp((A - I) h); rho(h) is truncated_susceptibility's
-        # own formula, so the first point keeps its bits
-        p = propagator(a, h)
-        values[1] = leontief_solve(a, np.eye(len(a)) - p) @ x
-        for k in range(2, len(grid)):
-            values[k] = values[1] + p @ values[k - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if h is None:
+            for k, t in enumerate(grid[1:], start=1):
+                values[k] = applied_susceptibility(a, t, x)
+        else:
+            # rho(t + h) = rho(h) + exp((A - I) h) rho(t), because (I - A)^{-1}
+            # commutes with exp((A - I) h); the first point is
+            # applied_susceptibility's own formula, so it keeps its bits
+            p = propagator(a, h)
+            values[1] = leontief_solve(a, x - p @ x)
+            for k in range(2, len(grid)):
+                values[k] = values[1] + p @ values[k - 1]
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{table.country}/{table.year}: the step response overflows float64")
     return ResponseCurve(grid=grid, values=values, shock=ShockProfile.step(x))
 
 
@@ -227,6 +254,18 @@ def _checked_output(table: IOTable, name: str, value) -> np.ndarray:
     return y
 
 
+def _output_change(table: IOTable, output_t, output_t1) -> tuple[np.ndarray, np.ndarray]:
+    """``(Y(t+1), dY)`` of two checked outputs; :class:`NumericalError` when
+    ``dY = Y(t+1) - Y(t)`` overflows float64."""
+    y_t = _checked_output(table, "output_t", output_t)
+    y_t1 = _checked_output(table, "output_t1", output_t1)
+    with np.errstate(over="ignore"):
+        delta = y_t1 - y_t
+    if not np.isfinite(delta).all():
+        raise NumericalError(f"{table.country}/{table.year}: the output change overflows float64")
+    return y_t1, delta
+
+
 def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
     """Solve rho(T=1) X = Y(t+1) - Y(t) for the step shock X implied by data.
 
@@ -245,10 +284,10 @@ def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
     otherwise).  A bound on it from the residual ``(I - P) X - (I - A) dY``
     settles the check when it is at most half that limit; otherwise the
     exact residual ``(I - A)^{-1} (X - P X) - dY`` is solved for and
-    compared.  :class:`ValueError` when an output is not N finite values.
+    compared.  :class:`ValueError` when an output is not N finite values,
+    :class:`NumericalError` when ``dY`` overflows float64.
     """
-    y_t = _checked_output(table, "output_t", output_t)
-    delta = _checked_output(table, "output_t1", output_t1) - y_t
+    delta = _output_change(table, output_t, output_t1)[1]
     a = table.coefficients
     p = _yearly_map(table)
     i_minus_p = np.eye(len(a)) - p
@@ -259,15 +298,17 @@ def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
         condition = float(np.linalg.cond(leontief_solve(a, i_minus_p)))
         if condition > CONDITION_CAP:
             raise IllConditioned(condition, CONDITION_CAP)
-    x = guarded_solve(i_minus_p, delta - a @ delta, "I - P")
     limit = ROUND_TRIP_RTOL * float(np.max(np.abs(delta)))
-    if not _round_trip_bound(alpha, p, a, x, delta) <= limit / 2:
-        residual = float(np.max(np.abs(leontief_solve(a, x - p @ x) - delta)))
-        if not residual <= limit:
-            raise NumericalError(
-                f"implied-shock round trip residual {residual:.3e} exceeds "
-                f"{ROUND_TRIP_RTOL:.0e} relative"
-            )
+    # a shock that overflows fails the round trip: its residual is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = guarded_solve(i_minus_p, delta - a @ delta, "I - P")
+        if not _round_trip_bound(alpha, p, a, x, delta) <= limit / 2:
+            residual = float(np.max(np.abs(leontief_solve(a, x - p @ x) - delta)))
+            if not residual <= limit:
+                raise NumericalError(
+                    f"implied-shock round trip residual {residual:.3e} exceeds "
+                    f"{ROUND_TRIP_RTOL:.0e} relative"
+                )
     return ImpliedShock(year=table.year, values=x, condition=condition)
 
 
@@ -280,12 +321,15 @@ def lrt_forecast(table: IOTable, output_t, output_t1) -> np.ndarray:
     for, so neither the condition cap nor the round-trip check applies.
     ``P`` is the one :func:`implied_shock` formed for the same table, so a
     forecast cell costs one exponential.  :class:`ValueError` when an output
-    is not N finite values.
+    is not N finite values, :class:`NumericalError` when ``dY`` or the
+    forecast overflows float64.
     """
-    y_t = _checked_output(table, "output_t", output_t)
-    y_t1 = _checked_output(table, "output_t1", output_t1)
-    delta = y_t1 - y_t
-    return y_t1 + _yearly_map(table) @ delta
+    y_t1, delta = _output_change(table, output_t, output_t1)
+    with np.errstate(over="ignore"):
+        forecast = y_t1 + _yearly_map(table) @ delta
+    if not np.isfinite(forecast).all():
+        raise NumericalError(f"{table.country}/{table.year}: the forecast overflows float64")
+    return forecast
 
 
 def fluctuation_prediction(table: IOTable) -> np.ndarray:
@@ -371,6 +415,118 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
         r_size_only=r_size,
         r_with_size_control=r_multi,
         size_control_coefficient=float(coef[2]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# panel benchmark pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BenchmarkResult:
+    evaluation: ForecastEvaluation
+    baseline: str
+    observed: Mapping[tuple[str, int], np.ndarray]
+    anchor: Mapping[tuple[str, int], np.ndarray]
+    lrt_predictions: Mapping[tuple[str, int], np.ndarray]
+    baseline_predictions: Mapping[tuple[str, int], np.ndarray]
+
+
+def benchmark_lrt_vs_baseline(
+    panel: Panel,
+    baseline: str = "arima",
+    orders: tuple[int, int, int] = (1, 1, 1),
+    calibration: str = "expanding",
+    target: str = "changes",
+    var_samples: int = 10_000,
+    var_calibration_year: int | None = None,
+    noise: NoiseSpec = DEFAULT_NOISE,
+    seed: int = 0,
+) -> BenchmarkResult:
+    """Two-year-ahead forecast comparison over a complete panel.
+
+    For every country and shock year t with data at t, t+1, and t+2, the
+    susceptibility model predicts the level at t+2 by :func:`lrt_forecast`;
+    the baseline predicts the same level from its own information set
+    (ARIMA: series up to t+1, one step ahead; VAR: the fitted yearly map
+    applied twice from Y(t); perturbed-io: the perturbed equilibrium
+    ``Y(t) + (I - A)^{-1} X`` under the step shock X with ``rho(1) X = dY``,
+    computed as ``Y(t) + (I - P)^{-1} dY`` with the forecast's ``P``).  A
+    cell forms one exponential and extracts no implied shock, so no
+    condition cap applies.  Cells where the baseline cannot be fitted yet
+    (short ARIMA history) are skipped.  Cells run one after another in
+    sorted order; ``noise`` drives the simulated economy the VAR baseline is
+    calibrated on.
+
+    ARIMA ``calibration`` is ``"expanding"`` (each cell fits the history up
+    to t+1) or ``"full"`` (one model per sector from the whole series).  An
+    unknown ``baseline``, ``calibration`` or ``target`` raises ValueError
+    before any work.
+    """
+    if baseline not in ("arima", "var", "perturbed_io"):
+        raise ValueError(f"unknown baseline {baseline!r}")
+    if calibration not in ("expanding", "full"):
+        raise ValueError(f"unknown calibration {calibration!r}")
+    if target not in ("changes", "levels"):
+        raise ValueError(f"unknown target {target!r}")
+    countries = panel.countries()
+    years = panel.years()
+
+    var_models: dict[str, VarModel] = {}
+    if baseline == "var":
+        calib_year = var_calibration_year if var_calibration_year is not None else years[0]
+        for c in countries:
+            table = panel.get(c, calib_year)
+            nu = noise_covariance(noise, table)
+            var_models[c] = fit_var1(table, nu, samples=var_samples, seed=seed)
+
+    p, d, q = orders
+    min_obs = p + d + q + 3
+
+    observed = {}
+    anchor = {}
+    lrt_pred = {}
+    base_pred = {}
+    for c in countries:
+        c_years = panel.years(c)
+        series = np.stack([panel.get(c, y).output for y in c_years])
+        full_models = None  # fitted at the country's first scored cell
+        for t in c_years:
+            if t + 1 not in c_years or t + 2 not in c_years:
+                continue
+            if baseline == "arima" and c_years.index(t + 1) + 1 < min_obs:
+                continue
+            table = panel.get(c, t)
+            y_t = table.output
+            y_t1 = panel.get(c, t + 1).output
+            if baseline == "arima":
+                history = series[: c_years.index(t + 1) + 1]
+                if calibration == "full" and full_models is None:
+                    full_models = [fit_arima(s, p, d, q) for s in series.T]
+                models = full_models or [fit_arima(s, p, d, q) for s in history.T]
+                pred_base = np.array([arima_forecast(m, s, 1)[0]
+                                      for m, s in zip(models, history.T)])
+            elif baseline == "var":
+                # t+1 and t+2 levels come from iterating the fitted yearly map
+                pred_base = var_forecast(var_models[c], y_t, steps=2)
+            else:
+                # (I - A)^{-1} X = (I - P)^{-1} dY, as (I - A)^{-1} commutes with P
+                pred_base = y_t + guarded_solve(
+                    np.eye(len(y_t)) - _yearly_map(table), y_t1 - y_t, "I - exp(A - I)"
+                )
+            observed[(c, t)] = panel.get(c, t + 2).output
+            anchor[(c, t)] = y_t1
+            lrt_pred[(c, t)] = lrt_forecast(table, y_t, y_t1)
+            base_pred[(c, t)] = pred_base
+
+    evaluation = evaluate_forecasts(observed, anchor, lrt_pred, base_pred, target=target)
+    return BenchmarkResult(
+        evaluation=evaluation,
+        baseline=baseline,
+        observed=observed,
+        anchor=anchor,
+        lrt_predictions=lrt_pred,
+        baseline_predictions=base_pred,
     )
 
 

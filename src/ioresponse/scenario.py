@@ -6,8 +6,11 @@ one destination; when compensation is on (the default) the destination
 country receives the absolute sum of what was removed as a positive demand
 shock on the same sector, applied directly to its demand vector.  Stationary
 impacts use the infinite-horizon susceptibility (a finite horizon is
-available through the scenario file's ``horizon`` key); country aggregates
-use compensated summation.
+available through the scenario file's ``horizon`` key), each
+``rho(T) X`` by one solve against the country's shock vector
+(:func:`~ioresponse.susceptibility.applied_susceptibility`); country
+aggregates use compensated summation.  A shock sum, impact or aggregate
+that overflows float64 raises :class:`~ioresponse.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ConfigError
-from .iodata import IOTable, Panel, leontief_solve, parse_bool, parse_horizon, write_table
+from .errors import ConfigError, NumericalError
+from .iodata import IOTable, Panel, parse_bool, parse_horizon, write_table
 from .response import ResponseCurve, response_grid, step_response
-from .susceptibility import propagator
+from .susceptibility import applied_susceptibility
 
 
 @dataclass(frozen=True)
@@ -156,11 +159,13 @@ def build_shock_vectors(spec: ScenarioSpec, panel: Panel) -> dict[str, np.ndarra
 
     Wildcard sources expand to every panel country except the destination.
     Compensation adds ``+|sum of removed export demand|`` on the destination
-    country's shocked sector.
+    country's shocked sector.  :class:`NumericalError` when a shock's sum
+    overflows float64.
     """
     year = spec.evaluation_year
     countries = panel.countries()
-    vectors = {c: np.zeros(panel.get(c, year).n_sectors) for c in countries}
+    # Python floats: a sum that overflows is checked below, not warned about
+    vectors = {c: [0.0] * panel.get(c, year).n_sectors for c in countries}
     removed: dict[tuple[str, str], float] = {}
 
     terms: list[ShockTerm] = []
@@ -196,7 +201,10 @@ def build_shock_vectors(spec: ScenarioSpec, panel: Panel) -> dict[str, np.ndarra
         for (dest, sector), total in sorted(removed.items()):
             table = panel.get(dest, year)
             vectors[dest][table.sector_index(sector)] += abs(total)
-    return vectors
+    for c, v in vectors.items():
+        if not all(map(math.isfinite, v)):
+            raise NumericalError(f"{c}/{year}: the scenario's shock overflows float64")
+    return {c: np.array(v) for c, v in vectors.items()}
 
 
 def scenario_impact(
@@ -205,28 +213,22 @@ def scenario_impact(
     """Sectoral impacts dY = rho(horizon) X, in USD and percent; stationary
     at the default horizon.
 
-    ``rho(T) X = (I - A)^{-1} (X - exp((A - I) T) X)`` takes one solve
-    against one vector; ``rho(inf) X = (I - A)^{-1} X``.
+    ``rho(T) X`` is :func:`~ioresponse.susceptibility.applied_susceptibility`:
+    one solve against one vector.  :class:`NumericalError` when an impact in
+    USD or percent overflows float64.
     """
-    x = np.asarray(shock_vector, dtype=float)
-    a = table.coefficients
-    if horizon == math.inf:
-        delta = leontief_solve(a, x)
-    elif horizon > 0.0:
-        delta = leontief_solve(a, x - propagator(a, horizon) @ x)
-    else:
-        raise ValueError("horizon must be > 0 (or inf)")
-    out = []
-    for k, code in enumerate(table.codes):
-        y = table.output[k]
-        pct = 100.0 * delta[k] / y if y > 0.0 else math.nan
-        out.append(
-            SectorImpact(
-                country=table.country, sector=code,
-                delta_usd=float(delta[k]), delta_pct=float(pct),
-            )
+    y = table.output
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        delta = applied_susceptibility(
+            table.coefficients, horizon, np.asarray(shock_vector, dtype=float)
         )
-    return out
+        pct = np.where(y > 0.0, 100.0 * delta / y, math.nan)
+    if not (np.isfinite(delta).all() and np.isfinite(pct[y > 0.0]).all()):
+        raise NumericalError(f"{table.country}/{table.year}: the scenario impact overflows float64")
+    return [
+        SectorImpact(country=table.country, sector=code, delta_usd=float(d), delta_pct=float(p))
+        for code, d, p in zip(table.codes, delta, pct)
+    ]
 
 
 def scenario_response_curves(
@@ -251,7 +253,11 @@ def run_scenario(
         table = panel.get(c, spec.evaluation_year)
         rows = scenario_impact(table, vectors[c], horizon=spec.horizon)
         impacts.extend(rows)
-        aggregates[c] = math.fsum(r.delta_usd for r in rows)
+        try:
+            aggregates[c] = math.fsum(r.delta_usd for r in rows)
+        except OverflowError:
+            raise NumericalError(f"{c}/{spec.evaluation_year}: the scenario aggregate "
+                                 "overflows float64") from None
     curves = {
         c: scenario_response_curves(
             panel.get(c, spec.evaluation_year), vectors[c], curve_horizon, curve_dt

@@ -8,7 +8,10 @@ to the stationary output change of sector k.  Two routes are provided:
   T = inf).  The closed form follows from integrating the centered
   equilibrium correlation functions, whose propagator is
   ``C(tau) sigma^{-1} = exp((A - I) tau)``; the noise covariance cancels, so
-  the analytic matrix is independent of the noise specification.
+  the analytic matrix is independent of the noise specification.  It is
+  ``applied_susceptibility`` at the identity, which applies ``rho(T)`` to a
+  vector or matrix by one solve and so serves every step response and
+  scenario impact too.
 
 * ``susceptibility_monte_carlo`` estimates the same integral from simulated
   unshocked trajectories: lagged covariances of centered states are
@@ -105,17 +108,22 @@ def propagator(coefficients: np.ndarray, t: float) -> np.ndarray:
     return expm(drift_matrix(coefficients) * t)
 
 
-def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.ndarray:
-    """Closed-form rho(T) = (I - A)^{-1} (I - exp((A - I) T)); inf allowed."""
-    a = np.asarray(coefficients, dtype=float)
-    eye = np.eye(a.shape[0])
+def applied_susceptibility(coefficients: np.ndarray, horizon: float, x: np.ndarray) -> np.ndarray:
+    """rho(T) x = (I - A)^{-1} (x - exp((A - I) T) x) for a vector or matrix
+    x, by one Leontief solve against x's shape; ``(I - A)^{-1} x`` at
+    T = inf.  :class:`ValueError` unless T > 0."""
     if horizon == math.inf:
-        rhs = eye
+        rhs = x
     elif horizon > 0.0:
-        rhs = eye - propagator(a, horizon)
+        rhs = x - propagator(coefficients, horizon) @ x
     else:
         raise ValueError("horizon must be > 0 (or inf)")
-    return leontief_solve(a, rhs)
+    return leontief_solve(coefficients, rhs)
+
+
+def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.ndarray:
+    """Closed-form rho(T) = (I - A)^{-1} (I - exp((A - I) T)); inf allowed."""
+    return applied_susceptibility(coefficients, horizon, np.eye(len(coefficients)))
 
 
 def susceptibility_analytic(table: IOTable, horizon: float = math.inf) -> SusceptibilityMatrix:

@@ -15,16 +15,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ioresponse.baselines import (
-    benchmark_lrt_vs_baseline,
-    fit_arima,
-    fit_var1,
-    pearson_r,
-)
+from ioresponse.baselines import fit_arima, fit_var1, pearson_r
 from ioresponse.backbone import disparity_filter
 from ioresponse.cli import run as cli_run
 from ioresponse.iodata import IOTable, NoiseSpec, load_panel, noise_covariance
 from ioresponse.response import (
+    benchmark_lrt_vs_baseline,
     fluctuation_panel_regression,
     implied_shock,
     lrt_forecast,

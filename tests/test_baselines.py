@@ -1,5 +1,6 @@
 """ARIMA/VAR baselines, Pearson correlation, and the evaluation harness."""
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.linalg import expm
 from ioresponse.baselines import (
     _difference,
     arima_forecast,
-    benchmark_lrt_vs_baseline,
     evaluate_forecasts,
     fit_arima,
     fit_var1,
@@ -36,8 +36,9 @@ from ioresponse.iodata import (
     guarded_solve,
     leontief_solve,
     noise_covariance,
+    write_panel,
 )
-from ioresponse.response import implied_shock, lrt_forecast
+from ioresponse.response import benchmark_lrt_vs_baseline, implied_shock, lrt_forecast
 from ioresponse.rng import GaussianStream
 from ioresponse.susceptibility import propagator, truncated_susceptibility
 
@@ -509,7 +510,7 @@ class TestBenchmarkPipeline:
         assert max(diffs) > 0.0
 
     def test_full_calibration_fits_each_country_sector_once(self, monkeypatch):
-        from ioresponse import baselines
+        from ioresponse import response
 
         full = build_panel(n_countries=2, years=(2000, 2009), n_sectors=6, seed=5)
         calls = []
@@ -518,7 +519,7 @@ class TestBenchmarkPipeline:
             calls.append(len(series))
             return fit_arima(series, *args, **kwargs)
 
-        monkeypatch.setattr(baselines, "fit_arima", counting)
+        monkeypatch.setattr(response, "fit_arima", counting)
         result = benchmark_lrt_vs_baseline(full, calibration="full")
         assert calls == [10] * 12
         for c in full.countries():
@@ -540,13 +541,13 @@ class TestBenchmarkPipeline:
         {"baseline": "nope"}, {"calibration": "bogus"}, {"target": "bogus"},
     ])
     def test_unknown_setting_raises_before_work(self, small_panel, monkeypatch, setting):
-        from ioresponse import baselines
+        from ioresponse import response
 
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the settings were checked")
 
-        monkeypatch.setattr(baselines, "fit_arima", no_fit)
-        monkeypatch.setattr(baselines, "propagator", no_fit)
+        monkeypatch.setattr(response, "fit_arima", no_fit)
+        monkeypatch.setattr(response, "propagator", no_fit)
         with pytest.raises(ValueError, match="unknown"):
             benchmark_lrt_vs_baseline(small_panel, **setting)
 
@@ -554,18 +555,33 @@ class TestBenchmarkPipeline:
         result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")
         assert len(result.evaluation.cells) > 0
 
-    def test_one_propagator_per_cell(self, small_panel, monkeypatch):
-        from ioresponse import baselines
+    @pytest.mark.parametrize("baseline", ["arima", "var", "perturbed_io"])
+    def test_cell_runs_one_exponential_and_no_svd(self, small_panel, tmp_path, monkeypatch,
+                                                  baseline):
+        from ioresponse import susceptibility
+        from ioresponse.cli import run
 
-        calls = []
+        data = tmp_path / "panel.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            write_panel(small_panel, fh)
+        calls = {"expm": 0, "cond": 0}
 
-        def counting(coefficients, t):
-            calls.append(t)
-            return propagator(coefficients, t)
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(baselines, "propagator", counting)
-        result = benchmark_lrt_vs_baseline(small_panel, baseline="perturbed_io")
-        assert calls == [1.0] * len(result.observed)
+        monkeypatch.setattr(susceptibility, "expm", counting("expm", susceptibility.expm))
+        monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+        out = tmp_path / "out"
+        code = run(["benchmark", "--baseline", baseline, "--var-samples", "300",
+                    "--data", str(data), "--out", str(out)])
+        assert code == 0
+        cells = len(json.loads((out / "evaluation.json").read_text(encoding="utf-8"))["cells"])
+        assert cells >= 8
+        # the model's yearly map, which perturbed-io solves with too
+        assert calls == {"expm": cells, "cond": 0}
 
     @pytest.mark.parametrize("shape", [(3, (2000, 2008), 4, 13), (1, (2000, 2003), 56, 5)],
                              ids=["4_sectors", "56_sectors"])

@@ -816,6 +816,9 @@ def four_sector_file(tmp_path_factory):
     (path.parent / "spec.txt").write_text(
         "evaluation_year = 2001\nshock = * A01 export_to AAA -1.0\n", encoding="utf-8"
     )
+    for name, sectors in (("overflow_impact.txt", "A01 A02"), ("overflow_shock.txt", "A01 A01")):
+        (path.parent / name).write_text("evaluation_year = 2001\n" + "".join(
+            f"shock = AAA {s} absolute 1e308\n" for s in sectors.split()), encoding="utf-8")
     return path
 
 
@@ -845,13 +848,21 @@ class TestExtremeSettings:
             ((*_MC_CELL, "--mc-length", "5", "--eta", "1e200"), 4),
             ((*_MC_CELL, "--mc-length", "5", "--noise", "isotropic", "--eta", "1e-200"), 4),
             ((*_MC_CELL, "--mc-length", "5", "--eta", "1e-150"), 4),
+            (("scenario", "--scenario-spec", "overflow_impact.txt"), 4),
+            (("scenario", "--scenario-spec", "overflow_shock.txt"), 4),
+            (("response", "--country", "AAA", "--year", "2001", "--shock-kind", "step",
+              "--shock-size", "1e308"), 4),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
     )
     def test_fails_in_one_line(self, four_sector_file, tmp_path, capsys, args, code):
         out = tmp_path / "out"
-        argv = [*args, "--data", str(four_sector_file),
-                "--scenario-spec", str(four_sector_file.parent / "spec.txt"), "--out", str(out)]
+        # a scenario spec is named by its file next to the panel
+        here = four_sector_file.parent
+        args = [str(here / a) if a.endswith(".txt") else a for a in args]
+        if "--scenario-spec" not in args:
+            args += ["--scenario-spec", str(here / "spec.txt")]
+        argv = [*args, "--data", str(four_sector_file), "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the command line would print a warning
             assert run(argv) == code

@@ -25,7 +25,11 @@ from ioresponse.response import (
     write_curve,
 )
 from ioresponse.scenario import scenario_response_curves
-from ioresponse.susceptibility import propagator, truncated_susceptibility
+from ioresponse.susceptibility import (
+    applied_susceptibility,
+    propagator,
+    truncated_susceptibility,
+)
 
 from conftest import build_panel, family_bound, random_economy
 
@@ -59,7 +63,8 @@ class TestImpulse:
         x = np.array([1.0, 0.5])
         grid = response_grid(80.0, 0.01)
         curve = impulse_response(two_sector_table, x, grid)
-        area = np.trapezoid(curve.values, grid, axis=0)
+        # the trapezoid rule, written out
+        area = (np.diff(grid)[:, None] * (curve.values[1:] + curve.values[:-1]) / 2.0).sum(axis=0)
         limit = np.linalg.solve(np.eye(2) - two_sector_table.coefficients, x)
         np.testing.assert_allclose(area, limit, rtol=1e-4)
 
@@ -93,12 +98,12 @@ class TestStep:
             curve.values[-1], [10.0 / 9.0, 2.0 / 9.0], rtol=1e-12
         )
 
-    def test_grid_point_matches_truncated_susceptibility_bitwise(self, two_sector_table):
+    def test_grid_point_matches_applied_susceptibility_bitwise(self, two_sector_table):
         x = np.array([0.3, 1.1])
         grid = np.array([0.0, 0.7, 1.9, 4.2])
         curve = step_response(two_sector_table, x, grid)
         for k, t in enumerate(grid[1:], start=1):
-            expected = truncated_susceptibility(two_sector_table.coefficients, t) @ x
+            expected = applied_susceptibility(two_sector_table.coefficients, t, x)
             np.testing.assert_array_equal(curve.values[k], expected)
 
     def test_zero_shock_is_zero(self, two_sector_table):
@@ -124,6 +129,28 @@ class TestStep:
         slope = (curve.values[2] - curve.values[1]) / (2.0 * h)
         impulse = impulse_response(two_sector_table, x, np.array([0.0, t]))
         np.testing.assert_allclose(slope, impulse.values[1], rtol=1e-6)
+
+
+    @pytest.mark.parametrize("grid", [response_grid(20.0, 0.5), np.array([0.0, 0.7, 19.0])],
+                             ids=["uniform", "non_uniform"])
+    def test_overflow_is_refused(self, two_sector_table, grid):
+        with pytest.raises(NumericalError, match="step response overflows"):
+            step_response(two_sector_table, np.full(2, 1.5e308), grid)
+
+    def test_solves_against_vectors_only(self, two_sector_table, monkeypatch):
+        ranks = []
+        original = np.linalg.solve
+
+        def recording(system, rhs):
+            ranks.append(np.ndim(rhs))
+            return original(system, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        x = np.array([0.3, 1.1])
+        step_response(two_sector_table, x, response_grid(1.0, 0.1))
+        assert ranks == [1]
+        step_response(two_sector_table, x, np.array([0.0, 0.7, 1.9]))
+        assert ranks == [1] * 3
 
 
 class TestUniformGrid:
@@ -159,7 +186,7 @@ class TestUniformGrid:
         grid = response_grid(10.0, 0.01)
         step = step_response(economy, x, grid).values
         impulse = impulse_response(economy, x, grid).values
-        np.testing.assert_array_equal(step[1], truncated_susceptibility(a, grid[1]) @ x)
+        np.testing.assert_array_equal(step[1], applied_susceptibility(a, grid[1], x))
         direct = susceptibility_module.expm((a - np.eye(56)) * grid[1])
         np.testing.assert_array_equal(impulse[1], direct @ x)
 
@@ -422,6 +449,24 @@ class TestImpliedShock:
         y = two_sector_table.output
         with pytest.raises(ValueError, match="output_t1 must hold 2 finite values"):
             function(two_sector_table, y, np.append(y, 1.0))
+
+    @pytest.mark.parametrize("function", [implied_shock, lrt_forecast])
+    def test_overflowing_output_change_is_refused(self, function):
+        # each output is finite, but Y(t+1) - Y(t) is not
+        table = random_economy(6, seed=40)
+        with pytest.raises(NumericalError, match="output change overflows"):
+            function(table, np.full(6, -1e308), np.full(6, 1e308))
+
+    def test_overflowing_forecast_is_refused(self):
+        table = random_economy(6, seed=40)
+        with pytest.raises(NumericalError, match="forecast overflows"):
+            lrt_forecast(table, np.zeros(6), np.full(6, 1.7e308))
+
+    def test_overflowing_shock_fails_round_trip(self):
+        # dY is finite, but the shock that matches it is not
+        table = random_economy(6, seed=40)
+        with pytest.raises(NumericalError, match="round trip residual nan"):
+            implied_shock(table, np.zeros(6), np.full(6, 1.7e308))
 
 
 class TestForecast:

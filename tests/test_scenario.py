@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ioresponse.errors import ConfigError, MissingExportDetail
+from ioresponse.errors import ConfigError, MissingExportDetail, NumericalError
+from ioresponse.iodata import IOTable, Panel
 from ioresponse.scenario import (
     ScenarioSpec,
     ShockTerm,
@@ -146,6 +147,41 @@ class TestScenarioImpact:
         table = scenario_panel.get("AAA", 2014)
         with pytest.raises(ValueError, match="horizon"):
             scenario_impact(table, np.ones(table.n_sectors), horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [3.0, math.inf])
+    def test_solves_against_one_vector(self, scenario_panel, monkeypatch, horizon):
+        ranks = []
+        original = np.linalg.solve
+
+        def recording(system, rhs):
+            ranks.append(np.ndim(rhs))
+            return original(system, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        table = scenario_panel.get("AAA", 2014)
+        scenario_impact(table, np.ones(table.n_sectors), horizon=horizon)
+        assert ranks == [1]
+
+    def test_overflowing_shock_sum_refused(self, scenario_panel):
+        code = scenario_panel.codes()[0]
+        spec = _spec([ShockTerm("AAA", code, "absolute", value=1e308)] * 2)
+        with pytest.raises(NumericalError, match="AAA/2014: the scenario's shock overflows"):
+            build_shock_vectors(spec, scenario_panel)
+
+    def test_overflowing_impact_refused(self, scenario_panel):
+        table = scenario_panel.get("AAA", 2014)
+        with pytest.raises(NumericalError, match="AAA/2014: the scenario impact overflows"):
+            scenario_impact(table, np.full(table.n_sectors, 1e308))
+
+    def test_overflowing_aggregate_refused(self):
+        # finite impacts, in USD and in percent, whose sum is not: 100 times
+        # an impact must stay finite, so it takes over 100 sectors
+        codes = [f"S{k}" for k in range(101)]
+        table = IOTable.from_coefficients("AAA", 2014, codes, np.zeros((101, 101)),
+                                          np.full(101, 1e300))
+        spec = _spec([ShockTerm("AAA", s, "absolute", value=1.79e306) for s in codes])
+        with pytest.raises(NumericalError, match="AAA/2014: the scenario aggregate overflows"):
+            run_scenario(spec, Panel([table]))
 
     def test_percent_definition(self, scenario_panel):
         table = scenario_panel.get("BBB", 2014)

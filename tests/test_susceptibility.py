@@ -10,14 +10,16 @@ from scipy.linalg import expm
 
 from ioresponse.dynamics import equilibrium_output, stationary_covariance
 from ioresponse.errors import InsufficientSamples, MissingPanelCell, NumericalError
-from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
+from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
 from ioresponse.susceptibility import expm as package_expm
 from ioresponse.susceptibility import (
     SimulationBudget,
     _fast_len,
     _GreenKuboSums,
     aggregate_susceptibilities,
+    applied_susceptibility,
     lag_count,
+    propagator,
     sector_susceptibility,
     susceptibility_analytic,
     susceptibility_monte_carlo,
@@ -88,6 +90,33 @@ class TestAnalytic:
         for horizon in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 susceptibility_analytic(two_sector_table, horizon)
+
+
+class TestAppliedSusceptibility:
+    """``rho(T) x`` for a vector or matrix x, the one home of the horizon rule."""
+
+    @pytest.mark.parametrize("n", [2, 6, 28])
+    @pytest.mark.parametrize("horizon", [0.01, 1.0, 3.7, 80.0, math.inf])
+    def test_identity_gives_rho_bitwise(self, n, horizon):
+        a = random_economy(n, seed=n).coefficients
+        eye = np.eye(n)
+        direct = leontief_solve(a, eye if horizon == math.inf else eye - propagator(a, horizon))
+        np.testing.assert_array_equal(truncated_susceptibility(a, horizon), direct)
+
+    @pytest.mark.parametrize("horizon", [0.5, 2.0, math.inf])
+    def test_equals_rho_times_x(self, horizon):
+        a = random_economy(6, seed=9).coefficients
+        x = np.random.default_rng(9).normal(size=(6, 3))
+        rho = truncated_susceptibility(a, horizon)
+        for shock in (x, x[:, 0]):
+            got = applied_susceptibility(a, horizon, shock)
+            assert got.shape == shock.shape
+            np.testing.assert_allclose(got, rho @ shock, rtol=0, atol=1e-13 * np.abs(got).max())
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, -math.inf, math.nan])
+    def test_invalid_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be > 0"):
+            applied_susceptibility(np.zeros((2, 2)), horizon, np.ones(2))
 
 
 class TestExpm:

@@ -12,8 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from ioresponse.baselines import benchmark_lrt_vs_baseline
-from ioresponse.response import fluctuation_panel_regression
+from ioresponse.response import benchmark_lrt_vs_baseline, fluctuation_panel_regression
 from ioresponse.scenario import ScenarioSpec, ShockTerm, run_scenario
 from ioresponse.susceptibility import (
     aggregate_susceptibilities,
