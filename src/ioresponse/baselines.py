@@ -55,7 +55,7 @@ from .errors import (
     RankDeficientRegressors,
     TooShortSeries,
 )
-from .iodata import IOTable, write_table
+from .iodata import IOTable, _finite_vector, write_table
 from .rng import GaussianStream
 
 #: AR/MA coefficients are searched inside this magnitude, short of the
@@ -96,10 +96,7 @@ class ArimaModel:
 
 
 def _difference(series: np.ndarray, d: int) -> np.ndarray:
-    w = np.asarray(series, dtype=float)
-    for _ in range(d):
-        w = np.diff(w)
-    return w
+    return np.diff(series, d)
 
 
 def _css_profile(w: np.ndarray, p: int, has_const: bool, thetas: np.ndarray):
@@ -115,7 +112,7 @@ def _css_profile(w: np.ndarray, p: int, has_const: bool, thetas: np.ndarray):
     cols = [w[p:], np.ones(len(w) - p)] + ([w[:-1]] if p else [])
     f = np.stack(cols, axis=1)[:, None, :].repeat(len(thetas), axis=1)
     const = phi = np.zeros(len(thetas))
-    # NaN or inf in the series shows as a non-finite objective, not a warning
+    # squares that overflow float64 leave a non-finite objective: reported, not warned about
     with np.errstate(all="ignore"):
         for t in range(1, len(f)):
             f[t] -= thetas[:, None] * f[t - 1]
@@ -146,11 +143,11 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
 
     Raises :class:`TooShortSeries` when ``len(series) < p + d + q + 3`` and,
     for every order, :class:`NonConvergent` when no theta gives a finite sum
-    of squares (as a series holding NaN or inf does).
+    of squares (as a series whose squares overflow float64 does).
     """
     if not all(v in (0, 1) for v in (p, d, q)):
         raise ValueError("orders p, d, q must each be 0 or 1")
-    series = np.asarray(series, dtype=float)
+    series = _finite_vector("series", series)
     if len(series) < p + d + q + 3:
         raise TooShortSeries(
             f"need at least {p + d + q + 3} observations, got {len(series)}"
@@ -194,7 +191,7 @@ def arima_forecast(model: ArimaModel, series, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     p, d, q = model.order
-    series = np.asarray(series, dtype=float)
+    series = _finite_vector("series", series)
     w = _difference(series, d).tolist()
 
     e_prev = 0.0
@@ -311,7 +308,9 @@ def fit_var1(
 
 def var_forecast(model: VarModel, state, steps: int = 1) -> np.ndarray:
     """Iterate the fitted map ``steps`` times from the given state."""
-    y = np.asarray(state, dtype=float)
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    y = _finite_vector("state", state, len(model.intercept))
     for _ in range(steps):
         y = model.ar @ y + model.intercept
     return y
@@ -322,15 +321,13 @@ def var_forecast(model: VarModel, state, steps: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pearson_r(x, y) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d arrays of equal length")
+    """Sample Pearson correlation of two equally long series, from the centered
+    series scaled by exact powers of two: no sum of squares overflows or underflows."""
+    x = _finite_vector("x", x)
+    y = _finite_vector("y", y, len(x))
     if len(x) < 3:
         raise ValueError("need at least 3 observations")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx, dy = (np.ldexp(d, -math.frexp(np.max(np.abs(d)))[1]) for d in (x - x.mean(), y - y.mean()))
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:

@@ -39,7 +39,7 @@ from .errors import (
     SingularSystem,
     UnstableDrift,
 )
-from .iodata import leontief_solve
+from .iodata import _finite_vector, _leontief
 from .rng import GaussianStream
 
 #: Relative residual allowed for the equilibrium solve.
@@ -90,10 +90,10 @@ def equilibrium_output(coefficients: np.ndarray, demand: np.ndarray) -> np.ndarr
     the refined residual still exceeds ``EQUILIBRIUM_RTOL * ||D||_inf``.
     """
     a = np.asarray(coefficients, dtype=float)
-    d = np.asarray(demand, dtype=float)
+    d = _finite_vector("demand", demand, len(a))
     system = np.eye(a.shape[0]) - a
-    y = leontief_solve(a, d)
-    y = y + leontief_solve(a, d - system @ y)
+    y = _leontief(a, d)
+    y = y + _leontief(a, d - system @ y)
     scale = max(float(np.max(np.abs(d))), np.finfo(float).tiny)
     residual = float(np.max(np.abs(system @ y - d)))
     if not np.all(np.isfinite(y)) or residual > EQUILIBRIUM_RTOL * scale:
@@ -267,10 +267,6 @@ class ShockProfile:
     def step(cls, vector) -> "ShockProfile":
         return cls(kind="step", vector=np.asarray(vector, dtype=float))
 
-    def check_dimension(self, n: int) -> None:
-        if self.kind in ("impulse", "step") and self.vector.shape != (n,):
-            raise ValueError(f"shock vector must have length {n}")
-
 
 def _noise_transform(nu: np.ndarray):
     """Map from standard normal draws (last axis N) to draws of covariance nu,
@@ -324,10 +320,10 @@ def _path_blocks(
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     a = np.asarray(coefficients, dtype=float)
-    d = np.asarray(demand, dtype=float)
     n = a.shape[0]
-    shock.check_dimension(n)
-    y0 = equilibrium_output(a, d)
+    if shock.kind != "none":
+        _finite_vector("shock vector", shock.vector, n)
+    y0 = equilibrium_output(a, demand)
 
     burn_steps = step_count(burn_in, dt)
     rec_steps = step_count(horizon, dt)
@@ -336,7 +332,7 @@ def _path_blocks(
     f, q, _ = _transition_moments(a, nu, dt)
     transform = _noise_transform(q)
     if shock.kind == "step":
-        step_forcing = leontief_solve(a, shock.vector - f @ shock.vector)
+        step_forcing = _leontief(a, shock.vector - f @ shock.vector)
     stream = GaussianStream(seed)
     blow_cap = BLOWUP_FACTOR * max(float(np.max(np.abs(y0))), 1.0)
 

@@ -143,4 +143,4 @@ class RankDeficientRegressors(NumericalError):
 
 class NonConvergent(NumericalError):
     """The ARIMA grid search found no MA coefficient with a finite sum of
-    squares."""
+    squares: the series' squares overflow float64."""

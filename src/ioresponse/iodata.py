@@ -293,10 +293,24 @@ def guarded_solve(system: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
         ) from None
 
 
+def _finite_vector(name: str, x, n: int | None = None, stack: bool = False) -> np.ndarray:
+    """``x`` as floats; :class:`ValueError`, naming it, unless it is a vector
+    (or with ``stack`` an N x k stack) of ``n`` finite values, any number when None."""
+    x = np.asarray(x, dtype=float)
+    if not (x.ndim in ((1, 2) if stack else (1,)) and n in (None, len(x)) and np.isfinite(x).all()):
+        raise ValueError(f"{name} must hold {'' if n is None else f'{n} '}finite values")
+    return x
+
+
 def leontief_solve(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - A) X = rhs; :class:`SingularSystem` when I - A is singular."""
-    a = np.asarray(coefficients, dtype=float)
-    return guarded_solve(np.eye(a.shape[0]) - a, rhs, "I - A")
+    """Solve (I - A) X = rhs for a vector or an N x k stack; :class:`ValueError`
+    unless rhs holds N finite values, :class:`SingularSystem` if I - A is singular."""
+    return _leontief(coefficients, _finite_vector("rhs", rhs, len(coefficients), stack=True))
+
+
+def _leontief(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`leontief_solve` of a right-hand side formed from checked inputs."""
+    return guarded_solve(np.eye(len(coefficients)) - coefficients, rhs, "I - A")
 
 
 def spectral_radius(a: np.ndarray) -> float:

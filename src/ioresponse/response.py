@@ -51,8 +51,9 @@ from .iodata import (
     IOTable,
     NoiseSpec,
     Panel,
+    _finite_vector,
+    _leontief,
     guarded_solve,
-    leontief_solve,
     noise_covariance,
     write_table,
 )
@@ -123,7 +124,7 @@ def response_grid(horizon: float, dt: float = 0.01) -> np.ndarray:
 def impulse_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
     """<dY(t')> = exp((A - I) t') X for an impulse of weight X at t' = 0."""
     grid = _check_grid(grid)
-    x = np.asarray(shock_vector, dtype=float)
+    x = _finite_vector("shock_vector", shock_vector, table.n_sectors)
     a = table.coefficients
     values = np.empty((len(grid), len(x)))
     values[0] = x
@@ -143,7 +144,7 @@ def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
     """<dY(t')> = rho(t') X for a step shock switched on at t' = 0;
     :class:`NumericalError` when a value overflows float64."""
     grid = _check_grid(grid)
-    x = np.asarray(shock_vector, dtype=float)
+    x = _finite_vector("shock_vector", shock_vector, table.n_sectors)
     values = np.empty((len(grid), len(x)))
     values[0] = 0.0
     a = table.coefficients
@@ -157,7 +158,7 @@ def step_response(table: IOTable, shock_vector, grid) -> ResponseCurve:
             # commutes with exp((A - I) h); the first point is
             # applied_susceptibility's own formula, so it keeps its bits
             p = propagator(a, h)
-            values[1] = leontief_solve(a, x - p @ x)
+            values[1] = _leontief(a, x - p @ x)
             for k in range(2, len(grid)):
                 values[k] = values[1] + p @ values[k - 1]
     if not np.isfinite(values).all():
@@ -245,20 +246,11 @@ def _round_trip_bound(alpha: float, p: np.ndarray, a: np.ndarray, x: np.ndarray,
     return float((np.abs(r).sum() + rounding) / (1.0 - alpha))
 
 
-def _checked_output(table: IOTable, name: str, value) -> np.ndarray:
-    """An output vector as floats; :class:`ValueError`, naming the argument,
-    unless it holds N finite values."""
-    y = np.asarray(value, dtype=float)
-    if y.shape != (table.n_sectors,) or not np.isfinite(y).all():
-        raise ValueError(f"{name} must hold {table.n_sectors} finite values")
-    return y
-
-
 def _output_change(table: IOTable, output_t, output_t1) -> tuple[np.ndarray, np.ndarray]:
     """``(Y(t+1), dY)`` of two checked outputs; :class:`NumericalError` when
     ``dY = Y(t+1) - Y(t)`` overflows float64."""
-    y_t = _checked_output(table, "output_t", output_t)
-    y_t1 = _checked_output(table, "output_t1", output_t1)
+    y_t = _finite_vector("output_t", output_t, table.n_sectors)
+    y_t1 = _finite_vector("output_t1", output_t1, table.n_sectors)
     with np.errstate(over="ignore"):
         delta = y_t1 - y_t
     if not np.isfinite(delta).all():
@@ -295,7 +287,7 @@ def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
     condition = _condition_certificate(alpha, len(a))
     # the factor 2 covers the rounding in alpha and in the SVD's cond_2
     if condition > CONDITION_CAP / 2:
-        condition = float(np.linalg.cond(leontief_solve(a, i_minus_p)))
+        condition = float(np.linalg.cond(_leontief(a, i_minus_p)))
         if condition > CONDITION_CAP:
             raise IllConditioned(condition, CONDITION_CAP)
     limit = ROUND_TRIP_RTOL * float(np.max(np.abs(delta)))
@@ -303,7 +295,7 @@ def implied_shock(table: IOTable, output_t, output_t1) -> ImpliedShock:
     with np.errstate(over="ignore", invalid="ignore"):
         x = guarded_solve(i_minus_p, delta - a @ delta, "I - P")
         if not _round_trip_bound(alpha, p, a, x, delta) <= limit / 2:
-            residual = float(np.max(np.abs(leontief_solve(a, x - p @ x) - delta)))
+            residual = float(np.max(np.abs(_leontief(a, x - p @ x) - delta)))
             if not residual <= limit:
                 raise NumericalError(
                     f"implied-shock round trip residual {residual:.3e} exceeds "
@@ -341,7 +333,7 @@ def fluctuation_prediction(table: IOTable) -> np.ndarray:
     downstream as the regression slope against observed time-averaged output
     changes.
     """
-    return leontief_solve(table.coefficients, table.output)
+    return _leontief(table.coefficients, table.output)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .iodata import IOTable, Panel, parse_bool, parse_horizon, write_table
+from .iodata import IOTable, Panel, _finite_vector, parse_bool, parse_horizon, write_table
 from .response import ResponseCurve, response_grid, step_response
 from .susceptibility import applied_susceptibility
 
@@ -220,9 +220,9 @@ def scenario_impact(
     y = table.output
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         delta = applied_susceptibility(
-            table.coefficients, horizon, np.asarray(shock_vector, dtype=float)
+            table.coefficients, horizon, _finite_vector("shock_vector", shock_vector, len(y))
         )
-        pct = np.where(y > 0.0, 100.0 * delta / y, math.nan)
+        pct = np.where(y > 0.0, 100.0 * (delta / y), math.nan)
     if not (np.isfinite(delta).all() and np.isfinite(pct[y > 0.0]).all()):
         raise NumericalError(f"{table.country}/{table.year}: the scenario impact overflows float64")
     return [

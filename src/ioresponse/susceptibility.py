@@ -43,7 +43,7 @@ from .dynamics import (
     step_count,
 )
 from .errors import InsufficientSamples, MissingPanelCell, NumericalError
-from .iodata import IOTable, guarded_solve, leontief_solve, write_table
+from .iodata import IOTable, _finite_vector, _leontief, guarded_solve, write_table
 
 #: Normal critical value for the 95% confidence intervals of the
 #: output-weighted sector scores.
@@ -111,14 +111,15 @@ def propagator(coefficients: np.ndarray, t: float) -> np.ndarray:
 def applied_susceptibility(coefficients: np.ndarray, horizon: float, x: np.ndarray) -> np.ndarray:
     """rho(T) x = (I - A)^{-1} (x - exp((A - I) T) x) for a vector or matrix
     x, by one Leontief solve against x's shape; ``(I - A)^{-1} x`` at
-    T = inf.  :class:`ValueError` unless T > 0."""
+    T = inf.  :class:`ValueError` unless T > 0 and x holds N finite values."""
+    x = _finite_vector("x", x, len(coefficients), stack=True)
     if horizon == math.inf:
         rhs = x
     elif horizon > 0.0:
         rhs = x - propagator(coefficients, horizon) @ x
     else:
         raise ValueError("horizon must be > 0 (or inf)")
-    return leontief_solve(coefficients, rhs)
+    return _leontief(coefficients, rhs)
 
 
 def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.ndarray:

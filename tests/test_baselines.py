@@ -240,11 +240,17 @@ class TestArimaOptimum:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("order", _ALL_ORDERS, ids=lambda o: "%d%d%d" % o)
-    def test_non_finite_series_not_convergent(self, order, bad):
+    def test_non_finite_series_is_refused(self, order, bad):
         series = np.linspace(1.0, 2.0, 12)
         series[5] = bad
-        with pytest.raises(NonConvergent):
+        with pytest.raises(ValueError, match="series must hold finite values"):
             fit_arima(series, *order)
+
+    @pytest.mark.parametrize("order", _ALL_ORDERS, ids=lambda o: "%d%d%d" % o)
+    def test_overflowing_series_not_convergent(self, order):
+        # finite values whose squares overflow float64 at every theta
+        with pytest.raises(NonConvergent):
+            fit_arima(np.linspace(1e300, 2e300, 12), *order)
 
 
 class TestArimaForecast:
@@ -349,6 +355,13 @@ class TestVar:
         two = var_forecast(model, y, steps=2)
         np.testing.assert_allclose(two, model.ar @ one + model.intercept, rtol=1e-12)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_var_forecast_needs_a_step(self, steps):
+        table = random_economy(2, seed=81)
+        model = fit_var1(table, 0.5 * np.eye(2), samples=200, seed=7)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            var_forecast(model, table.output, steps=steps)
+
 
 class TestPearson:
     def test_exact_positive_linearity(self):
@@ -363,6 +376,15 @@ class TestPearson:
     def test_constant_sequence_degenerate(self):
         with pytest.raises(DegenerateInput):
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
+    def test_power_of_two_scale_moves_no_bit(self, k):
+        # unscaled, the sums of squares of such data leave float64 from |k| near 512
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=10)
+        y = x + rng.normal(size=10)
+        r = pearson_r(x, y)
+        assert pearson_r(x * 2.0**k, y) == pearson_r(x, y * 2.0**k) == r
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -318,7 +318,7 @@ class TestSimulate:
 @pytest.mark.parametrize("kind", ["step", "impulse"])
 def test_shock_vector_length_checked(two_sector_table, kind):
     shock = getattr(ShockProfile, kind)(np.ones(3))
-    with pytest.raises(ValueError, match="length 2"):
+    with pytest.raises(ValueError, match="shock vector must hold 2 finite values"):
         simulate_batch(
             two_sector_table.coefficients, two_sector_table.demand,
             np.zeros((2, 2)), shock, dt=0.01, horizon=1.0, burn_in=0.0,

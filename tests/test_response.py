@@ -380,13 +380,13 @@ class TestImpliedShock:
     @pytest.fixture
     def leontief_ranks(self, monkeypatch):
         ranks = []
-        original = response_module.leontief_solve
+        original = response_module._leontief
 
         def counted(a, rhs):
             ranks.append(np.ndim(rhs))
             return original(a, rhs)
 
-        monkeypatch.setattr(response_module, "leontief_solve", counted)
+        monkeypatch.setattr(response_module, "_leontief", counted)
         return ranks
 
     def test_certified_cap_runs_no_svd(self, cond_calls, leontief_ranks):

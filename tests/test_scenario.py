@@ -183,6 +183,12 @@ class TestScenarioImpact:
         with pytest.raises(NumericalError, match="AAA/2014: the scenario aggregate overflows"):
             run_scenario(spec, Panel([table]))
 
+    def test_large_impact_on_large_output_keeps_its_percent(self):
+        # 100 * dY overflows, 100 * (dY / Y) does not
+        table = IOTable.from_coefficients("AAA", 2014, ["S0"], np.zeros((1, 1)), [1e307])
+        (row,) = scenario_impact(table, [1.5e308])
+        assert (row.delta_usd, row.delta_pct) == (1.5e308, 1500.0)
+
     def test_percent_definition(self, scenario_panel):
         table = scenario_panel.get("BBB", 2014)
         x = np.ones(table.n_sectors)
