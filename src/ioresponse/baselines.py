@@ -55,7 +55,7 @@ from .errors import (
     RankDeficientRegressors,
     TooShortSeries,
 )
-from .iodata import IOTable, _finite_vector, write_table
+from .iodata import IOTable, _finite_vector, _pow2_scaled, write_table
 from .rng import GaussianStream
 
 #: AR/MA coefficients are searched inside this magnitude, short of the
@@ -186,12 +186,17 @@ def arima_forecast(model: ArimaModel, series, steps: int) -> np.ndarray:
     """Minimum-mean-square-error forecasts for ``steps`` periods ahead.
 
     For d = 1 the differenced-scale forecasts are cumulated and anchored at
-    the last observation.
+    the last observation.  :class:`TooShortSeries` below ``max(p + d, 1)``
+    observations, where no last value or lag is left to forecast from.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     p, d, q = model.order
     series = _finite_vector("series", series)
+    if len(series) < max(p + d, 1):
+        raise TooShortSeries(
+            f"need at least {max(p + d, 1)} observations to forecast, got {len(series)}"
+        )
     w = _difference(series, d).tolist()
 
     e_prev = 0.0
@@ -201,11 +206,10 @@ def arima_forecast(model: ArimaModel, series, steps: int) -> np.ndarray:
             e_prev = w[t] - pred
 
     fc = np.empty(steps)
-    last_w = w[-1] if w else 0.0
     for h in range(steps):
         pred = model.const
         if p:
-            pred += model.phi * (last_w if h == 0 else fc[h - 1])
+            pred += model.phi * (w[-1] if h == 0 else fc[h - 1])
         if q and h == 0:
             pred += model.theta * e_prev
         fc[h] = pred
@@ -327,7 +331,7 @@ def pearson_r(x, y) -> float:
     y = _finite_vector("y", y, len(x))
     if len(x) < 3:
         raise ValueError("need at least 3 observations")
-    dx, dy = (np.ldexp(d, -math.frexp(np.max(np.abs(d)))[1]) for d in (x - x.mean(), y - y.mean()))
+    dx, dy = (_pow2_scaled(d)[0] for d in (x - x.mean(), y - y.mean()))
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     if sxx == 0.0 or syy == 0.0:

@@ -53,8 +53,9 @@ DEFAULT_DT = 0.05
 DEFAULT_BURN_IN = 50.0
 
 #: Steps per block of noise draws.  The stream position depends only
-#: on the count drawn, so the block size never changes a variate.
-_NOISE_CHUNK = 1024
+#: on the count drawn, so the block size never changes a variate.  A block
+#: of 8 replicas at N = 28 takes 0.46 MB.
+_NOISE_CHUNK = 256
 #: Float64 values in 2**57 bytes, the largest address space of a 64-bit Linux process.
 _MAX_VALUES = 1 << 54
 
@@ -307,6 +308,8 @@ def _path_blocks(
     ``F = exp((A - I) dt)``, and yields the ``records`` recorded ones in
     time order as (replicas, b, N) arrays: one block per ``_NOISE_CHUNK``
     steps (fewer in the block that ends the burn-in), then the final state.
+    It holds the deviations and the forcing of one block, and the next
+    block's standard normals while they are drawn and transformed.
     A block's forcing ``g`` is its noise, of covariance ``Q(dt)``, plus
     ``rho(dt) X = (I - A)^{-1} (I - F) X`` after the burn-in for a step
     shock or ``X`` at its end for an impulse.  A block is yielded after its

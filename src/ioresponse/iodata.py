@@ -302,6 +302,15 @@ def _finite_vector(name: str, x, n: int | None = None, stack: bool = False) -> n
     return x
 
 
+def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x * 2**-e, e)`` with ``e`` the binary exponent of ``max |x|``, so the
+    scaled entries are under 1 in magnitude.  Scaling by a power of two is
+    exact: a ratio of sums formed from the scaled entries has the bits of
+    the unscaled ratio wherever that does not overflow or underflow."""
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    return np.ldexp(x, -e), e
+
+
 def leontief_solve(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - A) X = rhs for a vector or an N x k stack; :class:`ValueError`
     unless rhs holds N finite values, :class:`SingularSystem` if I - A is singular."""

@@ -53,6 +53,7 @@ from .iodata import (
     Panel,
     _finite_vector,
     _leontief,
+    _pow2_scaled,
     guarded_solve,
     noise_covariance,
     write_table,
@@ -360,7 +361,10 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
     prefactor used in the yearly-average definition; the predictor is
     ``rho(t0) Y(t0)`` from the base year, the panel's first.  Returns pooled
     Pearson correlations and the control regression that adds the base-year
-    output as an extra regressor.
+    output as an extra regressor.  The slope ``eta = x.y / x.x`` of the
+    observed ``y`` on the predicted ``x`` is formed from both scaled by powers
+    of two, so it does not depend on the panel's scale;
+    :class:`NumericalError` when it overflows float64.
     """
     countries = panel.countries()
     years = panel.years()
@@ -389,7 +393,12 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
     y = np.concatenate(obs)
     size = np.concatenate(sizes)
 
-    eta = float(x @ y / (x @ x))
+    # x and y scaled by powers of two, so neither dot product overflows
+    (xs, ex), (ys, ey) = _pow2_scaled(x), _pow2_scaled(y)
+    try:
+        eta = math.ldexp(float(xs @ ys / (xs @ xs)), ey - ex)
+    except OverflowError:
+        raise NumericalError("the fluctuation slope eta overflows float64") from None
     r = pearson_r(x, y)
     r_size = pearson_r(size, y)
     design = np.column_stack([np.ones_like(x), x, size])

@@ -16,31 +16,21 @@ from __future__ import annotations
 
 import numpy as np
 
-_TWO_53 = 1 << 53
-_INV_TWO_53 = 1.0 / _TWO_53
+#: Half the spacing of the uniform grid ``k * 2**-53``.
+_HALF_STEP = 2.0**-54
 #: The largest double below 1.
-_BELOW_ONE = 1.0 - _INV_TWO_53
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """Doubles ``(k + 0.5) * 2**-53`` from 53-bit words ``k``, inside (0, 1).
-
-    The top word ``2**53 - 1`` rounds to exactly 1.0, where the inverse
-    normal CDF is infinite; it is clamped to the largest double below 1,
-    and every other word maps below it.
-    """
-    u = words.astype(np.float64)
-    u += 0.5
-    u *= _INV_TWO_53
-    return np.minimum(u, _BELOW_ONE, out=u)
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 class GaussianStream:
     """Seeded stream of standard normal variates.
 
-    Uniform doubles are built from 53-bit Philox words (:func:`_uniforms`),
-    then mapped through the inverse normal CDF.  One bit-generator draw is
-    consumed per variate.
+    Each variate takes one Philox word: ``Generator.random`` gives its top 53
+    bits ``k`` as ``k * 2**-53``, which ``+ 2**-54`` moves to the midpoint
+    ``(k + 0.5) * 2**-53``, inside (0, 1).  The top word ``k = 2**53 - 1``
+    rounds to exactly 1.0, where the inverse normal CDF is infinite; it is
+    clamped to the largest double below 1, and every other word maps below
+    it.  The midpoints then go through the inverse normal CDF.
     """
 
     def __init__(self, seed: int):
@@ -50,10 +40,13 @@ class GaussianStream:
     def normals(self, shape) -> np.ndarray:
         """Return an array of independent N(0, 1) draws.
 
-        The uniforms are transformed in place, so the call holds at most
-        the integer draw and one float array of ``shape``.
+        One float array of ``shape`` is drawn and transformed in place, so
+        the call holds nothing else: 0.46 MB for a block of 256 steps of 8
+        replicas at N = 28.
         """
         from scipy.special import ndtri
 
-        u = _uniforms(self._gen.integers(0, _TWO_53, size=shape, dtype=np.uint64))
+        u = self._gen.random(shape)
+        u += _HALF_STEP
+        np.minimum(u, _BELOW_ONE, out=u)
         return ndtri(u, out=u)

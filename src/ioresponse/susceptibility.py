@@ -43,7 +43,7 @@ from .dynamics import (
     step_count,
 )
 from .errors import InsufficientSamples, MissingPanelCell, NumericalError
-from .iodata import IOTable, _finite_vector, _leontief, guarded_solve, write_table
+from .iodata import IOTable, _finite_vector, _leontief, _pow2_scaled, guarded_solve, write_table
 
 #: Normal critical value for the 95% confidence intervals of the
 #: output-weighted sector scores.
@@ -61,12 +61,13 @@ class SimulationBudget:
     noise.
 
     Memory: ``susceptibility_monte_carlo`` stores no states.  It holds the
-    forcing and the deviations from ``Y0`` of one block of 1,024 steps, and
-    the Green-Kubo filter's FFT buffers of N + 1 columns (the deviations
-    and a constant), whatever the length: a traced peak of 9.9 MB at
-    N = 28 and 20.0 MB at N = 56 for 8 replicas.  A process running it
-    peaked at 75 MB at N = 28 and 91 MB at N = 56, for the default as for
-    the command line's 8 replicas of 400 years.
+    forcing and the deviations from ``Y0`` of one block of 256 steps, the
+    Green-Kubo filter's buffer of N + 1 columns (the deviations and a
+    constant) and one replica's FFT temporaries, whatever the length: a
+    traced peak of 3.95 MB at N = 28 (dt = 0.01) and 7.8 MB at N = 56
+    (dt = 0.05) for 8 replicas.  A process running it peaked at 61 MB at
+    N = 28 and 66 MB at N = 56, for the default as for the command line's
+    8 replicas of 400 years.
     """
 
     dt: float = DEFAULT_DT
@@ -213,7 +214,8 @@ class _GreenKuboSums:
       ``P (sum_s z z^T) P^T / n``.
 
     The segments do not depend on how the states are split into blocks, so
-    equal states give equal bits however they are fed.
+    equal states give equal bits however they are fed.  Each replica is
+    transformed on its own, so the FFT temporaries are one replica's.
     """
 
     def __init__(self, n_sectors: int, records: int, n_lags: int, dt: float, replicas: int):
@@ -250,14 +252,14 @@ class _GreenKuboSums:
 
     def _flush(self) -> None:
         lags, fill = self._lags, self._fill
-        z = self._buffer[:, lags:lags + fill]
-        spectrum = np.fft.rfft(self._buffer, axis=1)
-        spectrum *= self._taps_spectrum
-        # outputs at the carry's positions would need older states
-        u = np.fft.irfft(spectrum, self._size, axis=1)[:, lags:lags + fill]
-        zt = z.transpose(0, 2, 1)
-        self._cross += zt @ u
-        self._gram += zt @ z
+        for buffer, cross, gram in zip(self._buffer, self._cross, self._gram):
+            z = buffer[lags:lags + fill]
+            spectrum = np.fft.rfft(buffer, axis=0)
+            spectrum *= self._taps_spectrum
+            # outputs at the carry's positions would need older states
+            u = np.fft.irfft(spectrum, self._size, axis=0)[lags:lags + fill]
+            cross += z.T @ u
+            gram += z.T @ z
         self._buffer[:, :lags] = self._buffer[:, fill:fill + lags]
         self._fill = 0
 
@@ -360,7 +362,9 @@ def aggregate_susceptibilities(
     sectors and years of country c.  The weighted per-sector score is the
     output-weighted mean over all (country, year) cells, with a normal 95%
     confidence interval built from the weighted standard deviation and the
-    Kish effective sample size.
+    Kish effective sample size.  Each sector's weights are scaled by a power
+    of two first: outputs scaled by ``2**k`` give the same bits while they
+    stay in float64's normal range.
     """
     countries = tuple(sorted({c for c, _ in sector_values}))
     years = tuple(sorted({int(y) for _, y in sector_values}))
@@ -386,7 +390,8 @@ def aggregate_susceptibilities(
     v = np.stack([np.asarray(sector_values[key], dtype=float) for key in cells])
     w = np.stack([np.asarray(outputs[key], dtype=float) for key in cells])
     for i in range(n):
-        wi, vi = w[:, i], v[:, i]
+        # weights scaled by a power of two, so wsum**2 neither overflows nor underflows
+        wi, vi = _pow2_scaled(w[:, i])[0], v[:, i]
         wsum = wi.sum()
         if wsum <= 0.0:
             weighted[i] = math.nan

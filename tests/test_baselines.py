@@ -284,6 +284,20 @@ class TestArimaForecast:
         forecast = arima_forecast(model, series, 200)
         assert forecast[-1] == pytest.approx(4.25, abs=0.05)
 
+    @pytest.mark.parametrize("order", [(p, d, q) for p in (0, 1) for d in (0, 1) for q in (0, 1)],
+                             ids=lambda order: "%d%d%d" % order)
+    def test_too_short_series_is_refused(self, order):
+        from ioresponse.baselines import ArimaModel
+
+        model = ArimaModel(
+            order=order, const=0.5, phi=0.5, theta=0.25, sigma2=1.0,
+            objective=0.0, clamped=False, n_obs=10,
+        )
+        shortest = max(order[0] + order[1], 1)
+        with pytest.raises(TooShortSeries, match=f"need at least {shortest} observations"):
+            arima_forecast(model, np.arange(shortest - 1.0), 1)
+        assert np.all(np.isfinite(arima_forecast(model, np.arange(float(shortest)), 3)))
+
 
 class TestVar:
     def test_zero_noise_is_rank_deficient(self, two_sector_table):

@@ -2,7 +2,9 @@
 
 Every function that ``ioresponse`` exports and that takes a vector or a
 series refuses one that does not hold N finite values (a 1-d series: any
-number of them) with a :class:`ValueError` naming the argument.  On finite
+number of them) with a :class:`ValueError` naming the argument, and an
+empty series with a :class:`ValueError` or
+:class:`~ioresponse.errors.TooShortSeries`.  On finite
 entries of size 1e300 or 1e-300 it returns finite values or raises
 :class:`~ioresponse.errors.NumericalError`; Tier-1 turns any
 ``RuntimeWarning`` into a failure.  The targets are found from the exported
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ioresponse
-from ioresponse.errors import NumericalError
+from ioresponse.errors import NumericalError, TooShortSeries
 
 from conftest import random_economy
 
@@ -86,9 +88,10 @@ CASES = {
     "var_forecast": Case(functools.partial(ioresponse.var_forecast, VAR, steps=2), {"state": N}),
 }
 
-#: Entry faults, a wrong length (for an argument whose length is fixed) and
-#: the two scales; each scale applies to every vector argument at once.
-FAULTS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "length": None,
+#: Entry faults, a wrong length (for an argument whose length is fixed), an
+#: empty series (for one whose length is free) and the two scales; each scale
+#: applies to every vector argument at once.
+FAULTS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "length": None, "empty": None,
           "1e300": 1e300, "1e-300": 1e-300}
 
 
@@ -97,9 +100,11 @@ def _cases():
         if name not in CASES:
             yield pytest.param(name, None, id=f"{name}-no-case")
             continue
+        lengths = CASES[name].lengths.values()
         for fault in FAULTS:
-            if fault != "length" or any(CASES[name].lengths.values()):
-                yield pytest.param(name, fault, id=f"{name}-{fault}")
+            if fault == "length" and not any(lengths) or fault == "empty" and None not in lengths:
+                continue
+            yield pytest.param(name, fault, id=f"{name}-{fault}")
 
 
 def _good(index: int, length: int | None) -> np.ndarray:
@@ -138,6 +143,12 @@ def test_vector_arguments_are_checked_at_the_boundary(name, fault, data):
         except NumericalError:
             return
         assert _finite(result)
+        return
+    if fault == "empty":
+        arg = data.draw(st.sampled_from([a for a, n in lengths.items() if n is None]))
+        args[arg] = np.empty(0)
+        with pytest.raises((ValueError, TooShortSeries)):
+            CASES[name].call(**args)
         return
     if fault == "length":
         arg = data.draw(st.sampled_from([a for a, n in lengths.items() if n]))

@@ -13,7 +13,7 @@ from ioresponse.dynamics import (
 from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
 from ioresponse.response import impulse_response, step_response
-from ioresponse.rng import GaussianStream, _uniforms
+from ioresponse.rng import GaussianStream
 from ioresponse.susceptibility import propagator
 
 from conftest import exact_states, family_bound, random_economy
@@ -348,7 +348,7 @@ class TestNoiseBlocks:
             burn_in=0.5, seed=9, replicas=3,
         )
 
-    @pytest.mark.parametrize("chunk", [1, 7, 16384])
+    @pytest.mark.parametrize("chunk", [1, 7, 256, 1024, 16384])
     def test_block_size_leaves_paths_bit_identical(self, monkeypatch, chunk):
         cases = _noise_block_cases()
         reference = [self._run(nu, shock) for nu, shock in cases]
@@ -367,15 +367,44 @@ class TestNoiseBlocks:
         gap = np.max(np.abs(self._run(nu, shock) - expected))
         assert gap <= 1e-12 * np.max(np.abs(expected - y0))
 
-    def test_uniforms_stay_inside_the_unit_interval(self):
+    def test_uniforms_stay_inside_the_unit_interval(self, monkeypatch):
         from scipy.special import ndtri
 
-        # the top word alone rounds to 1.0, where the inverse normal CDF is infinite
+        # Generator.random gives a word's top 53 bits k as k * 2**-53; the
+        # top word alone rounds to 1.0, where the inverse normal CDF is infinite
         words = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
-        u = _uniforms(words)
-        np.testing.assert_array_equal(u[:-1], (words[:-1] + 0.5) * 2.0**-53)
-        assert u[-1] == 1.0 - 2.0**-53
-        assert np.all(np.isfinite(ndtri(u)))
+
+        class Words:
+            @staticmethod
+            def random(shape):
+                assert shape == words.shape
+                return words * 2.0**-53
+
+        stream = GaussianStream(0)
+        monkeypatch.setattr(stream, "_gen", Words())
+        z = stream.normals(words.shape)
+        np.testing.assert_array_equal(z[:-1], ndtri((words[:-1] + 0.5) * 2.0**-53))
+        assert z[-1] == ndtri(1.0 - 2.0**-53)
+        assert np.all(np.isfinite(z))
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**40 + 3])
+    @pytest.mark.parametrize("shape", [7, (300, 2), (64, 3, 5)])
+    def test_normals_match_the_integer_word_construction(self, seed, shape):
+        # the reference: a 53-bit integer draw k from the same Philox words,
+        # then (k + 0.5) * 2**-53, clamped below 1, through ndtri
+        from scipy.special import ndtri
+
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+        gen = np.random.Generator(np.random.Philox(seed=ss))
+
+        def integer_normals(size):
+            words = gen.integers(0, 2**53, size=size, dtype=np.uint64)
+            return ndtri(np.minimum((words.astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53))
+
+        stream = GaussianStream(seed)
+        # a second draw checks that both consume one word per variate
+        for size in (shape, 5):
+            assert np.array_equal(stream.normals(size), integer_normals(size))
 
     def test_split_draws_concatenate_to_one_draw(self):
         whole = GaussianStream(11).normals((8, 3, 5))

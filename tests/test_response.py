@@ -1,5 +1,6 @@
 """Response curves, recovery times, implied shocks, and the forecaster."""
 
+import dataclasses
 import io
 import math
 
@@ -11,7 +12,7 @@ from ioresponse import response as response_module
 from ioresponse import susceptibility as susceptibility_module
 from ioresponse.dynamics import ShockProfile, equilibrium_output, simulate_batch
 from ioresponse.errors import IllConditioned, NumericalError
-from ioresponse.iodata import IOTable, NoiseSpec, noise_covariance
+from ioresponse.iodata import IOTable, NoiseSpec, Panel, noise_covariance
 from ioresponse.response import (
     RECOVERY_EPS,
     fluctuation_panel_regression,
@@ -546,6 +547,36 @@ class TestFluctuation:
         assert -1.0 <= reg.r <= 1.0
         assert -1.0 <= reg.r_with_size_control <= 1.0
         assert np.isfinite(reg.eta)
+
+    @staticmethod
+    def _scaled(panel, factor):
+        return Panel([dataclasses.replace(t, output=t.output * factor) for t in panel])
+
+    @pytest.mark.parametrize("k", [-700, 700])
+    def test_eta_keeps_its_bits_at_a_power_of_two_scale(self, k):
+        # unscaled, x.y and x.x leave float64 from |k| near 512
+        panel = build_panel(n_countries=2, years=(2000, 2009), n_sectors=3, seed=4)
+        reg = fluctuation_panel_regression(panel)
+        scaled = fluctuation_panel_regression(self._scaled(panel, 2.0**k))
+        assert scaled.eta == reg.eta
+        assert scaled.r == reg.r
+
+    def test_eta_that_overflows_is_refused(self):
+        panel = build_panel(n_countries=2, years=(2000, 2004), n_sectors=3, seed=4)
+        grown = Panel([
+            dataclasses.replace(t, output=t.output * 2.0 ** (-600 if t.year == 2000 else 500))
+            for t in panel
+        ])
+        with pytest.raises(NumericalError, match="eta overflows float64"):
+            fluctuation_panel_regression(grown)
+
+    def test_eta_has_the_bits_of_the_unscaled_slope(self):
+        rng = np.random.default_rng(21)
+        for seed in range(20):
+            panel = build_panel(n_countries=3, years=(2000, 2005), n_sectors=4, seed=seed)
+            reg = fluctuation_panel_regression(self._scaled(panel, 10.0 ** rng.uniform(-6, 9)))
+            x, y = reg.predictor, reg.observed
+            assert reg.eta == float(x @ y / (x @ x))
 
 
 class TestWiodExamples:

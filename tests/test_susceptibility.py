@@ -371,6 +371,19 @@ class TestAggregates:
         assert np.all(agg.ci_low <= agg.weighted_sector)
         assert np.all(agg.weighted_sector <= agg.ci_high)
 
+    @pytest.mark.parametrize("k", [-700, -300, 300, 700])
+    def test_power_of_two_output_scale_moves_no_bit(self, k):
+        # unscaled, the squared weight sums leave float64 from |k| near 512
+        rng = np.random.default_rng(5)
+        cells = {(c, y): rng.uniform(0.0, 1.0, 3) for c in "ABC" for y in (2000, 2001)}
+        outs = {key: rng.uniform(1.0, 5.0, 3) for key in cells}
+        agg = aggregate_susceptibilities(cells, outs, ["S1", "S2", "S3"])
+        scaled = aggregate_susceptibilities(
+            cells, {key: w * 2.0**k for key, w in outs.items()}, ["S1", "S2", "S3"]
+        )
+        for field in ("weighted_sector", "ci_low", "ci_high"):
+            assert np.array_equal(getattr(scaled, field), getattr(agg, field))
+
     def test_missing_cell_listed(self):
         with pytest.raises(MissingPanelCell) as err:
             aggregate_susceptibilities(
