@@ -328,9 +328,9 @@ def pearson_r(x, y) -> float:
     """Sample Pearson correlation of two equally long series, from the centered
     series scaled by exact powers of two: no sum of squares overflows or underflows."""
     x = _finite_vector("x", x)
-    y = _finite_vector("y", y, len(x))
     if len(x) < 3:
         raise ValueError("need at least 3 observations")
+    y = _finite_vector("y", y, len(x))
     dx, dy = (_pow2_scaled(d)[0] for d in (x - x.mean(), y - y.mean()))
     sxx = float(dx @ dx)
     syy = float(dy @ dy)

@@ -148,21 +148,15 @@ def _read_config_file(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
+    for lineno, key, value in iodata.key_value_lines(text, lambda n: f"{path}:{n}"):
+        key = key.replace("-", "_")
         if key in ("timestamp", "subcommand"):
             continue  # manifests carry these; they are informational
-        if key == "lrt_oracle" and iodata._BOOLEANS.get(value.strip().lower()) is False:
+        if key == "lrt_oracle" and iodata._BOOLEANS.get(value.lower()) is False:
             continue  # a retired test hook that older manifests record off; on is unknown
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
+        values[key] = value
     return values
 
 

@@ -14,7 +14,8 @@ col_sector), ``FINAL`` (final demand of row_sector, the col field holding the
 destination country code), or ``OUTPUT`` (gross output of row_sector, col
 field empty).  Values are in millions USD with a decimal point and no
 thousands separators; the stream is UTF-8.  Rows may come in any order; the
-OUTPUT rows of a table define its sector order.
+OUTPUT rows of a table define its sector order, and no two rows may give the
+same cell.
 
 Final demand ``D`` is *not* summed from the FINAL rows.  It is taken as the
 residual ``D = (I - A) Y`` so that the equilibrium identity
@@ -36,11 +37,12 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InconsistentTable,
     MalformedRow,
     MissingCountryYear,
@@ -395,7 +397,7 @@ class _TableAccumulator:
     FLOW and FINAL row is stored at once as compact (id, id, value) buffers,
     so a world-scale panel parses in tens of megabytes whatever the row
     order.  OUTPUT rows fix the sector order; ids are mapped to it at build
-    time.
+    time, when a cell that two rows give is an :class:`InconsistentTable`.
     """
 
     def __init__(self, country: str, year: int):
@@ -456,16 +458,26 @@ class _TableAccumulator:
                     f"in {self.country}/{self.year}"
                 )
         position = np.array([self.rank[code] for code in self.ids], dtype=np.intp)
-
-        flows = np.zeros((n, n))
+        codes, dests = list(self.rank), list(self.dest_index)
         fi, fj = (position[np.frombuffer(c, dtype=np.int32)] for c in self.flow_cells[:2])
+        gi = position[np.frombuffer(self.final_cells[0], dtype=np.int32)]
+        gj = np.frombuffer(self.final_cells[1], dtype=np.int32)
+        for kind, rows, cols, names in (("FLOW", fi, fj, codes), ("FINAL", gi, gj, dests)):
+            cells = rows * len(names) + cols
+            repeated = np.bincount(cells)[cells] > 1
+            if repeated.any():
+                k = int(repeated.argmax())
+                raise InconsistentTable(
+                    f"repeated {kind} row for cell {codes[rows[k]]},{names[cols[k]]} "
+                    f"in {self.country}/{self.year}"
+                )
+        # the cells are distinct; adding into zeros turns a -0.0 cell into 0.0
+        flows = np.zeros((n, n))
         np.add.at(flows, (fi, fj), np.frombuffer(self.flow_cells[2]))
-
-        final = np.zeros((n, len(self.dest_index)))
-        gi, gj = (np.frombuffer(c, dtype=np.int32) for c in self.final_cells[:2])
-        np.add.at(final, (position[gi], gj), np.frombuffer(self.final_cells[2]))
-        return _TableArrays(self.country, self.year, list(self.rank), flows,
-                            np.asarray(self.outputs), final, list(self.dest_index))
+        final = np.zeros((n, len(dests)))
+        np.add.at(final, (gi, gj), np.frombuffer(self.final_cells[2]))
+        return _TableArrays(self.country, self.year, codes, flows,
+                            np.asarray(self.outputs), final, dests)
 
 
 class _TableArrays(NamedTuple):
@@ -630,9 +642,11 @@ def _raise_first_bad_line(path, want_c, want_y, reason: str) -> NoReturn:
 # the table cache
 # ---------------------------------------------------------------------------
 
-#: Layout of a cache entry.  It is part of the entry's name, so a reader
-#: never opens an entry written in another layout.
-_CACHE_FORMAT = "v1"
+#: Layout of a cache entry, and the checks its tables passed (since v2, no
+#: repeated FLOW or FINAL cell).  It is part of the entry's name, so a
+#: reader never opens an entry written in another layout or under fewer
+#: checks.
+_CACHE_FORMAT = "v2"
 #: Entries kept after a write: the newest.
 _CACHE_ENTRIES = 4
 _HASH_BLOCK = 1 << 20
@@ -823,6 +837,21 @@ def parse_bool(value: str) -> bool:
         return _BOOLEANS[str(value).strip().lower()]
     except KeyError:
         raise ValueError(f"expected on/off, true/false, yes/no or 1/0, got {value!r}") from None
+
+
+def key_value_lines(text: str, where: Callable[[int], str]) -> Iterator[tuple[int, str, str]]:
+    """The one reading of a ``key = value`` file (config, manifest or
+    scenario): ``(line number, lower-cased key, stripped value)`` for each
+    line, ``#`` comments cut and blank lines skipped.  A line without ``=``
+    raises :class:`ConfigError` located by ``where(line number)``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where(lineno)}: expected key = value")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip().lower(), value.strip()
 
 
 def parse_horizon(value: str) -> float:

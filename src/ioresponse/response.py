@@ -363,8 +363,10 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
     Pearson correlations and the control regression that adds the base-year
     output as an extra regressor.  The slope ``eta = x.y / x.x`` of the
     observed ``y`` on the predicted ``x`` is formed from both scaled by powers
-    of two, so it does not depend on the panel's scale;
-    :class:`NumericalError` when it overflows float64.
+    of two, and the control regression from the centered ``y``, ``x`` and
+    output scaled the same way, so neither depends on the panel's scale;
+    :class:`NumericalError` when ``eta`` or the size coefficient overflows
+    float64.
     """
     countries = panel.countries()
     years = panel.years()
@@ -401,10 +403,16 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
         raise NumericalError("the fluctuation slope eta overflows float64") from None
     r = pearson_r(x, y)
     r_size = pearson_r(size, y)
-    design = np.column_stack([np.ones_like(x), x, size])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    r_multi = pearson_r(fitted, y)
+    # centered, the size-control fit needs no column of ones, and with every
+    # series scaled by a power of two lstsq sees the same bits at any scale
+    (cx, _), (cs, es), (cy, ec) = (_pow2_scaled(v - v.mean()) for v in (x, size, y))
+    design = np.column_stack([cx, cs])
+    coef, *_ = np.linalg.lstsq(design, cy, rcond=None)
+    try:
+        size_coef = math.ldexp(float(coef[1]), ec - es)
+    except OverflowError:
+        raise NumericalError("the size-control coefficient overflows float64") from None
+    r_multi = pearson_r(design @ coef, y)
     return FluctuationRegression(
         countries=tuple(countries),
         base_year=base_year,
@@ -415,7 +423,7 @@ def fluctuation_panel_regression(panel: Panel) -> FluctuationRegression:
         r=r,
         r_size_only=r_size,
         r_with_size_control=r_multi,
-        size_control_coefficient=float(coef[2]),
+        size_control_coefficient=size_coef,
     )
 
 

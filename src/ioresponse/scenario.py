@@ -22,7 +22,8 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .iodata import IOTable, Panel, _finite_vector, parse_bool, parse_horizon, write_table
+from .iodata import (IOTable, Panel, _finite_vector, key_value_lines, parse_bool, parse_horizon,
+                     write_table)
 from .response import ResponseCurve, response_grid, step_response
 from .susceptibility import applied_susceptibility
 
@@ -47,6 +48,8 @@ class ShockTerm:
         elif self.kind == "absolute":
             if self.value is None:
                 raise ValueError("absolute terms need a value")
+            if not math.isfinite(self.value):
+                raise ValueError("value must be finite")
         else:
             raise ValueError(f"unknown shock kind {self.kind!r}")
 
@@ -95,15 +98,7 @@ def parse_scenario_spec(text: str) -> ScenarioSpec:
     horizon = math.inf
     compensate = True
     shocks: list[ShockTerm] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"scenario line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+    for lineno, key, value in key_value_lines(text, lambda n: f"scenario line {n}"):
         try:
             if key == "name":
                 name = value
@@ -116,25 +111,11 @@ def parse_scenario_spec(text: str) -> ScenarioSpec:
             elif key == "shock":
                 parts = value.split()
                 if len(parts) == 5 and parts[2] == "export_to":
-                    for country in parts[0].split(","):
-                        shocks.append(
-                            ShockTerm(
-                                country=country,
-                                sector=parts[1],
-                                kind="export_to",
-                                dest=parts[3],
-                                fraction=float(parts[4]),
-                            )
-                        )
+                    shocks.extend(ShockTerm(country, parts[1], "export_to", dest=parts[3],
+                                            fraction=float(parts[4]))
+                                  for country in parts[0].split(","))
                 elif len(parts) == 4 and parts[2] == "absolute":
-                    shocks.append(
-                        ShockTerm(
-                            country=parts[0],
-                            sector=parts[1],
-                            kind="absolute",
-                            value=float(parts[3]),
-                        )
-                    )
+                    shocks.append(ShockTerm(parts[0], parts[1], "absolute", value=float(parts[3])))
                 else:
                     raise ConfigError(f"scenario line {lineno}: malformed shock term")
             else:
@@ -168,34 +149,20 @@ def build_shock_vectors(spec: ScenarioSpec, panel: Panel) -> dict[str, np.ndarra
     vectors = {c: [0.0] * panel.get(c, year).n_sectors for c in countries}
     removed: dict[tuple[str, str], float] = {}
 
-    terms: list[ShockTerm] = []
     for term in spec.shocks:
-        if term.country == "*" and term.kind == "export_to":
-            for c in countries:
-                if c != term.dest:
-                    terms.append(
-                        ShockTerm(
-                            country=c,
-                            sector=term.sector,
-                            kind="export_to",
-                            dest=term.dest,
-                            fraction=term.fraction,
-                        )
-                    )
-        else:
-            terms.append(term)
-
-    for term in terms:
-        table = panel.get(term.country, year)
-        i = table.sector_index(term.sector)
-        if term.kind == "absolute":
-            vectors[term.country][i] += term.value
-            continue
-        k = table.destination_index(term.dest)
-        amount = term.fraction * float(table.export_demand[i, k])
-        vectors[term.country][i] += amount
-        key = (term.dest, term.sector)
-        removed[key] = removed.get(key, 0.0) + amount
+        wildcard = term.country == "*" and term.kind == "export_to"
+        sources = [c for c in countries if c != term.dest] if wildcard else [term.country]
+        for c in sources:
+            table = panel.get(c, year)
+            i = table.sector_index(term.sector)
+            if term.kind == "absolute":
+                vectors[c][i] += term.value
+                continue
+            k = table.destination_index(term.dest)
+            amount = term.fraction * float(table.export_demand[i, k])
+            vectors[c][i] += amount
+            key = (term.dest, term.sector)
+            removed[key] = removed.get(key, 0.0) + amount
 
     if spec.compensate:
         for (dest, sector), total in sorted(removed.items()):

@@ -391,6 +391,11 @@ class TestPearson:
         with pytest.raises(DegenerateInput):
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("x", [[], [1.0], [1.0, 2.0]])
+    def test_too_short_x_is_named_as_too_short(self, x):
+        with pytest.raises(ValueError, match="^need at least 3 observations$"):
+            pearson_r(x, [1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
     def test_power_of_two_scale_moves_no_bit(self, k):
         # unscaled, the sums of squares of such data leave float64 from |k| near 512

@@ -413,6 +413,37 @@ class TestErrorHandling:
         assert err[0].startswith(f"ConfigError: scenario line {lineno}: ")
         assert _no_outputs(out)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_absolute_value_exit_2(self, tmp_path, capsys, value):
+        # refused as the spec is read, before the (missing) data file is opened
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"evaluation_year = 2014\nshock = AAA S1 absolute {value}\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        code = run([
+            "scenario", "--data", str(tmp_path / "missing.csv"), "--scenario-spec", str(spec),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ConfigError: scenario line 2: value must be finite"]
+        assert _no_outputs(out)
+
+    @pytest.mark.parametrize("kind, dest", [("FLOW", "A01"), ("FINAL", "BBB"), ("FINAL", "AAA")],
+                             ids=["flow", "foreign_final", "home_final"])
+    def test_repeated_cell_exit_3(self, tmp_path, capsys, kind, dest):
+        data = tmp_path / "panel.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            write_panel(build_panel(2, (2000, 2000), 3, seed=4), fh)
+        rows = _read(data).splitlines()
+        row = next(r for r in rows if r.startswith(f"{kind},AAA,2000,A01,{dest},"))
+        data.write_text("\n".join([*rows, row]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["ingest", "--data", str(data), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"InconsistentTable: repeated {kind} row for cell A01,{dest} in AAA/2000"]
+        assert _no_outputs(out)
+
     def test_missing_data_flag(self, tmp_path):
         assert run(["ingest", "--out", str(tmp_path / "out")]) == 2
 

@@ -217,6 +217,21 @@ class TestScanner:
             load_panel(_stream(*rows))
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("FLOW,AAA,2000,S2,S1,0.4", "repeated FLOW row for cell S2,S1 in AAA/2000"),
+            ("FINAL,AAA,2000,S1,BBB,0.25", "repeated FINAL row for cell S1,BBB in AAA/2000"),
+            ("FINAL,AAA,2000,S2,AAA,0.0", "repeated FINAL row for cell S2,AAA in AAA/2000"),
+        ],
+        ids=["flow", "foreign_final", "home_final"],
+    )
+    def test_repeated_cell_is_refused_not_summed(self, row, message):
+        rows = (*self.ROWS, "FINAL,AAA,2000,S2,AAA,0.0", row)
+        assert load_panel(_stream(*rows[:-1])).get("AAA", 2000).equals(self._plain())
+        with pytest.raises(InconsistentTable, match=f"^{message}$"):
+            load_panel(_stream(*rows))
+
+    @pytest.mark.parametrize(
         "bad", ["OUTPUT,BBB,2001,S1,,nan", "FLOW,BBB,1999,S1", "NOISE,AAA,2001,S1,,1.0"]
     )
     def test_one_cell_selection_checks_every_row(self, bad):

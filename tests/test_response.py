@@ -561,6 +561,16 @@ class TestFluctuation:
         assert scaled.eta == reg.eta
         assert scaled.r == reg.r
 
+    @pytest.mark.parametrize("k", [-700, -100, 30, 60, 300, 700])
+    def test_size_control_keeps_its_bits_at_a_power_of_two_scale(self, k):
+        # with a column of ones beside the unscaled columns, lstsq's rank
+        # cutoff dropped one or the other from k = 60 and at k = -100
+        panel = build_panel(n_countries=2, years=(2000, 2009), n_sectors=3, seed=4)
+        reg = fluctuation_panel_regression(panel)
+        scaled = fluctuation_panel_regression(self._scaled(panel, 2.0**k))
+        assert scaled.r_with_size_control == reg.r_with_size_control
+        assert scaled.size_control_coefficient == reg.size_control_coefficient
+
     def test_eta_that_overflows_is_refused(self):
         panel = build_panel(n_countries=2, years=(2000, 2004), n_sectors=3, seed=4)
         grown = Panel([
@@ -568,6 +578,19 @@ class TestFluctuation:
             for t in panel
         ])
         with pytest.raises(NumericalError, match="eta overflows float64"):
+            fluctuation_panel_regression(grown)
+
+    def test_size_coefficient_that_overflows_is_refused(self):
+        # base-year outputs equal to 40 bits leave eta finite (near 2**993)
+        # while the slope on their tiny spread leaves float64
+        panel = build_panel(n_countries=2, years=(2000, 2004), n_sectors=3, seed=4)
+        spread = 1.0 + 2.0**-40 * np.arange(3)
+        grown = Panel([
+            dataclasses.replace(t, output=2.0**-500 * spread if t.year == 2000
+                                else t.output * 2.0**490)
+            for t in panel
+        ])
+        with pytest.raises(NumericalError, match="size-control coefficient overflows float64"):
             fluctuation_panel_regression(grown)
 
     def test_eta_has_the_bits_of_the_unscaled_slope(self):

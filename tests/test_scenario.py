@@ -108,6 +108,11 @@ class TestBuildShockVectors:
         with pytest.raises(ValueError):
             ShockTerm("AAA", "S1", "export_to", dest="BBB", fraction=-1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_absolute_value_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^value must be finite$"):
+            ShockTerm("AAA", "S1", "absolute", value=value)
+
 
 class TestScenarioImpact:
     def test_zero_shock_zero_impact(self, scenario_panel):
