@@ -187,7 +187,8 @@ def arima_forecast(model: ArimaModel, series, steps: int) -> np.ndarray:
 
     For d = 1 the differenced-scale forecasts are cumulated and anchored at
     the last observation.  :class:`TooShortSeries` below ``max(p + d, 1)``
-    observations, where no last value or lag is left to forecast from.
+    observations, where no last value or lag is left to forecast from;
+    :class:`NumericalError` when a forecast overflows float64.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -197,25 +198,28 @@ def arima_forecast(model: ArimaModel, series, steps: int) -> np.ndarray:
         raise TooShortSeries(
             f"need at least {max(p + d, 1)} observations to forecast, got {len(series)}"
         )
-    w = _difference(series, d).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        w = _difference(series, d).tolist()
 
-    e_prev = 0.0
-    if q:
-        for t in range(p, len(w)):
-            pred = model.const + (model.phi * w[t - 1] if p else 0.0) + model.theta * e_prev
-            e_prev = w[t] - pred
+        e_prev = 0.0
+        if q:
+            for t in range(p, len(w)):
+                pred = model.const + (model.phi * w[t - 1] if p else 0.0) + model.theta * e_prev
+                e_prev = w[t] - pred
 
-    fc = np.empty(steps)
-    for h in range(steps):
-        pred = model.const
-        if p:
-            pred += model.phi * (w[-1] if h == 0 else fc[h - 1])
-        if q and h == 0:
-            pred += model.theta * e_prev
-        fc[h] = pred
-    if d == 0:
-        return fc
-    return series[-1] + np.cumsum(fc)
+        fc = np.empty(steps)
+        for h in range(steps):
+            pred = model.const
+            if p:
+                pred += model.phi * (w[-1] if h == 0 else fc[h - 1])
+            if q and h == 0:
+                pred += model.theta * e_prev
+            fc[h] = pred
+        if d:
+            fc = series[-1] + np.cumsum(fc)
+    if not np.isfinite(fc).all():
+        raise NumericalError("the ARIMA forecast overflows float64")
+    return fc
 
 
 # ---------------------------------------------------------------------------

@@ -19,24 +19,35 @@ working, but has no effect.
 
 Exit codes: 0 success, 2 usage/configuration error (a setting that sizes an
 array the process cannot allocate included), 3 data error, 4 numerical error.
+
+Start-up: this module imports no numpy, only the numpy-free settings layer
+(:mod:`ioresponse.settings`) and the package, whose exports are lazy.  The
+arguments and the configuration are checked first, so ``--help``, a usage
+error and a bad setting value end the process before any numeric module
+loads.  Each subcommand then imports its own pipeline: ``ingest`` only
+:mod:`ioresponse.iodata`, ``susceptibility`` no forecasting, scenario or
+backbone module, ``backbone`` no baseline, response or scenario module.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
+import importlib
 import math
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-import numpy as np
-
-from . import baselines, backbone, dynamics, iodata, response, scenario, susceptibility
+from . import settings
 from .errors import ConfigError, DataError, NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import baselines, iodata
 
 ENV_PREFIX = "IORESPONSE_"
 #: Exit code of each error family; the first match wins (a ConfigError is a DataError).
@@ -109,22 +120,22 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "data": (str, ""),
     "country": (str, "all"),
     "year": (_int_or("all"), "all"),
-    "horizon": (iodata.parse_horizon, math.inf),
-    "eta": (_positive_float, iodata.DEFAULT_NOISE.scale),
-    "noise": (_choice("output_proportional", "isotropic"), iodata.DEFAULT_NOISE.kind),
-    "dt": (_positive_float, dynamics.DEFAULT_DT),
+    "horizon": (settings.parse_horizon, math.inf),
+    "eta": (_positive_float, settings.DEFAULT_NOISE.scale),
+    "noise": (_choice("output_proportional", "isotropic"), settings.DEFAULT_NOISE.kind),
+    "dt": (_positive_float, settings.DEFAULT_DT),
     "seed": (_nonnegative_int, 0),
     "workers": (int, 1),  # no effect; kept so old manifests and scripts load
     "out": (str, "out"),
     "method": (_choice("analytic", "monte_carlo"), "analytic"),
     "mc_length": (_positive_float, 400.0),
-    "mc_replicas": (_replica_count, susceptibility.SimulationBudget().replicas),
-    "burn_in": (_nonnegative_float, dynamics.DEFAULT_BURN_IN),
+    "mc_replicas": (_replica_count, settings.SimulationBudget().replicas),
+    "burn_in": (_nonnegative_float, settings.DEFAULT_BURN_IN),
     "shock_kind": (_choice("impulse", "step"), "impulse"),
     "shock_sector": (str, "all"),
     "shock_size": (_finite_float, 1.0),
     "grid_dt": (_positive_float, 0.01),
-    "recovery_eps": (_nonnegative_float, response.RECOVERY_EPS),
+    "recovery_eps": (_nonnegative_float, settings.RECOVERY_EPS),
     "baseline": (_choice("arima", "var", "perturbed_io"), "arima"),
     "arima_order": (_parse_arima_order, "1,1,1"),
     "calibration": (_choice("expanding", "full"), "expanding"),
@@ -137,7 +148,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], object], object]] = {
     "node_time": (_parse_node_time, ""),
     "curves": (str, ""),
     "convention": (_choice("response", "source"), "response"),
-    "clip_negative_flows": (iodata.parse_bool, False),
+    "clip_negative_flows": (settings.parse_bool, False),
 }
 _FLAGS = {key: "--" + key.replace("_", "-") for key in _SCHEMA}
 
@@ -148,11 +159,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, key, value in iodata.key_value_lines(text, lambda n: f"{path}:{n}"):
+    for lineno, key, value in settings.key_value_lines(text, lambda n: f"{path}:{n}"):
         key = key.replace("-", "_")
         if key in ("timestamp", "subcommand"):
             continue  # manifests carry these; they are informational
-        if key == "lrt_oracle" and iodata._BOOLEANS.get(value.lower()) is False:
+        if key == "lrt_oracle" and settings._BOOLEANS.get(value.lower()) is False:
             continue  # a retired test hook that older manifests record off; on is unknown
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -163,15 +174,15 @@ def _read_config_file(path: str) -> dict[str, str]:
 class RunConfig(dict):
     """Resolved configuration; plain mapping key -> typed value."""
 
-    def noise_spec(self) -> iodata.NoiseSpec:
-        return iodata.NoiseSpec(kind=self["noise"], scale=self["eta"])
+    def noise_spec(self) -> settings.NoiseSpec:
+        return settings.NoiseSpec(kind=self["noise"], scale=self["eta"])
 
     def arima_orders(self) -> tuple[int, int, int]:
         p, d, q = (int(v) for v in self["arima_order"].split(","))
         return p, d, q
 
-    def budget(self) -> susceptibility.SimulationBudget:
-        return susceptibility.SimulationBudget(
+    def budget(self) -> settings.SimulationBudget:
+        return settings.SimulationBudget(
             dt=self["dt"],
             length=self["mc_length"],
             replicas=self["mc_replicas"],
@@ -252,6 +263,8 @@ def _write_manifest(out: OutputDir, subcommand: str, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_panel(cfg: RunConfig) -> iodata.Panel:
+    from . import iodata
+
     if not cfg["data"]:
         raise ConfigError("no input data file (--data)")
     countries = None if cfg["country"] == "all" else [cfg["country"]]
@@ -274,6 +287,8 @@ def _curve_horizon(cfg: RunConfig) -> float:
     """Span of the run's response-curve grid (10 years for an infinite
     horizon), checked before any data is read: the grid must be formable and
     hold at least one step."""
+    from . import dynamics
+
     horizon = cfg["horizon"] if math.isfinite(cfg["horizon"]) else 10.0
     try:
         if dynamics.step_count(horizon, cfg["grid_dt"]) < 1:
@@ -285,9 +300,11 @@ def _curve_horizon(cfg: RunConfig) -> float:
     return horizon
 
 
-def _monte_carlo_budget(cfg: RunConfig) -> susceptibility.SimulationBudget:
+def _monte_carlo_budget(cfg: RunConfig) -> settings.SimulationBudget:
     """The run's simulation budget, checked against its horizon before any
     data is read."""
+    from . import dynamics, susceptibility
+
     budget = cfg.budget()
     try:
         susceptibility.lag_count(cfg["horizon"], budget)
@@ -298,6 +315,8 @@ def _monte_carlo_budget(cfg: RunConfig) -> susceptibility.SimulationBudget:
 
 
 def _shock_vector(cfg: RunConfig, table: iodata.IOTable) -> np.ndarray:
+    import numpy as np
+
     if cfg["shock_sector"] == "all":
         return cfg["shock_size"] * np.ones(table.n_sectors)
     x = np.zeros(table.n_sectors)
@@ -311,6 +330,8 @@ def _shock_vector(cfg: RunConfig, table: iodata.IOTable) -> np.ndarray:
 
 def _identity_residual(table: iodata.IOTable) -> float:
     """max |Y - (A Y + D)| relative to max |Y|."""
+    import numpy as np
+
     residual = float(
         np.max(np.abs(table.output - (table.coefficients @ table.output + table.demand)))
     )
@@ -318,6 +339,8 @@ def _identity_residual(table: iodata.IOTable) -> float:
 
 
 def _cmd_ingest(cfg: RunConfig, out: OutputDir) -> None:
+    from . import iodata
+
     panel = _load_panel(cfg)
     tables = list(panel)
     with out.open("report.csv") as fh:
@@ -334,6 +357,8 @@ def _cmd_ingest(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
+    from . import iodata, susceptibility
+
     horizon = cfg["horizon"]
     convention = cfg["convention"]
     one_cell = cfg["country"] != "all" and cfg["year"] != "all"
@@ -386,6 +411,8 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_response(cfg: RunConfig, out: OutputDir) -> None:
+    from . import iodata, response
+
     country, year = _require_cell(cfg)
     horizon = _curve_horizon(cfg)
     panel = _load_panel(cfg)
@@ -405,6 +432,8 @@ def _cmd_response(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_forecast(cfg: RunConfig, out: OutputDir) -> None:
+    from . import iodata, response
+
     panel = _load_panel(cfg)
     countries, shock_years, sectors = [], [], []
     shocks, observed, predicted = [], [], []
@@ -440,6 +469,10 @@ def _summary_json(s: baselines.TTestSummary) -> dict:
 
 
 def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
+    import json
+
+    from . import baselines, iodata, response
+
     panel = _load_panel(cfg)
     var_year = None if cfg["var_year"] == "first" else cfg["var_year"]
     result = response.benchmark_lrt_vs_baseline(
@@ -483,6 +516,8 @@ def _cmd_benchmark(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_scenario(cfg: RunConfig, out: OutputDir) -> None:
+    from . import response, scenario
+
     if not cfg["scenario_spec"]:
         raise ConfigError("scenario needs --scenario-spec FILE")
     curve_countries = [c for c in cfg["curves"].split(",") if c]
@@ -511,6 +546,10 @@ def _cmd_scenario(cfg: RunConfig, out: OutputDir) -> None:
 
 
 def _cmd_backbone(cfg: RunConfig, out: OutputDir) -> None:
+    import numpy as np
+
+    from . import backbone, susceptibility
+
     country, year = _require_cell(cfg)
     panel = _load_panel(cfg)
     table = panel.get(country, year)
@@ -529,14 +568,16 @@ def _cmd_backbone(cfg: RunConfig, out: OutputDir) -> None:
         fh.write(backbone.export_graph(graph, fmt))
 
 
+#: subcommand -> (handler, the module whose import loads every module the
+#: handler uses).  ``run`` imports it before the handler starts.
 _HANDLERS = {
-    "ingest": _cmd_ingest,
-    "susceptibility": _cmd_susceptibility,
-    "response": _cmd_response,
-    "forecast": _cmd_forecast,
-    "benchmark": _cmd_benchmark,
-    "scenario": _cmd_scenario,
-    "backbone": _cmd_backbone,
+    "ingest": (_cmd_ingest, "iodata"),
+    "susceptibility": (_cmd_susceptibility, "susceptibility"),
+    "response": (_cmd_response, "response"),
+    "forecast": (_cmd_forecast, "response"),
+    "benchmark": (_cmd_benchmark, "response"),
+    "scenario": (_cmd_scenario, "scenario"),
+    "backbone": (_cmd_backbone, "backbone"),
 }
 
 
@@ -574,16 +615,23 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     return joined
 
 
-def run(argv: Sequence[str]) -> int:
+def run(argv: Sequence[str], imported: Callable[[], None] = lambda: None) -> int:
+    """Run one subcommand and return its exit code.  The arguments and the
+    configuration are checked before any numeric module is imported;
+    ``imported`` is called once the subcommand's modules are, before it
+    reads any data."""
     try:
         args = build_parser().parse_args(_attach_values(argv))
         cfg = resolve_config(args)
         if cfg["method"] != "analytic" and args.subcommand != "susceptibility":
             raise ConfigError(f"{args.subcommand} is analytic only; "
                               f"method = {cfg['method']} applies to susceptibility")
+        handler, pipeline = _HANDLERS[args.subcommand]
+        importlib.import_module(f".{pipeline}", __package__)
+        imported()
         out = OutputDir(cfg["out"])
         try:
-            _HANDLERS[args.subcommand](cfg, out)
+            handler(cfg, out)
             _write_manifest(out, args.subcommand, cfg)
         except BaseException:
             out.discard()
@@ -598,8 +646,7 @@ def run(argv: Sequence[str]) -> int:
 def main() -> None:
     # The imported modules live until exit.  Freezing them keeps them out of
     # every later collection, the full one at interpreter exit included.
-    gc.freeze()
-    sys.exit(run(sys.argv[1:]))
+    sys.exit(run(sys.argv[1:], imported=gc.freeze))
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .iodata import _finite_vector, _leontief
 from .rng import GaussianStream
+from .settings import DEFAULT_BURN_IN, DEFAULT_DT  # noqa: F401  (importable from here)
 
 #: Relative residual allowed for the equilibrium solve.
 EQUILIBRIUM_RTOL = 1e-10
@@ -48,9 +49,6 @@ EQUILIBRIUM_RTOL = 1e-10
 LYAPUNOV_RTOL = 1e-9
 #: A state is declared blown up beyond this multiple of ||Y0||_inf.
 BLOWUP_FACTOR = 1e12
-
-DEFAULT_DT = 0.05
-DEFAULT_BURN_IN = 50.0
 
 #: Steps per block of noise draws.  The stream position depends only
 #: on the count drawn, so the block size never changes a variate.  A block

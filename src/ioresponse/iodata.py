@@ -37,22 +37,25 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     InconsistentTable,
     MalformedRow,
     MissingCountryYear,
     MissingExportDetail,
-    NonPositiveScale,
     NonProductiveEconomy,
     NumericalError,
     SingularSystem,
     UnknownSector,
     ZeroOutputSector,
+)
+# the noise specification and the setting readers live in the numpy-free
+# settings layer; they stay importable from here
+from .settings import (  # noqa: F401
+    DEFAULT_NOISE, NoiseSpec, key_value_lines, parse_bool, parse_horizon,
 )
 
 CANONICAL_HEADER = "record_type,country,year,row_sector,col_sector_or_dest,value"
@@ -68,39 +71,6 @@ _PRODUCTIVE_NORM = 1.0 - 1e-12
 
 class NegativeResidualDemand(UserWarning):
     """Residual demand (I - A) Y has at least one negative component."""
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Covariance specification of the equilibrium driving noise.
-
-    ``isotropic(eps)`` induces ``nu = eps^2 I``; ``output_proportional(eta)``
-    induces ``nu = diag((eta * Y0_i)^2)`` with ``Y0`` the equilibrium output.
-    """
-
-    kind: str
-    scale: float
-
-    def __post_init__(self):
-        if self.kind not in ("isotropic", "output_proportional"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (self.scale > 0.0) or not math.isfinite(self.scale):
-            raise NonPositiveScale(
-                f"noise scale must be > 0, got {self.scale!r}"
-            )
-
-    @classmethod
-    def isotropic(cls, eps: float) -> "NoiseSpec":
-        return cls(kind="isotropic", scale=float(eps))
-
-    @classmethod
-    def output_proportional(cls, eta: float) -> "NoiseSpec":
-        return cls(kind="output_proportional", scale=float(eta))
-
-
-#: Default driving noise: proportional to output, small enough to stay in the
-#: linear regime.
-DEFAULT_NOISE = NoiseSpec.output_proportional(0.01)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -315,8 +285,12 @@ def _pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
 
 def leontief_solve(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - A) X = rhs for a vector or an N x k stack; :class:`ValueError`
-    unless rhs holds N finite values, :class:`SingularSystem` if I - A is singular."""
-    return _leontief(coefficients, _finite_vector("rhs", rhs, len(coefficients), stack=True))
+    unless rhs holds N finite values, :class:`SingularSystem` if I - A is singular,
+    :class:`NumericalError` if X overflows float64."""
+    x = _leontief(coefficients, _finite_vector("rhs", rhs, len(coefficients), stack=True))
+    if not np.isfinite(x).all():
+        raise NumericalError("the Leontief solve (I - A) X = rhs overflows float64")
+    return x
 
 
 def _leontief(coefficients: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -825,42 +799,6 @@ def load_panel(
 def _fmt(v: float) -> str:
     """The number format of every output file: shortest exact ``repr``."""
     return repr(float(v))
-
-
-_BOOLEANS = {"on": True, "true": True, "yes": True, "1": True,
-             "off": False, "false": False, "no": False, "0": False}
-
-
-def parse_bool(value: str) -> bool:
-    """The one reading of a switch in a config or scenario file, any case."""
-    try:
-        return _BOOLEANS[str(value).strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected on/off, true/false, yes/no or 1/0, got {value!r}") from None
-
-
-def key_value_lines(text: str, where: Callable[[int], str]) -> Iterator[tuple[int, str, str]]:
-    """The one reading of a ``key = value`` file (config, manifest or
-    scenario): ``(line number, lower-cased key, stripped value)`` for each
-    line, ``#`` comments cut and blank lines skipped.  A line without ``=``
-    raises :class:`ConfigError` located by ``where(line number)``."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where(lineno)}: expected key = value")
-        key, _, value = line.partition("=")
-        yield lineno, key.strip().lower(), value.strip()
-
-
-def parse_horizon(value: str) -> float:
-    """The one reading of a horizon: years > 0, or ``inf``/``infinite``."""
-    value = str(value).strip().lower()
-    horizon = math.inf if value in ("inf", "infinite") else float(value)
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be > 0 or inf, got {value!r}")
-    return horizon
 
 
 #: Rows formatted per write: bounds the text held in memory for long tables.

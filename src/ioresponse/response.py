@@ -47,9 +47,7 @@ from .baselines import (
 from .dynamics import ShockProfile, step_count
 from .errors import IllConditioned, MissingPanelCell, NumericalError
 from .iodata import (
-    DEFAULT_NOISE,
     IOTable,
-    NoiseSpec,
     Panel,
     _finite_vector,
     _leontief,
@@ -58,10 +56,9 @@ from .iodata import (
     noise_covariance,
     write_table,
 )
+from .settings import DEFAULT_NOISE, RECOVERY_EPS, NoiseSpec
 from .susceptibility import applied_susceptibility, propagator
 
-#: Default relative threshold below which a sector counts as recovered.
-RECOVERY_EPS = 0.05
 #: Cap on the 2-norm condition number of rho(1) in the implied-shock solve.
 CONDITION_CAP = 1e12
 #: Relative tolerance of the implied-shock round trip rho(1) X = dY.

@@ -22,9 +22,9 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .iodata import (IOTable, Panel, _finite_vector, key_value_lines, parse_bool, parse_horizon,
-                     write_table)
+from .iodata import IOTable, Panel, _finite_vector, write_table
 from .response import ResponseCurve, response_grid, step_response
+from .settings import key_value_lines, parse_bool, parse_horizon
 from .susceptibility import applied_susceptibility
 
 
@@ -46,6 +46,8 @@ class ShockTerm:
             if not -1.0 <= self.fraction <= 1.0:
                 raise ValueError("fraction must lie in [-1, 1]")
         elif self.kind == "absolute":
+            if self.country == "*" or "," in self.country:
+                raise ValueError(f"an absolute term takes one country, got {self.country!r}")
             if self.value is None:
                 raise ValueError("absolute terms need a value")
             if not math.isfinite(self.value):
@@ -85,7 +87,7 @@ def parse_scenario_spec(text: str) -> ScenarioSpec:
 
     Recognized keys: ``name``, ``evaluation_year``, ``horizon`` (years > 0
     or ``inf``), ``compensation`` (``on``/``off``; see
-    :func:`~ioresponse.iodata.parse_bool`), and repeated ``shock`` lines::
+    :func:`~ioresponse.settings.parse_bool`), and repeated ``shock`` lines::
 
         shock = <countries> <sector> export_to <dest> <fraction>
         shock = <country> <sector> absolute <value>
@@ -150,7 +152,7 @@ def build_shock_vectors(spec: ScenarioSpec, panel: Panel) -> dict[str, np.ndarra
     removed: dict[tuple[str, str], float] = {}
 
     for term in spec.shocks:
-        wildcard = term.country == "*" and term.kind == "export_to"
+        wildcard = term.country == "*"  # export_to only: an absolute term takes one country
         sources = [c for c in countries if c != term.dest] if wildcard else [term.country]
         for c in sources:
             table = panel.get(c, year)

@@ -33,8 +33,6 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_BURN_IN,
-    DEFAULT_DT,
     ShockProfile,
     _check_size,
     _path_blocks,
@@ -44,37 +42,11 @@ from .dynamics import (
 )
 from .errors import InsufficientSamples, MissingPanelCell, NumericalError
 from .iodata import IOTable, _finite_vector, _leontief, _pow2_scaled, guarded_solve, write_table
+from .settings import SimulationBudget
 
 #: Normal critical value for the 95% confidence intervals of the
 #: output-weighted sector scores.
 _Z95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class SimulationBudget:
-    """Monte Carlo budget: step size, per-replica length (years), replicas.
-
-    Each path is sampled by the exact transition over ``dt``, so the step
-    only sets the lag grid of the trapezoid rule.  The default (8 replicas
-    of 2000 years at dt = 0.05) puts the relative Frobenius error of the
-    Green-Kubo ``rho(1)`` at 4.6% for a 56-sector economy under the default
-    noise.
-
-    Memory: ``susceptibility_monte_carlo`` stores no states.  It holds the
-    forcing and the deviations from ``Y0`` of one block of 256 steps, the
-    Green-Kubo filter's buffer of N + 1 columns (the deviations and a
-    constant) and one replica's FFT temporaries, whatever the length: a
-    traced peak of 3.95 MB at N = 28 (dt = 0.01) and 7.8 MB at N = 56
-    (dt = 0.05) for 8 replicas.  A process running it peaked at 61 MB at
-    N = 28 and 66 MB at N = 56, for the default as for the command line's
-    8 replicas of 400 years.
-    """
-
-    dt: float = DEFAULT_DT
-    length: float = 2000.0
-    replicas: int = 8
-    burn_in: float = DEFAULT_BURN_IN
-    seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from ioresponse.errors import (
     InsufficientSamples,
     MisalignedPanel,
     NonConvergent,
+    NumericalError,
     RankDeficientRegressors,
     SingularSystem,
     TooShortSeries,
@@ -297,6 +298,13 @@ class TestArimaForecast:
         with pytest.raises(TooShortSeries, match=f"need at least {shortest} observations"):
             arima_forecast(model, np.arange(shortest - 1.0), 1)
         assert np.all(np.isfinite(arima_forecast(model, np.arange(float(shortest)), 3)))
+
+    def test_forecast_that_overflows_is_refused(self):
+        # each entry is finite; their differences pass the largest double
+        model = fit_arima(np.cumsum(np.random.default_rng(0).normal(size=12)), 1, 1, 1)
+        series = np.array([1.7e308, -1.7e308] * 6)
+        with pytest.raises(NumericalError, match="^the ARIMA forecast overflows float64$"):
+            arima_forecast(model, series, 2)
 
 
 class TestVar:

@@ -35,7 +35,8 @@ VECTOR_PARAMETERS = frozenset({
 
 def _targets() -> list[str]:
     """Exported functions with a vector or series parameter."""
-    return sorted(name for name, obj in vars(ioresponse).items()
+    exported = {name: getattr(ioresponse, name) for name in ioresponse.__all__}
+    return sorted(name for name, obj in exported.items()
                   if inspect.isfunction(obj)
                   and VECTOR_PARAMETERS & set(inspect.signature(obj).parameters))
 

@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import io
+import json
 import os
 import re
 import shutil
@@ -427,6 +428,22 @@ class TestErrorHandling:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "ConfigError: scenario line 2: value must be finite"]
+        assert _no_outputs(out)
+
+    @pytest.mark.parametrize("countries", ["*", "AAA,BBB"])
+    def test_absolute_term_with_several_countries_exit_2(self, tmp_path, capsys, countries):
+        # refused as the spec is read, before the (missing) data file is opened
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"evaluation_year = 2006\nshock = {countries} A01 absolute 5\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        code = run([
+            "scenario", "--data", str(tmp_path / "missing.csv"), "--scenario-spec", str(spec),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ConfigError: scenario line 2: an absolute term takes one country, got {countries!r}"]
         assert _no_outputs(out)
 
     @pytest.mark.parametrize("kind, dest", [("FLOW", "A01"), ("FINAL", "BBB"), ("FINAL", "AAA")],
@@ -963,15 +980,20 @@ class TestEnvironmentOverride:
         assert code == 0  # explicit flag overrides the environment
 
 
-def _fresh_python(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports this checkout; its stdout."""
+def _checkout_env() -> dict:
+    """The environment of a new interpreter that imports this checkout."""
     import ioresponse
 
     src = str(Path(ioresponse.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this checkout; its stdout."""
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_checkout_env(), check=True)
     return proc.stdout.strip()
 
 
@@ -1021,6 +1043,75 @@ def test_scipy_routes_load_no_scipy_linalg(panel_file, tmp_path, args):
     code = (f"import sys; from ioresponse.cli import run; print(run({argv!r}), "
             f"[m for m in {_LOADED_SCIPY} if m.startswith(('scipy.linalg', 'scipy.fft'))])")
     assert _fresh_python(code) == "0 []"
+
+
+#: Prints, at exit, which modules of the program, numpy and scipy a process imported.
+_REPORT_MODULES = """
+import atexit, json, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    n for n in sys.modules if n == "numpy" or n.split(".")[0] in ("ioresponse", "scipy")))))
+"""
+
+
+@pytest.mark.parametrize("args, exit_code, stderr", [
+    (["--help"], 0, ""),
+    (["ingest", "--bogus"], 2, "ConfigError: unrecognized arguments: --bogus\n"),
+    (["ingest", "--eta", "-1"], 2,
+     "ConfigError: bad value for eta: must be finite and > 0, got '-1'\n"),
+], ids=["help", "unknown_flag", "bad_value"])
+def test_usage_paths_load_no_numpy(args, exit_code, stderr):
+    # what ``python -m ioresponse.cli ARGS`` runs, with the report added
+    code = _REPORT_MODULES + (f"sys.argv = ['ioresponse', *{args!r}]\n"
+                              "import runpy\n"
+                              "runpy.run_module('ioresponse.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_checkout_env())
+    assert (proc.returncode, proc.stderr) == (exit_code, stderr)
+    *printed, report = proc.stdout.splitlines()
+    assert bool(printed) == (args == ["--help"])
+    assert json.loads(report) == ["ioresponse", "ioresponse.errors", "ioresponse.settings"]
+
+
+_PIPELINES = ("dynamics", "susceptibility", "response", "baselines", "scenario", "backbone")
+_MONTE_CARLO = ("--method", "monte_carlo", "--country", "AAA", "--year", "2004",
+                "--horizon", "1", "--mc-replicas", "2", "--mc-length", "20")
+
+
+@pytest.mark.parametrize("args, unused", [
+    (("ingest",), _PIPELINES),
+    (("susceptibility",), _PIPELINES[2:]),
+    (("susceptibility", *_MONTE_CARLO), _PIPELINES[2:]),
+    (("backbone", "--country", "AAA", "--year", "2004", "--node-time", "1"), _PIPELINES[2:5]),
+    (("response", "--country", "AAA", "--year", "2004", "--horizon", "10"), _PIPELINES[4:]),
+    (("forecast",), _PIPELINES[4:]),
+    (("benchmark", "--baseline", "perturbed_io"), _PIPELINES[4:]),
+    (("scenario", "--curves", "AAA", "--horizon", "10"), _PIPELINES[5:]),
+], ids=["ingest", "susceptibility", "monte_carlo", "backbone", "response", "forecast",
+        "benchmark", "scenario"])
+def test_subcommand_imports_its_pipeline_before_the_freeze(panel_file, tmp_path, args, unused):
+    if args[0] == "scenario":
+        spec = tmp_path / "spec.txt"
+        spec.write_text("evaluation_year = 2004\nshock = * A01 export_to AAA -1.0\n",
+                        encoding="utf-8")
+        args = (*args, "--scenario-spec", str(spec))
+    argv = [*args, "--data", str(panel_file), "--out", str(tmp_path / "out")]
+    code = f"""
+import gc, json, sys
+frozen = []
+gc.freeze = lambda: frozen.append(set(sys.modules))
+from ioresponse import cli
+sys.argv = ["ioresponse", *{argv!r}]
+try:
+    cli.main()
+except SystemExit as exc:
+    ours = lambda names: sorted(n for n in names if n == "numpy" or n.startswith("ioresponse"))
+    print(json.dumps([exc.code, [ours(names) for names in frozen], ours(sys.modules)]))
+"""
+    exit_code, at_freeze, at_exit = json.loads(_fresh_python(code))
+    assert exit_code == 0
+    # frozen once, after numpy and every module of the program that the run imports
+    assert at_freeze == [at_exit] and "numpy" in at_exit
+    assert not {f"ioresponse.{m}" for m in unused} & set(at_exit)
 
 
 class TestNotUtf8:

@@ -10,7 +10,7 @@ from ioresponse.dynamics import (
     simulate_batch,
     stationary_covariance,
 )
-from ioresponse.errors import NumericalBlowup, SingularSystem, UnstableDrift
+from ioresponse.errors import NumericalBlowup, NumericalError, SingularSystem, UnstableDrift
 from ioresponse.iodata import IOTable, NoiseSpec, leontief_solve, noise_covariance
 from ioresponse.response import impulse_response, step_response
 from ioresponse.rng import GaussianStream
@@ -46,6 +46,14 @@ class TestEquilibrium:
             leontief_solve(a, np.ones(2))
         assert info.value.condition == np.linalg.cond(np.eye(2) - a)
         assert info.value.condition > 1e15
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["vector", "stack"])
+    def test_leontief_solve_that_overflows_is_refused(self, stack):
+        # each entry is finite; the solution's entries pass the largest double
+        a = random_economy(4, seed=1).coefficients
+        rhs = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308])
+        with pytest.raises(NumericalError, match="^the Leontief solve .* overflows float64$"):
+            leontief_solve(a, np.stack([rhs, np.ones(4)], axis=1) if stack else rhs)
 
     def test_residual_bound(self, panel):
         for table in panel:

@@ -113,6 +113,11 @@ class TestBuildShockVectors:
         with pytest.raises(ValueError, match="^value must be finite$"):
             ShockTerm("AAA", "S1", "absolute", value=value)
 
+    @pytest.mark.parametrize("country", ["*", "AAA,BBB"])
+    def test_absolute_term_takes_one_country(self, country):
+        with pytest.raises(ValueError, match="^an absolute term takes one country, got "):
+            ShockTerm(country, "S1", "absolute", value=5.0)
+
 
 class TestScenarioImpact:
     def test_zero_shock_zero_impact(self, scenario_panel):
@@ -279,3 +284,11 @@ class TestSpecParsing:
     def test_malformed_specs_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_scenario_spec(text)
+
+    @pytest.mark.parametrize("countries", ["*", "AAA,BBB"])
+    def test_absolute_term_with_several_countries_names_its_line(self, countries):
+        text = f"evaluation_year = 2014\n\nshock = {countries} A01 absolute 5\n"
+        with pytest.raises(ConfigError) as info:
+            parse_scenario_spec(text)
+        assert str(info.value) == (
+            f"scenario line 3: an absolute term takes one country, got {countries!r}")
