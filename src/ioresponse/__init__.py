@@ -63,7 +63,6 @@ _EXPORTS = {
     "settings": ("NoiseSpec", "SimulationBudget"),
     "susceptibility": (
         "SusceptibilityAggregates",
-        "SusceptibilityMatrix",
         "aggregate_susceptibilities",
         "applied_susceptibility",
         "propagator",

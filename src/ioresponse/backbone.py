@@ -1,11 +1,13 @@
 """Disparity-filtered backbone of a susceptibility matrix.
 
-Edge weights are absolute susceptibilities; the sign is kept as an
-attribute.  For a node direction with degree k >= 2 and strength s, the edge
-disparity is ``alpha = (1 - w / s)**(k - 1)``; an edge survives when alpha
-falls below the significance level in either direction (the library
-argument ``mode="out"`` restricts the test to the out-direction).  Single
-edges of degree-1 directions are preserved and flagged, since the formula is
+The matrix is a plain N x N array, labelled by the sector codes passed
+with it (``table.codes`` for a table's ``rho``).  Edge weights are absolute
+susceptibilities; the sign is kept as an attribute.  For a node direction
+with degree k >= 2 and strength s, the edge disparity is
+``alpha = (1 - w / s)**(k - 1)``; an edge survives when alpha falls below
+the significance level in either direction (the library argument
+``mode="out"`` restricts the test to the out-direction).  Single edges of
+degree-1 directions are preserved and flagged, since the formula is
 uninformative there.  The diagonal is always excluded.
 """
 
@@ -20,7 +22,6 @@ import numpy as np
 from .errors import InvalidP, UnsupportedFormat
 from .iodata import _fmt, write_table
 from .sectors import sector_metadata
-from .susceptibility import SusceptibilityMatrix
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,6 @@ class BackboneNode:
 class BackboneGraph:
     nodes: tuple[BackboneNode, ...]
     edges: tuple[BackboneEdge, ...]
-    p: float
-    mode: str
 
 
 def _direction_alpha(weights: np.ndarray) -> np.ndarray:
@@ -61,13 +60,14 @@ def _direction_alpha(weights: np.ndarray) -> np.ndarray:
 
 
 def disparity_filter(
-    rho: SusceptibilityMatrix | np.ndarray,
+    rho: np.ndarray,
     p: float,
-    sectors: Sequence[str] | None = None,
+    sectors: Sequence[str],
     mode: str = "either",
     node_values: Mapping[str, float] | None = None,
 ) -> BackboneGraph:
-    """Extract the significant backbone of a susceptibility matrix.
+    """Extract the significant backbone of a susceptibility matrix whose
+    rows and columns are the ``sectors``, in order.
 
     ``mode="either"`` (default) keeps an edge significant in the out- or
     in-direction; ``mode="out"`` tests the out-direction only.
@@ -76,19 +76,12 @@ def disparity_filter(
         raise InvalidP(f"p must satisfy 0 < p < 1, got {p!r}")
     if mode not in ("either", "out"):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(rho, SusceptibilityMatrix):
-        values = rho.values
-        if sectors is None:
-            sectors = rho.sectors
-    else:
-        values = np.asarray(rho, dtype=float)
-        if sectors is None:
-            sectors = tuple(f"S{k:02d}" for k in range(values.shape[0]))
+    values = np.asarray(rho, dtype=float)
     n = values.shape[0]
     if values.shape != (n, n) or len(sectors) != n:
         raise ValueError("matrix must be square with one label per row")
 
-    w = np.abs(np.asarray(values, dtype=float))
+    w = np.abs(values)
     np.fill_diagonal(w, 0.0)
 
     alpha_out = np.stack([_direction_alpha(w[i, :]) for i in range(n)])
@@ -136,7 +129,7 @@ def disparity_filter(
         )
         for k, code in enumerate(sectors)
     )
-    return BackboneGraph(nodes=nodes, edges=tuple(edges), p=float(p), mode=mode)
+    return BackboneGraph(nodes=nodes, edges=tuple(edges))
 
 
 def export_graph(graph: BackboneGraph, fmt: str = "edgelist") -> str:

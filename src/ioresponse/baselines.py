@@ -89,10 +89,8 @@ class ArimaModel:
     const: float
     phi: float
     theta: float
-    sigma2: float
     objective: float
     clamped: bool
-    n_obs: int
 
 
 def _difference(series: np.ndarray, d: int) -> np.ndarray:
@@ -175,10 +173,8 @@ def fit_arima(series, p: int, d: int, q: int) -> ArimaModel:
         const=const,
         phi=phi,
         theta=theta,
-        sigma2=objective / max(len(w) - p, 1),
         objective=objective,
         clamped=max(abs(phi), abs(theta)) == _COEF_CLAMP,
-        n_obs=len(series),
     )
 
 
@@ -233,9 +229,6 @@ class VarModel:
     ar: np.ndarray
     intercept: np.ndarray
     ar_stderr: np.ndarray
-    intercept_stderr: np.ndarray
-    calibration_year: int
-    samples: int
 
 
 def fit_var1(
@@ -302,15 +295,10 @@ def fit_var1(
     residuals = leading - lead_mean - design @ coef
     dof = max(len(lagged) - (n + 1), 1)
     sigma2 = (residuals**2).sum(axis=0) / dof
-    gram_inv = np.linalg.inv(gram)
-    intercept_var = 1.0 / len(lagged) + lag_mean @ gram_inv @ lag_mean
     return VarModel(
         ar=ar,
         intercept=lead_mean - ar @ lag_mean,
-        ar_stderr=np.sqrt(np.outer(np.diag(gram_inv), sigma2)).T,
-        intercept_stderr=np.sqrt(sigma2 * intercept_var),
-        calibration_year=table.year,
-        samples=samples,
+        ar_stderr=np.sqrt(np.outer(np.diag(np.linalg.inv(gram)), sigma2)).T,
     )
 
 

@@ -375,14 +375,15 @@ def _cmd_susceptibility(cfg: RunConfig, out: OutputDir) -> None:
         table = panel.get(cfg["country"], cfg["year"])
         if cfg["method"] == "monte_carlo":
             nu = iodata.noise_covariance(cfg.noise_spec(), table)
-            rho = susceptibility.susceptibility_monte_carlo(table, nu, horizon, budget)
+            rho, standard_errors = susceptibility.susceptibility_monte_carlo(
+                table, nu, horizon, budget)
         else:
-            rho = susceptibility.susceptibility_analytic(table, horizon)
+            rho, standard_errors = susceptibility.susceptibility_analytic(table, horizon), None
         with out.open(f"matrix_{table.country}_{table.year}.csv") as fh:
-            susceptibility.write_matrix(rho, fh)
+            susceptibility.write_matrix(rho, table.codes, fh, standard_errors)
         scores = susceptibility.sector_susceptibility(rho, convention=convention)
         with out.open(f"sector_{table.country}_{table.year}.csv") as fh:
-            iodata.write_table(fh, "sector,value", (rho.sectors, scores))
+            iodata.write_table(fh, "sector,value", (table.codes, scores))
         return
 
     codes = panel.codes()
@@ -559,25 +560,24 @@ def _cmd_backbone(cfg: RunConfig, out: OutputDir) -> None:
         # annotate nodes with the unit-impulse response at the chosen time
         p = susceptibility.propagator(table.coefficients, float(cfg["node_time"]))
         node_values = dict(zip(table.codes, (float(v) for v in p @ np.ones(table.n_sectors))))
-    graph = backbone.disparity_filter(
-        rho, cfg["significance"], node_values=node_values
-    )
+    graph = backbone.disparity_filter(rho, cfg["significance"], table.codes,
+                                      node_values=node_values)
     fmt = cfg["graph_format"]
     ext = "graphml" if fmt == "graphml" else "csv"
     with out.open(f"backbone_{country}_{year}.{ext}") as fh:
         fh.write(backbone.export_graph(graph, fmt))
 
 
-#: subcommand -> (handler, the module whose import loads every module the
-#: handler uses).  ``run`` imports it before the handler starts.
+#: subcommand -> (handler, the modules whose imports load every module the
+#: handler uses).  ``run`` imports them before the handler starts.
 _HANDLERS = {
-    "ingest": (_cmd_ingest, "iodata"),
-    "susceptibility": (_cmd_susceptibility, "susceptibility"),
-    "response": (_cmd_response, "response"),
-    "forecast": (_cmd_forecast, "response"),
-    "benchmark": (_cmd_benchmark, "response"),
-    "scenario": (_cmd_scenario, "scenario"),
-    "backbone": (_cmd_backbone, "backbone"),
+    "ingest": (_cmd_ingest, ("iodata",)),
+    "susceptibility": (_cmd_susceptibility, ("susceptibility",)),
+    "response": (_cmd_response, ("response",)),
+    "forecast": (_cmd_forecast, ("response",)),
+    "benchmark": (_cmd_benchmark, ("response",)),
+    "scenario": (_cmd_scenario, ("scenario",)),
+    "backbone": (_cmd_backbone, ("backbone", "susceptibility")),
 }
 
 
@@ -627,7 +627,8 @@ def run(argv: Sequence[str], imported: Callable[[], None] = lambda: None) -> int
             raise ConfigError(f"{args.subcommand} is analytic only; "
                               f"method = {cfg['method']} applies to susceptibility")
         handler, pipeline = _HANDLERS[args.subcommand]
-        importlib.import_module(f".{pipeline}", __package__)
+        for module in pipeline:
+            importlib.import_module(f".{module}", __package__)
         imported()
         out = OutputDir(cfg["out"])
         try:

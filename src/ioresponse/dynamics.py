@@ -85,17 +85,21 @@ def drift_matrix(coefficients: np.ndarray) -> np.ndarray:
 def equilibrium_output(coefficients: np.ndarray, demand: np.ndarray) -> np.ndarray:
     """Solve (I - A) Y0 = D directly, with one step of iterative refinement.
 
-    Raises :class:`SingularSystem` when the system is numerically singular or
-    the refined residual still exceeds ``EQUILIBRIUM_RTOL * ||D||_inf``.
+    Raises :class:`NumericalError` when ``Y0`` overflows float64, and
+    :class:`SingularSystem` when the system is numerically singular or the
+    refined residual still exceeds ``EQUILIBRIUM_RTOL * ||D||_inf``.
     """
     a = np.asarray(coefficients, dtype=float)
     d = _finite_vector("demand", demand, len(a))
     system = np.eye(a.shape[0]) - a
-    y = _leontief(a, d)
-    y = y + _leontief(a, d - system @ y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _leontief(a, d)
+        y = y + _leontief(a, d - system @ y)
+        residual = float(np.max(np.abs(system @ y - d)))
+    if not np.isfinite(y).all():
+        raise NumericalError("the equilibrium output overflows float64")
     scale = max(float(np.max(np.abs(d))), np.finfo(float).tiny)
-    residual = float(np.max(np.abs(system @ y - d)))
-    if not np.all(np.isfinite(y)) or residual > EQUILIBRIUM_RTOL * scale:
+    if residual > EQUILIBRIUM_RTOL * scale:
         raise SingularSystem(
             f"equilibrium residual {residual:.3e} exceeds tolerance",
             condition=float(np.linalg.cond(system)),

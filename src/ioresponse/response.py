@@ -433,7 +433,6 @@ class BenchmarkResult:
     evaluation: ForecastEvaluation
     baseline: str
     observed: Mapping[tuple[str, int], np.ndarray]
-    anchor: Mapping[tuple[str, int], np.ndarray]
     lrt_predictions: Mapping[tuple[str, int], np.ndarray]
     baseline_predictions: Mapping[tuple[str, int], np.ndarray]
 
@@ -530,7 +529,6 @@ def benchmark_lrt_vs_baseline(
         evaluation=evaluation,
         baseline=baseline,
         observed=observed,
-        anchor=anchor,
         lrt_predictions=lrt_pred,
         baseline_predictions=base_pred,
     )

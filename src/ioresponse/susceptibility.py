@@ -1,7 +1,8 @@
 """Economic susceptibility matrices and their aggregates.
 
 The susceptibility matrix ``rho`` maps a unit step demand shock in sector i
-to the stationary output change of sector k.  Two routes are provided:
+to the stationary output change of sector k.  It is a plain N x N array
+whose rows and columns follow ``table.codes``.  Two routes are provided:
 
 * ``susceptibility_analytic`` evaluates the closed form
   ``rho(T) = (I - A)^{-1} (I - exp((A - I) T))`` (the Leontief inverse at
@@ -17,7 +18,8 @@ to the stationary output change of sector k.  Two routes are provided:
   unshocked trajectories: lagged covariances of centered states are
   accumulated on the dt lag grid, integrated by the trapezoid rule up to the
   horizon T, and multiplied by the inverse sample covariance.  Replicas give
-  standard errors.  The integral is accumulated block by block while the
+  standard errors: the route returns ``(estimate, standard_errors)``, two
+  such arrays.  The integral is accumulated block by block while the
   replicas are simulated (``_GreenKuboSums``), so no path is stored and the
   working memory does not grow with the simulated length.  A constant
   channel filtered with the states gives every sum that centering on the
@@ -49,29 +51,6 @@ from .settings import SimulationBudget
 _Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class SusceptibilityMatrix:
-    """N x N susceptibility with provenance.
-
-    ``values[k, i]`` is the stationary output change of sector k per unit
-    step demand shock in sector i, integrated up to the horizon (years;
-    ``math.inf`` for the stationary limit).
-    """
-
-    values: np.ndarray
-    sectors: tuple[str, ...]
-    country: str
-    year: int
-    horizon: float
-    method: str  # "analytic" | "monte_carlo"
-    budget: SimulationBudget | None = None
-    standard_errors: np.ndarray | None = None
-
-    @property
-    def n_sectors(self) -> int:
-        return len(self.sectors)
-
-
 def propagator(coefficients: np.ndarray, t: float) -> np.ndarray:
     """exp((A - I) t): carries a deviation from equilibrium t years ahead.
 
@@ -100,17 +79,10 @@ def truncated_susceptibility(coefficients: np.ndarray, horizon: float) -> np.nda
     return applied_susceptibility(coefficients, horizon, np.eye(len(coefficients)))
 
 
-def susceptibility_analytic(table: IOTable, horizon: float = math.inf) -> SusceptibilityMatrix:
-    """Analytic susceptibility matrix of one country-year economy."""
-    values = truncated_susceptibility(table.coefficients, horizon)
-    return SusceptibilityMatrix(
-        values=values,
-        sectors=table.codes,
-        country=table.country,
-        year=table.year,
-        horizon=float(horizon),
-        method="analytic",
-    )
+def susceptibility_analytic(table: IOTable, horizon: float = math.inf) -> np.ndarray:
+    """Analytic susceptibility matrix of one country-year economy, in
+    ``table.codes`` order."""
+    return truncated_susceptibility(table.coefficients, horizon)
 
 
 def lag_count(horizon: float, budget: SimulationBudget) -> int:
@@ -257,9 +229,10 @@ def susceptibility_monte_carlo(
     nu: np.ndarray,
     horizon: float,
     budget: SimulationBudget = SimulationBudget(),
-) -> SusceptibilityMatrix:
-    """Green-Kubo estimate of rho(T) from unshocked trajectories, with
-    standard errors from the replica spread (see :func:`lag_count`)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Green-Kubo estimate of rho(T) from unshocked trajectories, in
+    ``table.codes`` order, and its standard errors from the replica spread:
+    ``(estimate, standard_errors)`` (see :func:`lag_count`)."""
     n_lags = lag_count(horizon, budget)
     y0, records, blocks = _path_blocks(
         table.coefficients, table.demand, nu, ShockProfile.none(), dt=budget.dt,
@@ -273,26 +246,14 @@ def susceptibility_monte_carlo(
     for block in blocks:
         sums.add(block)
     stack = sums.integrals()
-    return SusceptibilityMatrix(
-        values=stack.mean(axis=0),
-        sectors=table.codes,
-        country=table.country,
-        year=table.year,
-        horizon=float(horizon),
-        method="monte_carlo",
-        budget=budget,
-        standard_errors=stack.std(axis=0, ddof=1) / math.sqrt(budget.replicas),
-    )
+    return stack.mean(axis=0), stack.std(axis=0, ddof=1) / math.sqrt(budget.replicas)
 
 
 # ---------------------------------------------------------------------------
 # aggregates
 # ---------------------------------------------------------------------------
 
-def sector_susceptibility(
-    rho: SusceptibilityMatrix | np.ndarray,
-    convention: str = "response",
-) -> np.ndarray:
+def sector_susceptibility(rho: np.ndarray, convention: str = "response") -> np.ndarray:
     """Per-sector susceptibility, s_i = sum_j rho_ij.
 
     The default ``"response"`` convention sums over the second (shocked)
@@ -300,11 +261,10 @@ def sector_susceptibility(
     ``"source"`` sums over the first index instead (total response induced
     by a shock in i), for sensitivity analysis.
     """
-    values = rho.values if isinstance(rho, SusceptibilityMatrix) else np.asarray(rho)
     if convention == "response":
-        return values.sum(axis=1)
+        return np.sum(rho, axis=1)
     if convention == "source":
-        return values.sum(axis=0)
+        return np.sum(rho, axis=0)
     raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -392,12 +352,13 @@ def aggregate_susceptibilities(
 # exports
 # ---------------------------------------------------------------------------
 
-def write_matrix(rho: SusceptibilityMatrix, stream: TextIO) -> None:
-    """Tabular export: row_sector,col_sector,value[,stderr], row-major."""
-    codes = rho.sectors
+def write_matrix(
+    rho: np.ndarray, codes: Sequence[str], stream: TextIO, standard_errors: np.ndarray | None = None
+) -> None:
+    """Tabular export: row_sector,col_sector,value[,stderr], row-major; the
+    ``stderr`` column only with ``standard_errors``."""
     write_table(stream, "row_sector,col_sector,value,stderr", (
-        [c for c in codes for _ in codes], list(codes) * len(codes),
-        rho.values, rho.standard_errors,
+        [c for c in codes for _ in codes], list(codes) * len(codes), rho, standard_errors,
     ))
 
 

@@ -14,6 +14,11 @@ def _edge_set(graph):
     return {(e.source, e.target) for e in graph.edges}
 
 
+def _codes(m):
+    """S00, S01, ...: one label per row of ``m``."""
+    return [f"S{k:02d}" for k in range(len(m))]
+
+
 @pytest.fixture()
 def four_node_matrix():
     # S -> T1: 9, S -> T2: 1, U -> T1: 5, U -> T2: 5
@@ -58,8 +63,8 @@ class TestAlpha:
         # give targets a second incoming edge so the in-direction cannot rescue
         m[1, 2] = 0.5
         m[2, 1] = 0.5
-        removed = disparity_filter(m, p=0.05, mode="out")
-        kept = disparity_filter(m, p=0.6, mode="out")
+        removed = disparity_filter(m, p=0.05, sectors=_codes(m), mode="out")
+        kept = disparity_filter(m, p=0.6, sectors=_codes(m), mode="out")
         assert ("S00", "S01") not in _edge_set(removed)
         assert {("S00", "S01"), ("S00", "S02")} <= _edge_set(kept)
 
@@ -69,7 +74,7 @@ class TestFilterProperties:
         rng = np.random.default_rng(0)
         m = rng.normal(size=(6, 6))
         np.fill_diagonal(m, 0.0)
-        graph = disparity_filter(m, p=0.999999)
+        graph = disparity_filter(m, p=0.999999, sectors=_codes(m))
         assert len(graph.edges) == np.count_nonzero(m)
 
     def test_monotone_edge_sets_in_p(self):
@@ -79,7 +84,7 @@ class TestFilterProperties:
             np.fill_diagonal(m, 0.0)
             previous = None
             for p in (0.02, 0.05, 0.2, 0.5, 0.9):
-                edges = _edge_set(disparity_filter(m, p=p))
+                edges = _edge_set(disparity_filter(m, p=p, sectors=_codes(m)))
                 if previous is not None:
                     assert previous <= edges
                 previous = edges
@@ -88,8 +93,8 @@ class TestFilterProperties:
         rng = np.random.default_rng(2)
         m = rng.normal(size=(5, 5))
         np.fill_diagonal(m, 0.0)
-        graph = disparity_filter(m, p=0.9)
-        labels = {code: k for k, code in enumerate(f"S{j:02d}" for j in range(5))}
+        graph = disparity_filter(m, p=0.9, sectors=_codes(m))
+        labels = {code: k for k, code in enumerate(_codes(m))}
         for e in graph.edges:
             value = m[labels[e.source], labels[e.target]]
             assert e.sign == (1 if value > 0 else -1)
@@ -100,8 +105,8 @@ class TestFilterProperties:
         m = rng.normal(size=(6, 6)) * (rng.random(size=(6, 6)) < 0.6)
         np.fill_diagonal(m, 0.0)
         for scale in (1e-6, 3.7, 1e8):
-            a = disparity_filter(m, p=0.1)
-            b = disparity_filter(scale * m, p=0.1)
+            a = disparity_filter(m, p=0.1, sectors=_codes(m))
+            b = disparity_filter(scale * m, p=0.1, sectors=_codes(m))
             assert _edge_set(a) == _edge_set(b)
             for ea, eb in zip(a.edges, b.edges):
                 assert ea.alpha == pytest.approx(eb.alpha, rel=1e-9)
@@ -110,7 +115,7 @@ class TestFilterProperties:
         m = np.zeros((3, 3))
         m[0, 1] = 1.0  # node 0 has out-degree 1; node 1 in-degree 1
         m[2, 0] = 0.5
-        graph = disparity_filter(m, p=0.01)
+        graph = disparity_filter(m, p=0.01, sectors=_codes(m))
         pairs = {(e.source, e.target): e for e in graph.edges}
         assert ("S00", "S01") in pairs
         assert pairs[("S00", "S01")].preserved
@@ -122,9 +127,9 @@ class TestFilterProperties:
 
     def test_invalid_p(self):
         with pytest.raises(InvalidP):
-            disparity_filter(np.eye(3), p=0.0)
+            disparity_filter(np.eye(3), p=0.0, sectors=_codes(np.eye(3)))
         with pytest.raises(InvalidP):
-            disparity_filter(np.eye(3), p=1.0)
+            disparity_filter(np.eye(3), p=1.0, sectors=_codes(np.eye(3)))
 
     def test_node_attributes(self, four_node_matrix):
         graph = disparity_filter(
@@ -139,7 +144,8 @@ class TestFilterProperties:
 
 class TestExport:
     def test_empty_backbone_is_header_only(self):
-        graph = disparity_filter(np.zeros((3, 3)) + np.eye(3), p=0.05)
+        m = np.zeros((3, 3)) + np.eye(3)
+        graph = disparity_filter(m, p=0.05, sectors=_codes(m))
         text = export_graph(graph, "edgelist")
         assert text == "from,to,weight,sign,alpha,preserved_flag\n"
 
@@ -153,7 +159,7 @@ class TestExport:
         assert lines[2].startswith("U,T2,")
 
     def test_unknown_format(self, four_node_matrix):
-        graph = disparity_filter(four_node_matrix, p=0.2)
+        graph = disparity_filter(four_node_matrix, p=0.2, sectors=["S", "U", "T1", "T2"])
         with pytest.raises(UnsupportedFormat):
             export_graph(graph, "dot")
 

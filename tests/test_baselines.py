@@ -264,8 +264,8 @@ class TestArimaForecast:
         from ioresponse.baselines import ArimaModel
 
         model = ArimaModel(
-            order=(1, 0, 0), const=0.0, phi=0.5, theta=0.0, sigma2=1.0,
-            objective=0.0, clamped=False, n_obs=10,
+            order=(1, 0, 0), const=0.0, phi=0.5, theta=0.0,
+            objective=0.0, clamped=False,
         )
         series = np.array([1.0, 2.0, 8.0])
         np.testing.assert_allclose(arima_forecast(model, series, 2), [4.0, 2.0])
@@ -291,8 +291,8 @@ class TestArimaForecast:
         from ioresponse.baselines import ArimaModel
 
         model = ArimaModel(
-            order=order, const=0.5, phi=0.5, theta=0.25, sigma2=1.0,
-            objective=0.0, clamped=False, n_obs=10,
+            order=order, const=0.5, phi=0.5, theta=0.25,
+            objective=0.0, clamped=False,
         )
         shortest = max(order[0] + order[1], 1)
         with pytest.raises(TooShortSeries, match=f"need at least {shortest} observations"):

@@ -57,7 +57,6 @@ A = TABLE.coefficients
 ARIMA = ioresponse.fit_arima(np.cumsum(np.random.default_rng(0).normal(size=SERIES_LEN)), 1, 1, 1)
 VAR = ioresponse.VarModel(
     ar=ioresponse.propagator(A, 1.0), intercept=np.ones(N), ar_stderr=np.zeros((N, N)),
-    intercept_stderr=np.zeros(N), calibration_year=2000, samples=100,
 )
 
 CASES = {

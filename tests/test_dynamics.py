@@ -55,6 +55,15 @@ class TestEquilibrium:
         with pytest.raises(NumericalError, match="^the Leontief solve .* overflows float64$"):
             leontief_solve(a, np.stack([rhs, np.ones(4)], axis=1) if stack else rhs)
 
+    def test_equilibrium_that_overflows_is_refused(self):
+        # each demand is finite; the output's entries pass the largest double
+        a = random_economy(4, seed=1).coefficients
+        demand = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
+        message = "^the equilibrium output overflows float64$"
+        with pytest.raises(NumericalError, match=message) as info:
+            equilibrium_output(a, demand)
+        assert not isinstance(info.value, SingularSystem)
+
     def test_residual_bound(self, panel):
         for table in panel:
             y = equilibrium_output(table.coefficients, table.demand)

@@ -10,7 +10,7 @@ import ioresponse
 PUBLIC = [
     "ArimaModel", "BackboneGraph", "ForecastEvaluation", "IOTable", "ImpliedShock", "NoiseSpec",
     "Panel", "ResponseCurve", "ScenarioResult", "ScenarioSpec", "ShockProfile", "ShockTerm",
-    "SimulationBudget", "SusceptibilityAggregates", "SusceptibilityMatrix", "VarModel",
+    "SimulationBudget", "SusceptibilityAggregates", "VarModel",
     "aggregate_susceptibilities", "applied_susceptibility", "arima_forecast",
     "benchmark_lrt_vs_baseline", "build_shock_vectors", "disparity_filter", "equilibrium_output",
     "evaluate_forecasts", "export_graph", "fit_arima", "fit_var1", "fluctuation_panel_regression",
@@ -26,7 +26,7 @@ SUBMODULES = ["backbone", "baselines", "dynamics", "errors", "iodata", "response
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 51
+    assert len(PUBLIC) == 50
     assert sorted(ioresponse.__all__) == PUBLIC
 
 
